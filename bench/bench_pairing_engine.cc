@@ -21,11 +21,15 @@
 // (bit-identical match outcomes across kernels, asserted before CI's
 // regression gate reads the JSON), and times raw Fp multiplication
 // under every kernel the field prime can run (the intrinsic-vs-u128
-// speedup row). Emits a human table plus machine-readable
-// BENCH_pairing_engine.json for bench/check_regression.py; the pinned
-// params.field_kernel is the portable *family* name (cios4 on both
-// cios4 and cios4_adx hardware) so the baseline holds across runners,
-// with the exact dispatch reported separately.
+// speedup row). The verify pass also re-runs the scan on the portable
+// kernels, whose plan walks scalar, so on an AVX-512 IFMA host the
+// scalar walk is checked against the eight-lane walk; a walk row times
+// one token round per query on both. Emits a human table plus
+// machine-readable BENCH_pairing_engine.json for
+// bench/check_regression.py; the pinned params.field_kernel is the
+// portable *family* name (cios4 on both cios4 and cios4_adx hardware)
+// so the baseline holds across runners, with the exact dispatch and
+// the Miller walk ("ifma8" or "scalar") reported separately.
 //
 // Flags: --users=N (64), --width=W (24), --tokens=T (4), --pbits=B (48),
 //        --verify-kernels=0|1 (1), --csv=PATH, --json=PATH
@@ -146,9 +150,14 @@ int Run(int argc, char** argv) {
   // ("cios4_adx") is reported alongside.
   const char* kernel = MulKernelFamilyName(group->fp().mul_kernel());
   const char* kernel_dispatch = MulKernelName(group->fp().mul_kernel());
-  std::printf("field prime: %zu bits (%zu limbs), %s kernel (dispatch %s)\n",
-              group->params().field_p.BitLength(), group->fp().num_limbs(),
-              kernel, kernel_dispatch);
+  // The walk depends on the CPU too, so it is reported beside the
+  // kernel but kept out of the params the baseline pins.
+  const char* walk = MillerWalkName(group->miller_plan().walk());
+  std::printf(
+      "field prime: %zu bits (%zu limbs), %s kernel (dispatch %s), "
+      "%s Miller walk\n",
+      group->params().field_p.BitLength(), group->fp().num_limbs(), kernel,
+      kernel_dispatch, walk);
   // Kernel-selection assert: 4/6/8-limb fields must run fixed-width.
   const size_t field_limbs = group->fp().num_limbs();
   if (field_limbs == 4 || field_limbs == 6 || field_limbs == 8) {
@@ -258,22 +267,77 @@ int Run(int argc, char** argv) {
   // the SAME ciphertext and token bytes: the notified set must be
   // bit-identical to the auto-dispatched run. CI runs this before the
   // regression gate reads the JSON.
+  // The same holds for the Miller walk: both forced tiers build scalar-
+  // walk plans, so on an IFMA host the portable re-run checks the
+  // scalar walk against the ifma8 walk the auto-dispatched scan used.
   if (verify_kernels) {
-    SetMulKernelDispatch(KernelDispatch::kGenericOnly);
-    auto generic_group = std::make_shared<const PairingGroup>(
-        PairingGroup::Generate(spec).value());
-    SLOC_CHECK(generic_group->fp().mul_kernel() == MulKernel::kGeneric)
-        << "generic dispatch not honored";
-    ServiceProvider generic_sp(generic_group, marker, options);
-    SLOC_CHECK(generic_sp.SubmitBatch(uploads).rejected.empty());
-    auto generic_outcome = generic_sp.ProcessAlert(token_blobs).value();
-    SLOC_CHECK(generic_outcome.notified_users == baseline_notified)
-        << "forced-generic kernel diverged from auto dispatch";
-    SetMulKernelDispatch(KernelDispatch::kAuto);
-    std::printf(
-        "kernel equivalence: forced-generic scan notified the same %zu "
-        "users as %s dispatch\n",
-        generic_outcome.notified_users.size(), kernel_dispatch);
+    for (auto [policy, label] :
+         {std::pair<KernelDispatch, const char*>{KernelDispatch::kGenericOnly,
+                                                 "forced-generic"},
+          {KernelDispatch::kPortableOnly, "forced-portable"}}) {
+      SetMulKernelDispatch(policy);
+      auto forced_group = std::make_shared<const PairingGroup>(
+          PairingGroup::Generate(spec).value());
+      SetMulKernelDispatch(KernelDispatch::kAuto);
+      SLOC_CHECK(policy != KernelDispatch::kGenericOnly ||
+                 forced_group->fp().mul_kernel() == MulKernel::kGeneric)
+          << "generic dispatch not honored";
+      SLOC_CHECK(forced_group->miller_plan().walk() == MillerWalk::kScalar)
+          << "forced dispatch must walk scalar";
+      ServiceProvider forced_sp(forced_group, marker, options);
+      SLOC_CHECK(forced_sp.SubmitBatch(uploads).rejected.empty());
+      auto forced_outcome = forced_sp.ProcessAlert(token_blobs).value();
+      SLOC_CHECK(forced_outcome.notified_users == baseline_notified)
+          << label << " scan diverged from auto dispatch";
+      std::printf(
+          "kernel equivalence: %s scan (%s kernel, %s walk) notified the "
+          "same %zu users as %s dispatch (%s walk)\n",
+          label, MulKernelName(forced_group->fp().mul_kernel()),
+          MillerWalkName(forced_group->miller_plan().walk()),
+          forced_outcome.notified_users.size(), kernel_dispatch, walk);
+    }
+  }
+
+  // ---- One token round, per query: the Miller walk under the scan ----
+  //
+  // QueryMillerPrecompiledView always walks scalar; the batched call the
+  // flush makes walks eight lanes at a time when the group's plan is
+  // ifma8 (and scalar otherwise, so the two rows then agree).
+  double walk_single_us = 0.0, walk_batched_us = 0.0;
+  {
+    hve::Token token = hve::ParseToken(*group, token_blobs[0]).value();
+    hve::PrecompiledToken compiled = hve::PrecompileToken(*group, token);
+    hve::EvalLayout layout = hve::MakeEvalLayout(width, {&compiled});
+    std::vector<hve::EvalView> views(uploads.size());
+    std::vector<const hve::EvalView*> view_ptrs;
+    for (size_t u = 0; u < uploads.size(); ++u) {
+      hve::Ciphertext ct =
+          hve::ParseCiphertext(*group, uploads[u].ciphertext).value();
+      SLOC_CHECK(hve::MakeEvalView(*group, layout, ct, &views[u]).ok());
+      view_ptrs.push_back(&views[u]);
+    }
+    hve::QueryScratch scratch;
+    std::vector<Fp2Elem> millers;
+    for (int rep = 0; rep < 3; ++rep) {  // best-of-3, first one warms
+      WallTimer single;
+      for (const hve::EvalView& view : views) {
+        (void)hve::QueryMillerPrecompiledView(*group, compiled, layout, view,
+                                              &scratch)
+            .value();
+      }
+      const double single_us = single.Seconds() * 1e6 / double(views.size());
+      WallTimer batched;
+      SLOC_CHECK(hve::QueryMillerPrecompiledViews(*group, compiled, layout,
+                                                  view_ptrs, &millers,
+                                                  &scratch)
+                     .ok());
+      const double batched_us =
+          batched.Seconds() * 1e6 / double(views.size());
+      if (rep == 0 || single_us < walk_single_us) walk_single_us = single_us;
+      if (rep == 0 || batched_us < walk_batched_us) {
+        walk_batched_us = batched_us;
+      }
+    }
   }
 
   // ---- Raw Fp multiplication per kernel (the layer under everything) --
@@ -381,6 +445,10 @@ int Run(int argc, char** argv) {
     std::printf("  intrinsic vs u128 kernel: %.2fx\n", speedup_adx_vs_u128);
   }
   std::printf(
+      "Miller walk, one token round: %.1f us/query single (scalar), "
+      "%.1f us/query batched (%s), %.2fx\n",
+      walk_single_us, walk_batched_us, walk, walk_single_us / walk_batched_us);
+  std::printf(
       "single Pair(): %.1f pairings/sec (field kernel: %s, dispatch %s)\n"
       "precompiled vs multipairing: %.2fx, vs reference: %.2fx\n"
       "batched vs precompiled: %.2fx, vs reference: %.2fx\n"
@@ -419,6 +487,12 @@ int Run(int argc, char** argv) {
   JsonWriter root;
   root.Nested("params", params);
   root.String("field_kernel_dispatch", kernel_dispatch);
+  root.String("miller_walk", walk);
+  JsonWriter walk_json;
+  walk_json.Number("single_us_per_query", walk_single_us);
+  walk_json.Number("batched_us_per_query", walk_batched_us);
+  walk_json.Number("speedup", walk_single_us / walk_batched_us);
+  root.Nested("walk", walk_json);
   root.Number("pairings_per_sec", pair_per_sec);
   root.Nested("fp_mul", fp_mul);
   root.Nested("alert_scan", scan);

@@ -15,7 +15,8 @@
 //                              loopback, alert, restart the server on
 //                              the recovered store, re-alert, compare.
 //   --serve --dir=D [--port=P] run the server until killed; prints
-//                              "LISTENING <port>" when ready.
+//                              "LISTENING <port> field_kernel=<k>
+//                              miller_walk=<w>" when ready.
 //   --io-threads=N             epoll I/O threads (default 1; >1 shards
 //                              accepts via SO_REUSEPORT). Applies to
 //                              --serve and the self-test.
@@ -231,6 +232,13 @@ bool AlertAndVerify(const World& world, net::AlertClient* client) {
   return report.notified_users == world.expected_notified;
 }
 
+/// The field kernel and Miller walk the server's scans run on.
+std::string EngineBanner(const World& world) {
+  return std::string("field_kernel=") +
+         MulKernelName(world.group->fp().mul_kernel()) +
+         " miller_walk=" + MillerWalkName(world.group->miller_plan().walk());
+}
+
 int RunServe(const World& world, const std::string& dir, uint16_t port,
              unsigned io_threads, Durability durability,
              size_t compact_bytes) {
@@ -240,7 +248,10 @@ int RunServe(const World& world, const std::string& dir, uint16_t port,
     std::cerr << "server start failed: " << server.status() << "\n";
     return 1;
   }
-  std::cout << "LISTENING " << (*server)->port() << std::endl;
+  // Harnesses read the port as the line's second field; the rest names
+  // the kernel and the Miller walk behind every speed figure.
+  std::cout << "LISTENING " << (*server)->port() << ' '
+            << EngineBanner(world) << std::endl;
   while (true) std::this_thread::sleep_for(std::chrono::seconds(1));
 }
 
@@ -425,6 +436,8 @@ int RunSelfTest(const World& world, unsigned io_threads,
       StartServer(world, dir, 0, io_threads, durability, compact_bytes)
           .value();
   const uint16_t port = server->port();
+  std::cout << "serving on port " << port << ' ' << EngineBanner(world)
+            << "\n";
   {
     net::AlertClient client = ConnectWithRetry(port);
     SubmitAllUsers(world, &client);

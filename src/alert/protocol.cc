@@ -284,21 +284,20 @@ ServiceProvider::PrecompileResult ServiceProvider::PrecompileTokens(
     out[i] = token_cache_.Get(blobs[i]);
     if (out[i] == nullptr) misses.push_back(i);
   }
-  // Compile the misses across the worker pool: each token's Miller
-  // chains are independent, and a large bundle's precompilation was the
-  // last serial stretch of ProcessAlert.
-  auto compile_range = [&](size_t begin, size_t stride) {
-    for (size_t m = begin; m < misses.size(); m += stride) {
-      const size_t i = misses[m];
-      out[i] = std::make_shared<const hve::PrecompiledToken>(
-          hve::PrecompileToken(*group_, tokens[i]));
-    }
-  };
-  const size_t num_workers =
-      ClampWorkers(options_.num_threads, misses.size());
-  RunWorkers(num_workers,
-             [&](size_t w) { compile_range(w, num_workers); });
-  for (size_t i : misses) token_cache_.Put(blobs[i], out[i]);
+  // Compile the misses across the worker pool at chain granularity:
+  // every Miller chain is independent, so even a one-token bundle keeps
+  // all workers busy.
+  std::vector<const hve::Token*> miss_tokens;
+  miss_tokens.reserve(misses.size());
+  for (size_t i : misses) miss_tokens.push_back(&tokens[i]);
+  std::vector<hve::PrecompiledToken> compiled =
+      hve::PrecompileTokens(*group_, miss_tokens, options_.num_threads);
+  for (size_t m = 0; m < misses.size(); ++m) {
+    const size_t i = misses[m];
+    out[i] = std::make_shared<const hve::PrecompiledToken>(
+        std::move(compiled[m]));
+    token_cache_.Put(blobs[i], out[i]);
+  }
   for (const auto& [dup, original] : aliases) out[dup] = out[original];
   // Per-alert cache traffic (duplicates never consult the LRU): unique
   // tokens served from retained tables vs compiled fresh.
@@ -446,6 +445,8 @@ Result<ServiceProvider::AlertOutcome> ServiceProvider::ProcessAlert(
     std::vector<size_t> alive, next_alive;
     alive.reserve(flush_cts);
     next_alive.reserve(flush_cts);
+    std::vector<const hve::EvalView*> alive_views;
+    alive_views.reserve(flush_cts);
     hve::QueryScratch scratch;
 
     auto flush = [&]() {
@@ -453,17 +454,18 @@ Result<ServiceProvider::AlertOutcome> ServiceProvider::ProcessAlert(
       alive.resize(buffered);
       for (size_t i = 0; i < buffered; ++i) alive[i] = i;
       for (size_t k = 0; k < tokens.size() && !alive.empty(); ++k) {
-        millers.clear();
-        for (size_t idx : alive) {
-          Result<Fp2Elem> ratio = hve::QueryMillerPrecompiledView(
-              *group_, *precompiled[k], layout, buffer[idx].view, &scratch);
-          if (!ratio.ok()) {
-            scan.status = ratio.status();
-            abort.store(true, std::memory_order_relaxed);
-            buffered = 0;
-            return;
-          }
-          millers.push_back(std::move(*ratio));
+        // One call per round: on an IFMA group the alive views walk
+        // eight lanes at a time.
+        alive_views.clear();
+        for (size_t idx : alive) alive_views.push_back(&buffer[idx].view);
+        Status round = hve::QueryMillerPrecompiledViews(
+            *group_, *precompiled[k], layout, alive_views, &millers,
+            &scratch);
+        if (!round.ok()) {
+          scan.status = round;
+          abort.store(true, std::memory_order_relaxed);
+          buffered = 0;
+          return;
         }
         BatchFinalExponentiation(group_->fp2(), group_->params().cofactor,
                                  &millers, &scratch.pairing);

@@ -300,7 +300,8 @@ class ServiceProvider {
   };
 
   /// Compiles (or fetches from the LRU cache) the line tables for every
-  /// token, spreading cache misses across the worker pool.
+  /// token, spreading the cache misses' Miller chains across the worker
+  /// pool (hve::PrecompileTokens).
   PrecompileResult PrecompileTokens(
       const std::vector<hve::Token>& tokens,
       const std::vector<std::vector<uint8_t>>& blobs) const;

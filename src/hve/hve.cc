@@ -452,22 +452,74 @@ Result<Fp2Elem> QueryMultiPairing(const PairingGroup& group,
 
 PrecompiledToken PrecompileToken(const PairingGroup& group,
                                  const Token& token) {
+  std::vector<PrecompiledToken> out =
+      PrecompileTokens(group, {&token}, /*num_threads=*/1);
+  return std::move(out.front());
+}
+
+std::vector<PrecompiledToken> PrecompileTokens(
+    const PairingGroup& group, const std::vector<const Token*>& tokens,
+    unsigned num_threads) {
   const Curve& curve = group.curve();
-  const BigInt& n = group.params().n;
-  PrecompiledToken out;
-  out.pattern = token.pattern;
-  out.k0 = PrecompileMillerLines(curve, n, token.k0);
-  out.positions.reserve(token.k1.size());
-  out.k1.reserve(token.k1.size());
-  out.k2.reserve(token.k2.size());
-  size_t j = 0;
-  for (size_t i = 0; i < token.pattern.size(); ++i) {
-    if (token.pattern[i] == kStar) continue;
-    if (j >= token.k1.size() || j >= token.k2.size()) break;  // malformed
-    out.positions.push_back(i);
-    out.k1.push_back(PrecompileMillerLines(curve, n, token.k1[j]));
-    out.k2.push_back(PrecompileMillerLines(curve, n, token.k2[j]));
-    ++j;
+  const Fp& fp = group.fp();
+  const MillerPlan& plan = group.miller_plan();
+  // One unit per (token, chain), token-major; within a token K_0, then
+  // K_j,1 and K_j,2 per non-star position j (a malformed token stops at
+  // its shortest point list). first[t] is token t's first unit.
+  std::vector<PrecompiledToken> out(tokens.size());
+  std::vector<const AffinePoint*> points;
+  std::vector<size_t> first(tokens.size() + 1, 0);
+  for (size_t t = 0; t < tokens.size(); ++t) {
+    const Token& token = *tokens[t];
+    PrecompiledToken& compiled = out[t];
+    compiled.pattern = token.pattern;
+    points.push_back(&token.k0);
+    for (size_t i = 0; i < token.pattern.size(); ++i) {
+      if (token.pattern[i] == kStar) continue;
+      const size_t j = compiled.positions.size();
+      if (j >= token.k1.size() || j >= token.k2.size()) break;  // malformed
+      compiled.positions.push_back(i);
+      points.push_back(&token.k1[j]);
+      points.push_back(&token.k2[j]);
+    }
+    first[t + 1] = points.size();
+  }
+  const size_t units = points.size();
+  // Phase 1: every (token, chain) unit is independent; striping them
+  // keeps a one-token bundle's 2|J|+1 chains on every worker.
+  std::vector<MillerChain> chains(units);
+  const size_t workers = ClampWorkers(num_threads, units);
+  RunWorkers(workers, [&](size_t w) {
+    for (size_t u = w; u < units; u += workers) {
+      chains[u] = RunMillerChain(curve, plan, *points[u]);
+    }
+  });
+  // Phase 2: one batch inversion per token, over its chains' products.
+  const size_t token_workers = ClampWorkers(num_threads, tokens.size());
+  RunWorkers(token_workers, [&](size_t w) {
+    for (size_t t = w; t < tokens.size(); t += token_workers) {
+      InvertMillerChains(fp, chains.data() + first[t], first[t + 1] - first[t]);
+    }
+  });
+  // Phase 3: normalise per chain. Field arithmetic is exact, so the
+  // tables are identical at every thread count.
+  std::vector<MillerLineTable> tables(units);
+  RunWorkers(workers, [&](size_t w) {
+    for (size_t u = w; u < units; u += workers) {
+      tables[u] = NormalizeMillerChain(fp, plan, chains[u]);
+      chains[u] = MillerChain();  // release the raw lines early
+    }
+  });
+  for (size_t t = 0; t < tokens.size(); ++t) {
+    PrecompiledToken& compiled = out[t];
+    const size_t non_star = compiled.positions.size();
+    compiled.k0 = std::move(tables[first[t]]);
+    compiled.k1.reserve(non_star);
+    compiled.k2.reserve(non_star);
+    for (size_t j = 0; j < non_star; ++j) {
+      compiled.k1.push_back(std::move(tables[first[t] + 1 + 2 * j]));
+      compiled.k2.push_back(std::move(tables[first[t] + 2 + 2 * j]));
+    }
   }
   return out;
 }
@@ -499,7 +551,7 @@ Result<Fp2Elem> QueryMillerPrecompiled(const PairingGroup& group,
   }
   size_t executed = 0;
   Fp2Elem ratio_miller = MultiMillerLoopPrecompiled(
-      group.curve(), group.fp2(), group.params().n, pairs, &executed);
+      group.curve(), group.fp2(), group.miller_plan(), pairs, &executed);
   group.CountPairings(executed);
   group.CountPrecompPairings(executed);
   return ratio_miller;
@@ -579,11 +631,13 @@ Result<Fp2Elem> QueryMillerPrecompiledView(const PairingGroup& group,
   return QueryMillerPrecompiledView(group, token, layout, view, &scratch);
 }
 
-Result<Fp2Elem> QueryMillerPrecompiledView(const PairingGroup& group,
-                                           const PrecompiledToken& token,
-                                           const EvalLayout& layout,
-                                           const EvalView& view,
-                                           QueryScratch* scratch) {
+namespace {
+
+/// The checks every view query makes once per token: layout width,
+/// token shape, and that the layout covers each non-star position.
+/// Fills `slots` with the layout slot of each non-star position.
+Status ResolveTokenSlots(const PrecompiledToken& token,
+                         const EvalLayout& layout, std::vector<size_t>* slots) {
   if (layout.width != token.pattern.size()) {
     return Status::InvalidArgument(
         "ciphertext/token width mismatch in QueryMillerPrecompiledView");
@@ -594,32 +648,127 @@ Result<Fp2Elem> QueryMillerPrecompiledView(const PairingGroup& group,
     return Status::InvalidArgument(
         "malformed precompiled token: |k1|,|k2| != |J|");
   }
+  slots->clear();
+  for (size_t i : token.positions) {
+    SLOC_CHECK(i < layout.slot_of.size() && layout.slot_of[i] >= 0)
+        << "EvalView layout does not cover token position " << i;
+    slots->push_back(size_t(layout.slot_of[i]));
+  }
+  return Status::Ok();
+}
+
+/// The scalar walk of one view (slots already resolved); returns the
+/// executed pair count through `executed`.
+Fp2Elem ScalarViewMiller(const PairingGroup& group,
+                         const PrecompiledToken& token,
+                         const std::vector<size_t>& slots,
+                         const EvalView& view, QueryScratch* scratch,
+                         size_t* executed) {
   // Same pair layout as QueryMillerPrecompiled; the stored distorted
   // coordinates stand in for the ciphertext points.
   std::vector<PrecompiledPairingCoords>& pairs = scratch->pairs;
   pairs.clear();
-  pairs.reserve(2 * non_star + 1);
+  pairs.reserve(2 * slots.size() + 1);
   pairs.push_back(PrecompiledPairingCoords{&token.k0, view.c0.xq,
                                            view.c0.y_im, view.c0.infinity});
-  for (size_t j = 0; j < non_star; ++j) {
-    const size_t i = token.positions[j];
-    SLOC_CHECK(i < layout.slot_of.size() && layout.slot_of[i] >= 0)
-        << "EvalView layout does not cover token position " << i;
-    const size_t slot = size_t(layout.slot_of[i]);
-    const EvalView::Coord& a = view.c1[slot];
-    const EvalView::Coord& b = view.c2[slot];
+  for (size_t j = 0; j < slots.size(); ++j) {
+    const EvalView::Coord& a = view.c1[slots[j]];
+    const EvalView::Coord& b = view.c2[slots[j]];
     pairs.push_back(
         PrecompiledPairingCoords{&token.k1[j], a.xq, a.y_im, a.infinity});
     pairs.push_back(
         PrecompiledPairingCoords{&token.k2[j], b.xq, b.y_im, b.infinity});
   }
+  return MultiMillerLoopCoords(group.curve(), group.fp2(),
+                               group.miller_plan(), pairs, &scratch->pairing,
+                               executed);
+}
+
+/// Whether any point the token evaluates in `view` is the identity.
+bool ViewHasIdentity(const std::vector<size_t>& slots, const EvalView& view) {
+  if (view.c0.infinity) return true;
+  for (size_t slot : slots) {
+    if (view.c1[slot].infinity || view.c2[slot].infinity) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+Result<Fp2Elem> QueryMillerPrecompiledView(const PairingGroup& group,
+                                           const PrecompiledToken& token,
+                                           const EvalLayout& layout,
+                                           const EvalView& view,
+                                           QueryScratch* scratch) {
+  SLOC_RETURN_IF_ERROR(ResolveTokenSlots(token, layout, &scratch->slots));
   size_t executed = 0;
-  Fp2Elem ratio_miller =
-      MultiMillerLoopCoords(group.curve(), group.fp2(), group.params().n,
-                            pairs, &scratch->pairing, &executed);
+  Fp2Elem ratio_miller = ScalarViewMiller(group, token, scratch->slots, view,
+                                          scratch, &executed);
   group.CountPairings(executed);
   group.CountPrecompPairings(executed);
   return ratio_miller;
+}
+
+Status QueryMillerPrecompiledViews(const PairingGroup& group,
+                                   const PrecompiledToken& token,
+                                   const EvalLayout& layout,
+                                   const std::vector<const EvalView*>& views,
+                                   std::vector<Fp2Elem>* out,
+                                   QueryScratch* scratch) {
+  SLOC_RETURN_IF_ERROR(ResolveTokenSlots(token, layout, &scratch->slots));
+  const std::vector<size_t>& slots = scratch->slots;
+  const size_t n = views.size();
+  out->resize(n);
+  size_t executed = 0;
+  const bool lanes = group.miller_plan().walk() == MillerWalk::kIfma8;
+  for (size_t begin = 0; begin < n; begin += kMillerLanes) {
+    const size_t count = std::min(kMillerLanes, n - begin);
+    bool identity = false;
+    for (size_t lane = 0; lane < count && !identity; ++lane) {
+      identity = ViewHasIdentity(slots, *views[begin + lane]);
+    }
+    if (!lanes || identity) {
+      for (size_t lane = 0; lane < count; ++lane) {
+        size_t view_executed = 0;
+        (*out)[begin + lane] =
+            ScalarViewMiller(group, token, slots, *views[begin + lane],
+                             scratch, &view_executed);
+        executed += view_executed;
+      }
+      continue;
+    }
+    // Same pairs as the scalar walk, trivial tables dropped; lanes past
+    // `count` repeat the group's last view and are discarded.
+    std::vector<LanePairingCoords>& pairs = scratch->lanes;
+    pairs.clear();
+    // column: 0 is C_0, 1 is C_i,1 and 2 is C_i,2 at layout `slot`.
+    auto add_pair = [&](const MillerLineTable& table, int column,
+                        size_t slot) {
+      if (table.trivial()) return;
+      pairs.emplace_back();
+      LanePairingCoords& pair = pairs.back();
+      pair.table = &table;
+      for (size_t lane = 0; lane < kMillerLanes; ++lane) {
+        const EvalView& view = *views[begin + std::min(lane, count - 1)];
+        const EvalView::Coord& coord =
+            column == 0 ? view.c0
+                        : (column == 1 ? view.c1[slot] : view.c2[slot]);
+        pair.xq[lane] = &coord.xq;
+        pair.y_im[lane] = &coord.y_im;
+      }
+    };
+    add_pair(token.k0, 0, 0);
+    for (size_t j = 0; j < slots.size(); ++j) {
+      add_pair(token.k1[j], 1, slots[j]);
+      add_pair(token.k2[j], 2, slots[j]);
+    }
+    MultiMillerLoopLanes(group.fp2(), group.miller_plan(), pairs, count,
+                         out->data() + begin, &scratch->pairing);
+    executed += count * pairs.size();
+  }
+  group.CountPairings(executed);
+  group.CountPrecompPairings(executed);
+  return Status::Ok();
 }
 
 Result<Fp2Elem> QueryPrecompiled(const PairingGroup& group,

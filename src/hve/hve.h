@@ -180,8 +180,20 @@ struct PrecompiledToken {
 /// Runs the 2|J|+1 Miller chains of `token` once. Costs about one
 /// QueryMultiPairing without the final exponentiation; every subsequent
 /// QueryPrecompiled against the result skips the chain arithmetic.
+/// Tables are normalised (each line's i-coefficient scaled to 1 through
+/// one batch inversion per token) and laid out for the group's walk.
 PrecompiledToken PrecompileToken(const PairingGroup& group,
                                  const Token& token);
+
+/// PrecompileToken for many tokens across `num_threads` workers, split
+/// at chain granularity: every (token, chain) unit is one work item, so
+/// even a one-token bundle's 2|J|+1 chains spread across the pool. Each
+/// token is then normalised once (one batch inversion over its
+/// chains). The tables are identical at every
+/// thread count and to PrecompileToken's.
+std::vector<PrecompiledToken> PrecompileTokens(
+    const PairingGroup& group, const std::vector<const Token*>& tokens,
+    unsigned num_threads);
 
 /// Query against a precompiled token: shared-squaring evaluation of the
 /// stored line tables plus one final exponentiation. Returns exactly the
@@ -268,7 +280,9 @@ Status MakeEvalView(const PairingGroup& group, const EvalLayout& layout,
 /// plus the pairing-layer scratch. Thread one through a worker's flush
 /// loop and steady-state evaluation never touches the heap.
 struct QueryScratch {
+  std::vector<size_t> slots;  ///< layout slot per non-star position
   std::vector<PrecompiledPairingCoords> pairs;
+  std::vector<LanePairingCoords> lanes;
   PairingScratch pairing;
 };
 
@@ -282,11 +296,30 @@ Result<Fp2Elem> QueryMillerPrecompiledView(const PairingGroup& group,
 
 /// QueryMillerPrecompiledView with caller-provided scratch:
 /// bit-identical result, allocation-free once the scratch is warm.
+/// Always the scalar walk, whatever the group's plan.
 Result<Fp2Elem> QueryMillerPrecompiledView(const PairingGroup& group,
                                            const PrecompiledToken& token,
                                            const EvalLayout& layout,
                                            const EvalView& view,
                                            QueryScratch* scratch);
+
+/// The Miller ratios of one token over many views (one batched-engine
+/// token round): (*out)[i] belongs to views[i] and equals
+/// QueryMillerPrecompiledView's ratio after the final exponentiation.
+/// On a group whose plan walks kIfma8 the views go through the lane
+/// walk eight at a time (the last group padded with its last view, the
+/// padding discarded), so before the final exponentiation the ratios
+/// differ from the scalar walk's by F_p* factors; a group of eight
+/// holding an identity point among the columns the token reads takes
+/// the scalar walk. Validates the token once per call; charges the
+/// counters like the per-view query; allocation-free once `out` and the
+/// scratch are warm.
+Status QueryMillerPrecompiledViews(const PairingGroup& group,
+                                   const PrecompiledToken& token,
+                                   const EvalLayout& layout,
+                                   const std::vector<const EvalView*>& views,
+                                   std::vector<Fp2Elem>* out,
+                                   QueryScratch* scratch);
 
 }  // namespace hve
 }  // namespace sloc

@@ -21,6 +21,7 @@ Result<PairingGroup> PairingGroup::Generate(const PairingParamSpec& spec) {
   SLOC_ASSIGN_OR_RETURN(Curve curve,
                         Curve::Create(*group.fp_, BigInt(1), BigInt(0)));
   group.curve_ = std::make_unique<Curve>(std::move(curve));
+  group.miller_plan_ = MillerPlan::Create(*group.fp_, pp.n);
 
   // Deterministic point search when seeded (offset so the stream differs
   // from parameter generation), OS entropy otherwise.

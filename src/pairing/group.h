@@ -16,6 +16,7 @@
 
 #include "ec/curve.h"
 #include "field/fp2.h"
+#include "pairing/miller.h"
 #include "pairing/params.h"
 
 namespace sloc {
@@ -52,6 +53,10 @@ class PairingGroup {
   const Fp& fp() const { return *fp_; }
   const Fp2& fp2() const { return *fp2_; }
   const Curve& curve() const { return *curve_; }
+  /// The schedule and walk of this group's precompiled line tables,
+  /// fixed at Generate() from the field width, the CPU and the kernel
+  /// dispatch policy (see MillerPlan::Create).
+  const MillerPlan& miller_plan() const { return miller_plan_; }
 
   /// Generator of the full order-N group.
   const AffinePoint& gen() const { return g_; }
@@ -150,6 +155,7 @@ class PairingGroup {
   std::unique_ptr<Fp> fp_;
   std::unique_ptr<Fp2> fp2_;
   std::unique_ptr<Curve> curve_;
+  MillerPlan miller_plan_;
   AffinePoint g_, gp_, gq_;
   // Fixed-base tables for the generators: Setup's ~6*width random
   // subgroup elements and every RandomGp/RandomGq draw go through these.

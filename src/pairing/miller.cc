@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "bigint/montgomery.h"
 #include "common/check.h"
 
 namespace sloc {
@@ -88,18 +89,20 @@ Fp2Elem DoubleStep(const LoopCtx& ctx, JacobianPoint* t) {
   return line;
 }
 
+using RawLine = MillerChain::Line;
+
 /// The constant-1 line (used for steps with no line contribution).
-MillerLine TrivialLine(const Fp& fp) {
-  return MillerLine{fp.Zero(), fp.One(), fp.Zero()};
+RawLine TrivialLine(const Fp& fp) {
+  return RawLine{fp.Zero(), fp.One(), fp.One(), true};
 }
 
 /// Coefficient form of DoubleStep: l = (c_x*xq + c_0) + (c_y*yq_im) i
 /// with c_x = -D Z^2, c_0 = D X - 2Y^2, c_y = Z3 Z^2.
-MillerLine DoubleStepLines(const Curve& curve, JacobianPoint* t) {
+RawLine DoubleStepLines(const Curve& curve, JacobianPoint* t) {
   DblAux aux;
   if (!DoubleCore(curve, t, &aux)) return TrivialLine(curve.fp());
   const Fp& fp = curve.fp();
-  MillerLine line;
+  RawLine line;
   Fp::Elem d_zz, dx, two_a;
   fp.Mul(aux.D, aux.zz, &d_zz);
   fp.Neg(d_zz, &line.c_x);
@@ -197,8 +200,8 @@ Fp2Elem AddStep(const LoopCtx& ctx, const AffinePoint& p, JacobianPoint* t) {
 }
 
 /// Coefficient form of AddStep: c_x = -R, c_0 = R x2 - Z3 y2, c_y = Z3.
-MillerLine AddStepLines(const Curve& curve, const AffinePoint& p,
-                        JacobianPoint* t) {
+RawLine AddStepLines(const Curve& curve, const AffinePoint& p,
+                     JacobianPoint* t) {
   AddAux aux;
   switch (AddCore(curve, p, t, &aux)) {
     case AddOutcome::kTangent:
@@ -209,7 +212,7 @@ MillerLine AddStepLines(const Curve& curve, const AffinePoint& p,
       break;
   }
   const Fp& fp = curve.fp();
-  MillerLine line;
+  RawLine line;
   Fp::Elem rx2, z3y2;
   fp.Neg(aux.r, &line.c_x);
   fp.Mul(aux.r, p.x, &rx2);
@@ -295,81 +298,332 @@ Fp2Elem MultiMillerLoop(const Curve& curve, const Fp2& fp2,
   return f;
 }
 
-MillerLineTable PrecompileMillerLines(const Curve& curve,
-                                      const BigInt& order,
-                                      const AffinePoint& a) {
-  MillerLineTable table;
+const char* MillerWalkName(MillerWalk walk) {
+  switch (walk) {
+    case MillerWalk::kScalar:
+      return "scalar";
+    case MillerWalk::kIfma8:
+      return "ifma8";
+  }
+  return "unknown";
+}
+
+namespace {
+
+using miller_ifma::kLimbBits;
+using miller_ifma::kLimbMask;
+using miller_ifma::kLimbs;
+using miller_ifma::kLineWords;
+
+/// Radix-2^52 limbs of the 5-word integer `w` (value below 2^260).
+void SplitLimbs52(const uint64_t* w, uint64_t* out) {
+  for (size_t k = 0; k < kLimbs; ++k) {
+    const size_t bit = k * kLimbBits;
+    const size_t word = bit / 64;
+    const size_t off = bit % 64;
+    uint64_t v = w[word] >> off;
+    if (off > 64 - kLimbBits && word + 1 < kLimbs) {
+      v |= w[word + 1] << (64 - off);
+    }
+    out[k] = v & kLimbMask;
+  }
+}
+
+/// Limbs of a canonical 4-limb residue shifted left by `shift` bits
+/// (shift <= 4, so the value stays below 2^260).
+void ResidueToLimbs52(const Fp::Elem& a, unsigned shift, uint64_t* out) {
+  uint64_t w[kLimbs] = {a[0], a[1], a[2], a[3], 0};
+  if (shift != 0) {
+    for (size_t i = kLimbs; i-- > 1;) {
+      w[i] = (w[i] << shift) | (w[i - 1] >> (64 - shift));
+    }
+    w[0] <<= shift;
+  }
+  SplitLimbs52(w, out);
+}
+
+/// The canonical 4x64-bit residue of normalized limbs below 2^256.
+void Limbs52ToResidue(const uint64_t* limbs, Fp::Elem* out) {
+  out->resize(4);
+  uint64_t* w = out->data();
+  for (size_t i = 0; i < 4; ++i) w[i] = 0;
+  for (size_t k = 0; k < kLimbs; ++k) {
+    const size_t bit = k * kLimbBits;
+    const size_t word = bit / 64;
+    const size_t off = bit % 64;
+    w[word] |= limbs[k] << off;
+    if (off > 64 - kLimbBits && word + 1 < 4) {
+      w[word + 1] |= limbs[k] >> (64 - off);
+    }
+  }
+}
+
+void BigIntToLimbs52(const BigInt& x, uint64_t* out) {
+  uint64_t w[kLimbs] = {};
+  const LimbVec& limbs = x.limbs();
+  for (size_t i = 0; i < limbs.size() && i < kLimbs; ++i) w[i] = limbs[i];
+  SplitLimbs52(w, out);
+}
+
+miller_ifma::LaneField MakeLaneField(const BigInt& p) {
+  miller_ifma::LaneField field;
+  BigIntToLimbs52(p, field.p);
+  BigIntToLimbs52(p + p, field.two_p);
+  BigIntToLimbs52(BigInt::Mod(BigInt(1) << (kLimbs * kLimbBits), p),
+                  field.one);
+  // -p^-1 mod 2^64 by Newton iteration; its low 52 bits are -p^-1 mod
+  // 2^52.
+  const uint64_t p0 = p.limbs()[0];
+  uint64_t inv = p0;
+  for (int i = 0; i < 5; ++i) inv *= 2 - p0 * inv;
+  field.p_inv = (~inv + 1) & kLimbMask;
+  return field;
+}
+
+}  // namespace
+
+MillerPlan MillerPlan::Create(const Fp& fp, const BigInt& order) {
+  const bool lanes = GetMulKernelDispatch() == KernelDispatch::kAuto &&
+                     fp.num_limbs() == 4 && miller_ifma::Available();
+  return Create(fp, order, lanes ? MillerWalk::kIfma8 : MillerWalk::kScalar)
+      .value();
+}
+
+Result<MillerPlan> MillerPlan::Create(const Fp& fp, const BigInt& order,
+                                      MillerWalk walk) {
+  const size_t bits = order.BitLength();
+  if (bits < 2) return Status::InvalidArgument("Miller order must be > 1");
+  MillerPlan plan;
+  plan.walk_ = walk;
+  plan.adds_.reserve(bits - 1);
+  plan.length_ = bits - 1;
+  for (size_t i = bits - 1; i-- > 0;) {
+    const bool add = order.Bit(i);
+    plan.adds_.push_back(add ? 1 : 0);
+    if (add) ++plan.length_;
+  }
+  if (walk == MillerWalk::kIfma8) {
+    if (fp.num_limbs() != 4) {
+      return Status::InvalidArgument(
+          "the ifma8 Miller walk needs a 4-limb field");
+    }
+    if (!miller_ifma::Available()) {
+      return Status::FailedPrecondition(
+          "the ifma8 Miller walk needs AVX-512 IFMA (not compiled in or "
+          "not supported by this CPU)");
+    }
+    plan.lane_field_ = MakeLaneField(fp.p());
+  }
+  return plan;
+}
+
+bool operator==(const MillerLineTable& a, const MillerLineTable& b) {
+  if (a.trivial_ != b.trivial_ || a.size_ != b.size_ ||
+      a.packed_lines_ != b.packed_lines_ ||
+      a.lines_.size() != b.lines_.size()) {
+    return false;
+  }
+  for (size_t j = 0; j < a.lines_.size(); ++j) {
+    const MillerLine& x = a.lines_[j];
+    const MillerLine& y = b.lines_[j];
+    if (x.trivial != y.trivial || x.c_x != y.c_x || x.c_0 != y.c_0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+MillerChain RunMillerChain(const Curve& curve, const MillerPlan& plan,
+                           const AffinePoint& a) {
+  MillerChain chain;
   if (a.infinity) {
+    chain.trivial = true;
+    return chain;
+  }
+  const Fp& fp = curve.fp();
+  chain.lines.reserve(plan.length());
+  chain.prefix.reserve(plan.length());
+  Fp::Elem product = fp.One();
+  Fp::Elem tmp;
+  auto record = [&](RawLine line) {
+    if (!line.trivial) {
+      fp.Mul(product, line.c_y, &tmp);
+      product = tmp;
+    }
+    chain.prefix.push_back(product);
+    chain.lines.push_back(std::move(line));
+  };
+  JacobianPoint t = curve.ToJacobian(a);
+  for (uint8_t add : plan.adds()) {
+    record(DoubleStepLines(curve, &t));
+    if (add != 0) record(AddStepLines(curve, a, &t));
+  }
+  return chain;
+}
+
+void InvertMillerChains(const Fp& fp, MillerChain* chains, size_t count) {
+  // Montgomery's trick over the chains' c_y products: running[k] is the
+  // product of products 0..k, inverted once and walked back.
+  std::vector<Fp::Elem> running;
+  running.reserve(count);
+  Fp::Elem acc = fp.One();
+  Fp::Elem tmp;
+  for (size_t k = 0; k < count; ++k) {
+    const MillerChain& chain = chains[k];
+    if (!chain.prefix.empty()) {
+      fp.Mul(acc, chain.prefix.back(), &tmp);
+      acc = tmp;
+    }
+    running.push_back(acc);
+  }
+  auto inv = fp.Inverse(acc);
+  SLOC_CHECK(inv.ok()) << "zero line coefficient in a Miller chain";
+  acc = *inv;  // (products 0..k)^-1, walking k down
+  for (size_t k = count; k-- > 0;) {
+    MillerChain& chain = chains[k];
+    if (chain.prefix.empty()) {
+      chain.product_inv = fp.One();
+      continue;
+    }
+    if (k == 0) {
+      chain.product_inv = acc;
+    } else {
+      fp.Mul(acc, running[k - 1], &chain.product_inv);
+    }
+    fp.Mul(acc, chain.prefix.back(), &tmp);
+    acc = tmp;
+  }
+}
+
+MillerLineTable NormalizeMillerChain(const Fp& fp, const MillerPlan& plan,
+                                     const MillerChain& chain) {
+  MillerLineTable table;
+  if (chain.trivial) {
     table.trivial_ = true;
     return table;
   }
-  const size_t bits = order.BitLength();
-  SLOC_CHECK(bits >= 1);
-  table.lines_.reserve(2 * bits);
-  JacobianPoint t = curve.ToJacobian(a);
-  for (size_t i = bits - 1; i-- > 0;) {
-    table.lines_.push_back(DoubleStepLines(curve, &t));
-    if (order.Bit(i)) {
-      table.lines_.push_back(AddStepLines(curve, a, &t));
+  const size_t n = chain.lines.size();
+  SLOC_CHECK(n == plan.length())
+      << "Miller chain recorded under a different plan";
+  table.size_ = n;
+  const bool packed = plan.walk() == MillerWalk::kIfma8;
+  if (packed) {
+    table.packed_lines_.assign(n * kLineWords, 0);
+  } else {
+    table.lines_.resize(n);
+  }
+  // Walk back from the chain's product inverse: before line j is
+  // handled, `acc` is (prefix[j])^-1, so c_y_j^-1 = acc * prefix[j-1].
+  Fp::Elem acc = chain.product_inv;
+  Fp::Elem c_y_inv, c_x, c_0, tmp;
+  for (size_t j = n; j-- > 0;) {
+    const RawLine& raw = chain.lines[j];
+    if (raw.trivial) {
+      if (packed) {
+        table.packed_lines_[j * kLineWords] = miller_ifma::kTrivialLine;
+      } else {
+        table.lines_[j].trivial = true;
+      }
+      continue;
+    }
+    if (j == 0) {
+      c_y_inv = acc;
+    } else {
+      fp.Mul(acc, chain.prefix[j - 1], &c_y_inv);
+    }
+    fp.Mul(acc, raw.c_y, &tmp);
+    acc = tmp;
+    fp.Mul(raw.c_x, c_y_inv, &c_x);
+    fp.Mul(raw.c_0, c_y_inv, &c_0);
+    if (packed) {
+      uint64_t* words = table.packed_lines_.data() + j * kLineWords;
+      ResidueToLimbs52(c_x, 0, words);
+      ResidueToLimbs52(c_0, 0, words + kLimbs);
+    } else {
+      table.lines_[j] = MillerLine{c_x, c_0, false};
     }
   }
   return table;
 }
 
+MillerLineTable PrecompileMillerLines(const Curve& curve,
+                                      const MillerPlan& plan,
+                                      const AffinePoint& a) {
+  MillerChain chain = RunMillerChain(curve, plan, a);
+  InvertMillerChains(curve.fp(), &chain, 1);
+  return NormalizeMillerChain(curve.fp(), plan, chain);
+}
+
 namespace {
 
-/// Precompiled-chain evaluation state: the stored lines plus the
-/// distorted coordinates they are substituted at. The public scratch
-/// type owns the buffer so workers can reuse it across queries.
+/// Precompiled-chain evaluation state: the table plus the distorted
+/// coordinates it is substituted at. The public scratch type owns the
+/// buffer so workers can reuse it across queries.
 using PrecompiledPairState = PairingScratch::EvalUnit;
+
+/// Adds one live pair to a walk, after the O(1) check that its table
+/// was compiled for this plan's schedule (the walk indexes unchecked).
+void AddLiveUnit(const MillerPlan& plan, const MillerLineTable* table,
+                 const Fp::Elem& xq, const Fp::Elem& y_im,
+                 std::vector<PrecompiledPairState>* live) {
+  SLOC_CHECK(table->size() == plan.length())
+      << "Miller line table compiled for a different order";
+  live->emplace_back();
+  PrecompiledPairState& s = live->back();
+  s.table = table;
+  s.xq = xq;
+  s.line.im = y_im;
+}
 
 /// Shared walker for the precompiled multi-pairing variants: both the
 /// AffinePoint- and coordinate-input entry points reduce their pairs to
 /// PrecompiledPairState and run exactly this loop, which is what makes
-/// the two bit-identical on the same points.
+/// the two bit-identical on the same points. Packed tables are decoded
+/// line by line back to the canonical residues they re-split, so the
+/// walk's value does not depend on the layout.
 Fp2Elem WalkPrecompiledSchedule(const Curve& curve, const Fp2& fp2,
-                                const BigInt& order,
-                                const std::vector<PrecompiledPairState>& live,
+                                const MillerPlan& plan,
+                                std::vector<PrecompiledPairState>* live,
                                 size_t* loops_executed) {
   const Fp& fp = curve.fp();
-  if (loops_executed != nullptr) *loops_executed = live.size();
+  if (loops_executed != nullptr) *loops_executed = live->size();
   Fp2Elem f = fp2.One();
-  if (live.empty()) return f;
-
-  // Every table must have been compiled against this same `order`: one
-  // doubling line per bit below the top plus one addition line per set
-  // bit. Reject mismatched tables up front — the walk below indexes
-  // unchecked.
-  const size_t bits = order.BitLength();
-  size_t schedule = bits - 1;
-  for (size_t i = bits - 1; i-- > 0;) {
-    if (order.Bit(i)) ++schedule;
-  }
-  for (const PrecompiledPairState& s : live) {
-    SLOC_CHECK(s.lines->size() == schedule)
-        << "Miller line table compiled for a different order";
-  }
+  if (live->empty()) return f;
 
   // All chains share one schedule: walk it once, substituting each
   // pair's coordinates into the stored coefficients.
-  Fp2Elem tmp, line;
-  Fp::Elem cx_xq;
+  Fp2Elem tmp;
+  Fp::Elem cx_xq, dec_x, dec_0;
   size_t idx = 0;
-  auto substitute = [&](const PrecompiledPairState& s) {
-    const MillerLine& ml = (*s.lines)[idx];
-    fp.Mul(ml.c_x, s.xq, &cx_xq);
-    fp.Add(cx_xq, ml.c_0, &line.re);
-    fp.Mul(ml.c_y, s.y_im, &line.im);
-    fp2.Mul(f, line, &tmp);
+  auto substitute = [&](PrecompiledPairState& s) {
+    const MillerLineTable& table = *s.table;
+    const Fp::Elem* c_x;
+    const Fp::Elem* c_0;
+    if (table.packed()) {
+      const uint64_t* words = table.packed_lines().data() + idx * kLineWords;
+      if ((words[0] & miller_ifma::kTrivialLine) != 0) return;
+      Limbs52ToResidue(words, &dec_x);
+      Limbs52ToResidue(words + kLimbs, &dec_0);
+      c_x = &dec_x;
+      c_0 = &dec_0;
+    } else {
+      const MillerLine& ml = table.lines()[idx];
+      if (ml.trivial) return;
+      c_x = &ml.c_x;
+      c_0 = &ml.c_0;
+    }
+    fp.Mul(*c_x, s.xq, &cx_xq);
+    fp.Add(cx_xq, *c_0, &s.line.re);
+    fp2.Mul(f, s.line, &tmp);
     f = tmp;
   };
-  for (size_t i = bits - 1; i-- > 0;) {
+  for (uint8_t add : plan.adds()) {
     fp2.Sqr(f, &tmp);
     f = tmp;
-    for (const PrecompiledPairState& s : live) substitute(s);
+    for (PrecompiledPairState& s : *live) substitute(s);
     ++idx;
-    if (order.Bit(i)) {
-      for (const PrecompiledPairState& s : live) substitute(s);
+    if (add != 0) {
+      for (PrecompiledPairState& s : *live) substitute(s);
       ++idx;
     }
   }
@@ -379,36 +633,35 @@ Fp2Elem WalkPrecompiledSchedule(const Curve& curve, const Fp2& fp2,
 }  // namespace
 
 Fp2Elem MultiMillerLoopPrecompiled(
-    const Curve& curve, const Fp2& fp2, const BigInt& order,
+    const Curve& curve, const Fp2& fp2, const MillerPlan& plan,
     const std::vector<PrecompiledPairingInput>& pairs,
     size_t* loops_executed) {
   const Fp& fp = curve.fp();
   std::vector<PrecompiledPairState> live;
   live.reserve(pairs.size());
+  Fp::Elem xq, y_im;
   for (const PrecompiledPairingInput& pair : pairs) {
     SLOC_CHECK(pair.table != nullptr && pair.b != nullptr);
     if (pair.table->trivial() || pair.b->infinity) continue;
-    PrecompiledPairState s;
-    s.lines = &pair.table->lines();
-    fp.Neg(pair.b->x, &s.xq);
-    s.y_im = pair.b->y;
-    if (pair.invert) fp.Neg(pair.b->y, &s.y_im);
-    live.push_back(std::move(s));
+    fp.Neg(pair.b->x, &xq);
+    y_im = pair.b->y;
+    if (pair.invert) fp.Neg(pair.b->y, &y_im);
+    AddLiveUnit(plan, pair.table, xq, y_im, &live);
   }
-  return WalkPrecompiledSchedule(curve, fp2, order, live, loops_executed);
+  return WalkPrecompiledSchedule(curve, fp2, plan, &live, loops_executed);
 }
 
 Fp2Elem MultiMillerLoopCoords(
-    const Curve& curve, const Fp2& fp2, const BigInt& order,
+    const Curve& curve, const Fp2& fp2, const MillerPlan& plan,
     const std::vector<PrecompiledPairingCoords>& pairs,
     size_t* loops_executed) {
   PairingScratch scratch;
-  return MultiMillerLoopCoords(curve, fp2, order, pairs, &scratch,
+  return MultiMillerLoopCoords(curve, fp2, plan, pairs, &scratch,
                                loops_executed);
 }
 
 Fp2Elem MultiMillerLoopCoords(
-    const Curve& curve, const Fp2& fp2, const BigInt& order,
+    const Curve& curve, const Fp2& fp2, const MillerPlan& plan,
     const std::vector<PrecompiledPairingCoords>& pairs,
     PairingScratch* scratch, size_t* loops_executed) {
   std::vector<PrecompiledPairState>& live = scratch->live;
@@ -417,10 +670,57 @@ Fp2Elem MultiMillerLoopCoords(
   for (const PrecompiledPairingCoords& pair : pairs) {
     SLOC_CHECK(pair.table != nullptr);
     if (pair.skip || pair.table->trivial()) continue;
-    live.push_back(PrecompiledPairState{&pair.table->lines(), pair.xq,
-                                        pair.y_im});
+    AddLiveUnit(plan, pair.table, pair.xq, pair.y_im, &live);
   }
-  return WalkPrecompiledSchedule(curve, fp2, order, live, loops_executed);
+  return WalkPrecompiledSchedule(curve, fp2, plan, &live, loops_executed);
+}
+
+void MultiMillerLoopLanes(const Fp2& fp2, const MillerPlan& plan,
+                          const std::vector<LanePairingCoords>& pairs,
+                          size_t count, Fp2Elem* out,
+                          PairingScratch* scratch) {
+  SLOC_CHECK(plan.walk() == MillerWalk::kIfma8)
+      << "lane walk on a plan without it";
+  SLOC_CHECK(count <= kMillerLanes);
+  const size_t n = pairs.size();
+  if (n == 0) {
+    for (size_t lane = 0; lane < count; ++lane) out[lane] = fp2.One();
+    return;
+  }
+  using miller_ifma::kCoordWords;
+  using miller_ifma::kLanes;
+  scratch->lane_tables.resize(n);
+  scratch->lane_coords.resize(n * kCoordWords);
+  uint64_t limbs[kLimbs];
+  for (size_t k = 0; k < n; ++k) {
+    const LanePairingCoords& pair = pairs[k];
+    SLOC_CHECK(pair.table != nullptr && pair.table->packed() &&
+               pair.table->size() == plan.length())
+        << "lane walk needs a packed table compiled for this plan";
+    scratch->lane_tables[k] = pair.table->packed_lines().data();
+    uint64_t* coords = scratch->lane_coords.data() + k * kCoordWords;
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      // 16 * xq: see the domain note in pairing/miller_ifma.h.
+      ResidueToLimbs52(*pair.xq[lane], 4, limbs);
+      for (size_t l = 0; l < kLimbs; ++l) coords[l * kLanes + lane] = limbs[l];
+      ResidueToLimbs52(*pair.y_im[lane], 0, limbs);
+      for (size_t l = 0; l < kLimbs; ++l) {
+        coords[(kLimbs + l) * kLanes + lane] = limbs[l];
+      }
+    }
+  }
+  uint64_t values[2 * kLimbs * kLanes];
+  miller_ifma::Walk8(plan.lane_field(), plan.adds().data(),
+                     plan.adds().size(), scratch->lane_tables.data(),
+                     scratch->lane_coords.data(), n, values);
+  for (size_t lane = 0; lane < count; ++lane) {
+    for (size_t l = 0; l < kLimbs; ++l) limbs[l] = values[l * kLanes + lane];
+    Limbs52ToResidue(limbs, &out[lane].re);
+    for (size_t l = 0; l < kLimbs; ++l) {
+      limbs[l] = values[(kLimbs + l) * kLanes + lane];
+    }
+    Limbs52ToResidue(limbs, &out[lane].im);
+  }
 }
 
 Fp2Elem FinalExponentiation(const Fp2& fp2, const Fp2Elem& f,

@@ -6,15 +6,19 @@
 // exponentiation (p^2-1)/N = (p-1)*c, so the loop uses denominator
 // elimination and scales line values by arbitrary F_p* constants.
 //
-// Three evaluation strategies share the same line formulas:
+// Four evaluation strategies share the same line formulas:
 //  1. MillerLoop        — one pair, the reference path.
 //  2. MultiMillerLoop   — many pairs in one loop over the order bits,
 //     sharing the f^2 squaring chain and the final exponentiation.
 //  3. PrecompileMillerLines + MultiMillerLoopPrecompiled — the Miller
 //     chain of a *fixed* first argument is run once and its line
-//     coefficients stored; later evaluations only substitute the other
-//     point's distorted coordinates (2 F_p muls per line instead of a
-//     full point-arithmetic step).
+//     coefficients stored, normalised so the i-coefficient is 1; later
+//     evaluations only substitute the other point's distorted
+//     coordinates (1 F_p mul per line instead of a full point-
+//     arithmetic step).
+//  4. MultiMillerLoopLanes — strategy 3 for eight evaluation points at
+//     once on AVX-512 IFMA (pairing/miller_ifma.h), for groups whose
+//     plan selects that walk.
 //
 // Every strategy can fold an inversion into the loop for free: because
 // e(A, -B) = e(A, B)^-1 and phi(-B) = (-x_B, -i*y_B), flipping the sign
@@ -24,10 +28,13 @@
 #ifndef SLOC_PAIRING_MILLER_H_
 #define SLOC_PAIRING_MILLER_H_
 
+#include <cstdint>
 #include <vector>
 
+#include "common/result.h"
 #include "ec/curve.h"
 #include "field/fp2.h"
+#include "pairing/miller_ifma.h"
 
 namespace sloc {
 
@@ -62,38 +69,143 @@ Fp2Elem MultiMillerLoop(const Curve& curve, const Fp2& fp2,
                         const std::vector<PairingInput>& pairs,
                         size_t* loops_executed = nullptr);
 
-/// One precompiled line: evaluated at phi(B) = (xq, i*yq_im) it equals
-/// (c_x * xq + c_0) + (c_y * yq_im) i. Steps that contribute no line
-/// (identity tangents, verticals) are stored as the constant 1.
+/// Which walk evaluates a group's precompiled line tables, and so how
+/// the tables are laid out.
+enum class MillerWalk {
+  kScalar,  ///< one evaluation point at a time over F_p::Elem lines
+  kIfma8,   ///< eight points per walk, AVX-512 IFMA over packed lines
+};
+
+/// "scalar" or "ifma8".
+const char* MillerWalkName(MillerWalk walk);
+
+/// Everything a precompiled walk needs that depends only on the group:
+/// the double-and-add schedule of the order, which walk the tables are
+/// laid out for, and the lane walk's radix-2^52 field constants. Built
+/// once per group (PairingGroup::miller_plan), so walks check a table
+/// against the schedule in O(1).
+class MillerPlan {
+ public:
+  MillerPlan() = default;
+
+  /// The plan for `order` over `fp` under the current kernel dispatch
+  /// policy: kIfma8 when the policy is kAuto, the field has 4 limbs and
+  /// the lane walk is available (miller_ifma::Available), kScalar
+  /// otherwise — so SetMulKernelDispatch and SLOC_NO_INTRINSICS force
+  /// the scalar walk. 6- and 8-limb fields always walk scalar.
+  static MillerPlan Create(const Fp& fp, const BigInt& order);
+
+  /// A plan with an explicit walk (tests / benches). Error for kIfma8
+  /// when the field is not 4 limbs or the lane walk is unavailable.
+  static Result<MillerPlan> Create(const Fp& fp, const BigInt& order,
+                                   MillerWalk walk);
+
+  MillerWalk walk() const { return walk_; }
+  /// Lines per chain: one doubling line per order bit below the top,
+  /// plus one addition line per set bit among them.
+  size_t length() const { return length_; }
+  /// One entry per order bit below the top, most significant first:
+  /// nonzero when an addition line follows that bit's doubling line.
+  const std::vector<uint8_t>& adds() const { return adds_; }
+  /// Radix-2^52 constants of the field (meaningful for kIfma8 only).
+  const miller_ifma::LaneField& lane_field() const { return lane_field_; }
+
+ private:
+  MillerWalk walk_ = MillerWalk::kScalar;
+  size_t length_ = 0;
+  std::vector<uint8_t> adds_;
+  miller_ifma::LaneField lane_field_;
+};
+
+/// One normalised precompiled line: evaluated at phi(B) = (xq, i*yq_im)
+/// it equals (c_x * xq + c_0) + yq_im i. Precompilation scales each
+/// line by the inverse of its i-coefficient c_y, an F_p* factor the
+/// final exponentiation erases, so the walk substitutes with one F_p
+/// mul.
+/// Steps that contribute no line (identity tangents, verticals) are
+/// flagged `trivial` and skipped.
 struct MillerLine {
   Fp::Elem c_x;
   Fp::Elem c_0;
-  Fp::Elem c_y;
+  bool trivial = false;
 };
 
-/// The full Miller chain of one fixed first argument A, flattened in
-/// execution order: for each bit below the top one doubling line, plus
-/// one addition line when the order bit is set. MultiMillerLoopPrecompiled
-/// walks the same schedule, so no per-line tags are needed.
+struct MillerChain;
+
+/// The normalised Miller chain of one fixed first argument A, flattened
+/// in execution order: for each bit below the top one doubling line,
+/// plus one addition line when the order bit is set. The walks follow
+/// the same schedule (MillerPlan::adds), so no per-line tags are needed.
+///
+/// Layout follows the plan's walk, one layout per table: kScalar plans
+/// store MillerLine entries; kIfma8 plans store each line as
+/// miller_ifma::kLineWords packed radix-2^52 words (the bit re-split of
+/// the canonical c_x and c_0, trivial lines flagged in the first word),
+/// 80 bytes a line against 184 for a MillerLine.
 class MillerLineTable {
  public:
   /// True when A was the identity: the pairing is identically 1.
   bool trivial() const { return trivial_; }
+  /// Number of lines: the plan's length() (0 for trivial tables).
+  size_t size() const { return size_; }
+  /// True for a table laid out for the ifma8 walk.
+  bool packed() const { return !packed_lines_.empty(); }
+  /// The lines of a scalar-layout table (empty when packed()).
   const std::vector<MillerLine>& lines() const { return lines_; }
+  /// The words of a packed table, kLineWords per line (empty unless
+  /// packed()).
+  const std::vector<uint64_t>& packed_lines() const { return packed_lines_; }
+
+  friend bool operator==(const MillerLineTable& a, const MillerLineTable& b);
 
  private:
-  friend MillerLineTable PrecompileMillerLines(const Curve&, const BigInt&,
-                                               const AffinePoint&);
+  friend MillerLineTable NormalizeMillerChain(const Fp&, const MillerPlan&,
+                                              const MillerChain&);
   bool trivial_ = false;
+  size_t size_ = 0;
   std::vector<MillerLine> lines_;
+  std::vector<uint64_t> packed_lines_;
 };
 
-/// Runs the Miller chain of `a` over the bits of `order` once, recording
-/// every line's coefficients. Cost is comparable to one MillerLoop; every
-/// later evaluation against this table skips the point arithmetic
-/// entirely.
+/// The un-normalised Miller chain of one fixed first argument, as
+/// recorded: each line's (c_x, c_0, c_y) plus the running products of
+/// the non-trivial c_y that normalisation inverts. Precompilation runs
+/// in three phases so the expensive one parallelizes per chain while
+/// inversions are shared: RunMillerChain per chain, InvertMillerChains
+/// once per token (one Montgomery batch inversion over its chains'
+/// products), NormalizeMillerChain per chain.
+struct MillerChain {
+  struct Line {
+    Fp::Elem c_x;
+    Fp::Elem c_0;
+    Fp::Elem c_y;
+    bool trivial = false;
+  };
+  bool trivial = false;            ///< A was the identity
+  std::vector<Line> lines;
+  std::vector<Fp::Elem> prefix;    ///< prefix[j] = prod of c_y, lines <= j
+  Fp::Elem product_inv;            ///< set by InvertMillerChains
+};
+
+/// Runs the Miller chain of `a` over the plan's schedule, recording
+/// every line. Cost is comparable to one MillerLoop.
+MillerChain RunMillerChain(const Curve& curve, const MillerPlan& plan,
+                           const AffinePoint& a);
+
+/// Inverts the c_y products of `count` chains with one shared field
+/// inversion (Montgomery's simultaneous-inversion trick), filling each
+/// chain's product_inv.
+void InvertMillerChains(const Fp& fp, MillerChain* chains, size_t count);
+
+/// Scales each line of an inverted chain by its c_y^-1 and lays the
+/// result out for the plan's walk.
+MillerLineTable NormalizeMillerChain(const Fp& fp, const MillerPlan& plan,
+                                     const MillerChain& chain);
+
+/// All three phases for one chain: the one-off convenience. Every later
+/// evaluation against the table skips the point arithmetic entirely.
 MillerLineTable PrecompileMillerLines(const Curve& curve,
-                                      const BigInt& order,
+                                      const MillerPlan& plan,
                                       const AffinePoint& a);
 
 /// One pair of a precompiled multi-pairing: the table of the fixed side
@@ -118,6 +230,18 @@ struct PrecompiledPairingCoords {
   bool skip = false;
 };
 
+/// Evaluation points per lane walk.
+constexpr size_t kMillerLanes = miller_ifma::kLanes;
+
+/// One pair of an eight-lane walk: the table shared by every lane and
+/// each lane's pre-distorted coordinates (as in PrecompiledPairingCoords;
+/// pointers must stay valid for the call).
+struct LanePairingCoords {
+  const MillerLineTable* table = nullptr;
+  const Fp::Elem* xq[kMillerLanes] = {};
+  const Fp::Elem* y_im[kMillerLanes] = {};
+};
+
 /// Reusable per-worker scratch for the precompiled walkers and the
 /// batch final exponentiation. Every member is a high-water-mark
 /// buffer: thread one PairingScratch through a worker's queries and
@@ -126,21 +250,24 @@ struct PrecompiledPairingCoords {
 struct PairingScratch {
   /// One live pair of a precompiled schedule walk (internal layout).
   struct EvalUnit {
-    const std::vector<MillerLine>* lines;
+    const MillerLineTable* table;
     Fp::Elem xq;
-    Fp::Elem y_im;
+    Fp2Elem line;  ///< im holds the pair's y_im for the whole walk
   };
   std::vector<EvalUnit> live;      ///< schedule-walk state
+  std::vector<const uint64_t*> lane_tables;  ///< lane walk: packed lines
+  std::vector<uint64_t> lane_coords;         ///< lane walk: coordinates
   std::vector<Fp2Elem> prefix;     ///< batch-inversion prefix products
   Fp2PowScratch pow;               ///< shared-wNAF cofactor ladder
 };
 
 /// Shared-squaring evaluation of precompiled chains: per pair and line
-/// only the substitution (c_x * xq + c_0) + (c_y * yq_im) i and one
-/// fp2.Mul remain. Trivial tables and identity evaluation points
-/// contribute 1; `loops_executed` counts the pairs actually evaluated.
+/// only the substitution c_x * xq + c_0 (one F_p mul) and one fp2.Mul
+/// remain. Trivial tables and identity evaluation points contribute 1;
+/// `loops_executed` counts the pairs actually evaluated. Tables must
+/// have been compiled under `plan` (their length is checked).
 Fp2Elem MultiMillerLoopPrecompiled(
-    const Curve& curve, const Fp2& fp2, const BigInt& order,
+    const Curve& curve, const Fp2& fp2, const MillerPlan& plan,
     const std::vector<PrecompiledPairingInput>& pairs,
     size_t* loops_executed = nullptr);
 
@@ -148,16 +275,29 @@ Fp2Elem MultiMillerLoopPrecompiled(
 /// schedule walk and operation order, so the result is bit-identical to
 /// the AffinePoint-input variant on the same points.
 Fp2Elem MultiMillerLoopCoords(
-    const Curve& curve, const Fp2& fp2, const BigInt& order,
+    const Curve& curve, const Fp2& fp2, const MillerPlan& plan,
     const std::vector<PrecompiledPairingCoords>& pairs,
     size_t* loops_executed = nullptr);
 
 /// MultiMillerLoopCoords with caller-provided scratch: bit-identical
 /// result, no heap allocation once the scratch is warm.
 Fp2Elem MultiMillerLoopCoords(
-    const Curve& curve, const Fp2& fp2, const BigInt& order,
+    const Curve& curve, const Fp2& fp2, const MillerPlan& plan,
     const std::vector<PrecompiledPairingCoords>& pairs,
     PairingScratch* scratch, size_t* loops_executed = nullptr);
+
+/// The eight-lane AVX-512 IFMA walk: out[lane] for lane < `count` is
+/// lane's Miller value, equal to MultiMillerLoopCoords's on the same
+/// pairs after the final exponentiation (before it the two differ by
+/// an F_p* factor; see pairing/miller_ifma.h). Lanes at or past `count`
+/// are still walked (callers pad them with a valid point) and
+/// discarded. Preconditions: plan.walk() == kIfma8, every table packed
+/// and non-trivial, no identity evaluation point. Allocation-free once
+/// the scratch is warm.
+void MultiMillerLoopLanes(const Fp2& fp2, const MillerPlan& plan,
+                          const std::vector<LanePairingCoords>& pairs,
+                          size_t count, Fp2Elem* out,
+                          PairingScratch* scratch);
 
 /// Final exponentiation f^((p^2-1)/N) given cofactor c = (p+1)/N:
 /// computes (conj(f)/f)^c. Precondition: f != 0.

@@ -7,7 +7,8 @@
 //   - Fp::Mul / Fp::Sqr (inline-limb Montgomery elements),
 //   - Curve::ScalarMul's wNAF loop (thread-local digit scratch),
 //   - one full batched flush round: EvalView refill, precompiled
-//     Miller walks, batch final exponentiation, marker comparison.
+//     Miller walks, batch final exponentiation, marker comparison —
+//     on the scalar walk and on the eight-lane IFMA walk.
 // Plus LimbVec semantics around the inline/spill boundary: copies,
 // moves, self-assignment, swap — the paths a miscounted capacity or a
 // stale heap pointer would corrupt.
@@ -27,6 +28,7 @@
 #include "hve/hve.h"
 #include "pairing/group.h"
 #include "pairing/miller.h"
+#include "pairing/miller_ifma.h"
 
 // The replacement operator new below is malloc-backed, so delete
 // forwarding to free() is correct; the compiler cannot see that and
@@ -284,6 +286,71 @@ TEST_F(AllocSteadyStateTest, BatchedFlushRoundIsAllocFreeAfterWarmup) {
   ASSERT_TRUE(round_ok);
   EXPECT_EQ(probe.delta(), 0u)
       << "warm batched flush round must not allocate";
+}
+
+TEST(AllocIfmaTest, WarmLaneFlushRoundIsAllocFree) {
+  if (!miller_ifma::Available()) GTEST_SKIP() << "no AVX-512 IFMA walk";
+  PairingParamSpec spec;
+  spec.p_prime_bits = 100;  // a 4-limb field: the lane walk's width
+  spec.q_prime_bits = 100;
+  spec.seed = 78;
+  PairingGroup group = PairingGroup::Generate(spec).value();
+  ASSERT_EQ(group.miller_plan().walk(), MillerWalk::kIfma8);
+  constexpr size_t kWidth = 6;
+  constexpr size_t kCts = 11;  // one full lane group plus a padded one
+  RandFn rand = TestRand(4);
+  hve::KeyPair kp = hve::Setup(group, kWidth, rand).value();
+  const Fp2Elem marker = group.GtOne();
+  std::vector<hve::Ciphertext> cts;
+  for (size_t i = 0; i < kCts; ++i) {
+    cts.push_back(hve::Encrypt(group, kp.pk, i % 2 ? "101100" : "010011",
+                               marker, rand)
+                      .value());
+  }
+  hve::Token token = hve::GenToken(group, kp.sk, "1*11*0", rand).value();
+  hve::PrecompiledToken compiled = hve::PrecompileToken(group, token);
+  hve::EvalLayout layout = hve::MakeEvalLayout(kWidth, {&compiled});
+
+  // The batched engine's per-worker state: view slab, pointer list,
+  // miller buffer, one QueryScratch.
+  std::vector<hve::EvalView> views(kCts);
+  std::vector<const hve::EvalView*> alive;
+  alive.reserve(kCts);
+  std::vector<Fp2Elem> millers;
+  millers.reserve(kCts);
+  std::vector<Fp2Elem> expected(kCts, group.GtOne());
+  hve::QueryScratch scratch;
+
+  bool round_ok = true;
+  auto round = [&]() {
+    alive.clear();
+    for (size_t i = 0; i < kCts; ++i) {
+      if (!hve::MakeEvalView(group, layout, cts[i], &views[i]).ok()) {
+        round_ok = false;
+        return;
+      }
+      expected[i] = group.GtMul(cts[i].c_prime, marker);
+      alive.push_back(&views[i]);
+    }
+    if (!hve::QueryMillerPrecompiledViews(group, compiled, layout, alive,
+                                          &millers, &scratch)
+             .ok()) {
+      round_ok = false;
+      return;
+    }
+    BatchFinalExponentiation(group.fp2(), group.params().cofactor, &millers,
+                             &scratch.pairing);
+    for (size_t i = 0; i < kCts; ++i) {
+      (void)group.GtEqual(millers[i], expected[i]);
+    }
+  };
+
+  round();  // warm-up: sizes every scratch slab to its high-water mark
+  ASSERT_TRUE(round_ok);
+  AllocProbe probe;
+  round();
+  ASSERT_TRUE(round_ok);
+  EXPECT_EQ(probe.delta(), 0u) << "warm IFMA flush round must not allocate";
 }
 
 }  // namespace

@@ -322,6 +322,50 @@ TEST(ShardedMatchTest, AlertSystemShardedEndToEnd) {
             seq_outcome.stats.non_star_bits);
 }
 
+TEST(ShardedMatchTest, BothMillerWalksNotifyTheSameUsers) {
+  // A 4-limb field walks ifma8 under kAuto on an AVX-512 IFMA host and
+  // scalar under kPortableOnly; the reference engine and the default
+  // batched engine must notify the plaintext ground truth under both.
+  PairingParamSpec pairing;
+  pairing.p_prime_bits = 100;
+  pairing.q_prime_bits = 100;
+  pairing.seed = 4711;
+  std::vector<double> probs = TestProbs(16, 23);
+  std::vector<std::pair<int, int>> user_cells;
+  Rng rng(515);
+  for (int u = 0; u < 18; ++u) {
+    user_cells.emplace_back(u, int(rng.NextBelow(16)));
+  }
+  const std::vector<int> zone = {0, 4, 9, 10};
+  std::set<int> zone_cells(zone.begin(), zone.end());
+  std::vector<int> expected;
+  for (const auto& [user, cell] : user_cells) {
+    if (zone_cells.count(cell)) expected.push_back(user);
+  }
+  ASSERT_FALSE(expected.empty());
+  for (KernelDispatch policy :
+       {KernelDispatch::kAuto, KernelDispatch::kPortableOnly}) {
+    AlertSystem::Config config;
+    config.pairing = pairing;
+    config.num_shards = 2;
+    config.num_threads = 2;
+    SetMulKernelDispatch(policy);
+    auto sys = AlertSystem::Create(probs, config);
+    SetMulKernelDispatch(KernelDispatch::kAuto);
+    ASSERT_TRUE(sys.ok());
+    ASSERT_EQ(sys->group().fp().num_limbs(), 4u);
+    ASSERT_TRUE(sys->AddUsers(user_cells).ok());
+    auto batched = sys->TriggerAlert(zone).value();
+    EXPECT_EQ(batched.notified_users, expected)
+        << MillerWalkName(sys->group().miller_plan().walk());
+    sys->mutable_provider()->set_engine(
+        ServiceProvider::QueryEngine::kReference);
+    auto reference = sys->TriggerAlert(zone).value();
+    EXPECT_EQ(reference.notified_users, expected);
+    EXPECT_EQ(reference.stats.pairings, batched.stats.pairings);
+  }
+}
+
 TEST(ShardedMatchTest, AddUsersRejectsDuplicateRegistration) {
   AlertSystem::Config config;
   config.pairing = SmallPairing(901);

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "alert/protocol.h"
+#include "pairing/miller_ifma.h"
 #include "prob/sigmoid.h"
 
 namespace sloc {
@@ -224,6 +226,98 @@ TEST_F(BatchEngineTest, TokenCacheCapacityZeroDisablesRetention) {
   EXPECT_EQ(sp->token_cache().size(), 0u);
   EXPECT_EQ(outcome.stats.ciphertexts_scanned, size_t(kUsers));
 }
+
+// The batched engine on a 4-limb field, where the group's plan walks
+// ifma8 under kAuto on an AVX-512 IFMA host and scalar under
+// kPortableOnly: notified sets and the deterministic stats must equal
+// the reference engine's under both walks, at flush widths that leave
+// 1, 7, 8, 9 and 17 ciphertexts alive in a round, while matched users
+// leave the buffer partway through each flush.
+class BatchEngineWalkTest : public ::testing::TestWithParam<KernelDispatch> {
+ protected:
+  static constexpr int kUsers = 20;
+
+  void SetUp() override {
+    PairingParamSpec spec;
+    spec.p_prime_bits = 100;
+    spec.q_prime_bits = 100;
+    spec.seed = 77;
+    SetMulKernelDispatch(GetParam());
+    group_ = std::make_shared<const PairingGroup>(
+        PairingGroup::Generate(spec).value());
+    SetMulKernelDispatch(KernelDispatch::kAuto);
+    ASSERT_EQ(group_->fp().num_limbs(), 4u);
+    const bool lanes = GetParam() == KernelDispatch::kAuto &&
+                       miller_ifma::Available();
+    ASSERT_EQ(group_->miller_plan().walk(),
+              lanes ? MillerWalk::kIfma8 : MillerWalk::kScalar);
+    auto encoder = MakeEncoder(EncoderKind::kHuffman).value();
+    Rng prng(18);
+    ASSERT_TRUE(
+        encoder->Build(GenerateSigmoidProbabilities(16, 0.9, 50, &prng))
+            .ok());
+    auto rng = std::make_shared<Rng>(99);
+    RandFn rand = [rng]() { return rng->NextU64(); };
+    ta_ = std::make_unique<TrustedAuthority>(
+        TrustedAuthority::Create(group_, std::move(encoder), rand).value());
+    MobileUser user = MobileUser::Join(0, group_, ta_->public_key_blob(),
+                                       ta_->marker(), rand)
+                          .value();
+    Rng cells(6);
+    for (int u = 0; u < kUsers; ++u) {
+      api::LocationUpload up;
+      up.user_id = u;
+      const int cell = int(cells.NextU64() % 16);
+      up.ciphertext =
+          user.EncryptLocation(ta_->IndexOfCell(cell).value()).value();
+      uploads_.push_back(std::move(up));
+    }
+    tokens_ = ta_->IssueAlert({1, 2, 3, 5, 8}).value();
+    ASSERT_GE(tokens_.size(), 2u);
+  }
+
+  std::shared_ptr<const PairingGroup> group_;
+  std::unique_ptr<TrustedAuthority> ta_;
+  std::vector<api::LocationUpload> uploads_;
+  std::vector<std::vector<uint8_t>> tokens_;
+};
+
+TEST_P(BatchEngineWalkTest, BatchedMatchesReferenceUnderEitherWalk) {
+  ServiceProvider::Options ref_options;
+  ref_options.engine = ServiceProvider::QueryEngine::kReference;
+  ServiceProvider reference(group_, ta_->marker(), ref_options);
+  ASSERT_TRUE(reference.SubmitBatch(uploads_).rejected.empty());
+  auto expected = reference.ProcessAlert(tokens_).value();
+  ASSERT_GT(expected.stats.matches, 0u);
+  ASSERT_LT(expected.stats.matches, size_t(kUsers));
+
+  for (size_t flush : {size_t(1), size_t(7), size_t(8), size_t(9),
+                       size_t(17), size_t(0)}) {
+    for (unsigned threads : {1u, 2u}) {
+      ServiceProvider::Options options;
+      options.engine = ServiceProvider::QueryEngine::kBatched;
+      options.batch_flush_evals = flush;
+      options.num_shards = threads;
+      options.num_threads = threads;
+      ServiceProvider sp(group_, ta_->marker(), options);
+      ASSERT_TRUE(sp.SubmitBatch(uploads_).rejected.empty());
+      auto outcome = sp.ProcessAlert(tokens_).value();
+      EXPECT_EQ(outcome.notified_users, expected.notified_users)
+          << "flush=" << flush << " threads=" << threads;
+      EXPECT_EQ(outcome.stats.pairings, expected.stats.pairings);
+      EXPECT_EQ(outcome.stats.queries, expected.stats.queries);
+      EXPECT_EQ(outcome.stats.matches, expected.stats.matches);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Walks, BatchEngineWalkTest,
+    ::testing::Values(KernelDispatch::kAuto, KernelDispatch::kPortableOnly),
+    [](const ::testing::TestParamInfo<KernelDispatch>& info) {
+      return std::string(info.param == KernelDispatch::kAuto ? "Auto"
+                                                             : "Scalar");
+    });
 
 }  // namespace
 }  // namespace alert

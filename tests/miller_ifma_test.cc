@@ -1,0 +1,484 @@
+// The AVX-512 IFMA lane walk against the scalar walk.
+//
+//  - Radix-2^52 Montgomery products against Montgomery::Mul at 0, 1,
+//    p-1 and random residues, and at the lazy-reduction bounds the walk
+//    relies on (inputs up to 4p and 16p, outputs below 2p).
+//  - MultiMillerLoopLanes against MultiMillerLoopCoords after the final
+//    exponentiation, parameterised over KernelDispatch (the F_p kernel
+//    under the conversions and the final exponentiation).
+//  - hve::QueryMillerPrecompiledViews on an ifma8 group against the
+//    per-view scalar query and the reference Query: 1, 7, 8, 9 and 17
+//    views, all-star tokens, trivial tables and identity columns.
+//  - Chain-granularity precompilation: identical tables at 1 and 4
+//    threads, in both table layouts.
+// Every test skips when the CPU (or the build) has no IFMA walk.
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "bigint/prime.h"
+#include "common/rng.h"
+#include "hve/hve.h"
+#include "pairing/group.h"
+#include "pairing/miller.h"
+#include "pairing/miller_ifma.h"
+
+namespace sloc {
+namespace {
+
+using miller_ifma::kLanes;
+using miller_ifma::kLimbBits;
+using miller_ifma::kLimbs;
+
+RandFn TestRand(uint64_t seed) {
+  auto rng = std::make_shared<Rng>(seed);
+  return [rng]() { return rng->NextU64(); };
+}
+
+/// A group whose field has 4 limbs (the lane walk's width), built under
+/// `policy`. p_prime_bits = 100 gives a ~208-bit field.
+std::unique_ptr<PairingGroup> FourLimbGroup(KernelDispatch policy) {
+  PairingParamSpec spec;
+  spec.p_prime_bits = 100;
+  spec.q_prime_bits = 100;
+  spec.seed = 0x1f3a;
+  SetMulKernelDispatch(policy);
+  auto group =
+      std::make_unique<PairingGroup>(PairingGroup::Generate(spec).value());
+  SetMulKernelDispatch(KernelDispatch::kAuto);
+  return group;
+}
+
+/// Writes x's radix-2^52 limbs into lane `lane` of a [kLimbs][kLanes]
+/// block.
+void PutLane(const BigInt& x, size_t lane, uint64_t* block) {
+  const BigInt radix = BigInt(1) << kLimbBits;
+  for (size_t k = 0; k < kLimbs; ++k) {
+    const BigInt limb = BigInt::Mod(x >> (k * kLimbBits), radix);
+    block[k * kLanes + lane] = limb.IsZero() ? 0 : limb.limbs()[0];
+  }
+}
+
+BigInt GetLane(const uint64_t* block, size_t lane) {
+  BigInt x;
+  for (size_t k = kLimbs; k-- > 0;) {
+    x = (x << kLimbBits) + BigInt::FromU64(block[k * kLanes + lane]);
+  }
+  return x;
+}
+
+/// The largest prime p = 3 (mod 4) below 2^256: the 4-limb field with
+/// the least headroom under R = 2^260, where the lazy bounds are tight
+/// (R / p is just above 16). A pairing group's field sits far lower.
+BigInt TopFourLimbPrime() {
+  RandFn rand = TestRand(5);
+  BigInt p = (BigInt(1) << 256) - BigInt(1);  // = 3 (mod 4)
+  while (!IsProbablePrime(p, rand)) p -= BigInt(4);
+  return p;
+}
+
+TEST(MillerIfmaTest, Radix52MulMatchesMontgomeryAtEdgesAndBounds) {
+  if (!miller_ifma::Available()) GTEST_SKIP() << "no AVX-512 IFMA walk";
+  const BigInt p = TopFourLimbPrime();
+  Fp fp = Fp::Create(p).value();
+  ASSERT_EQ(fp.num_limbs(), 4u);
+  MillerPlan plan =
+      MillerPlan::Create(fp, BigInt(1000003), MillerWalk::kIfma8).value();
+  auto mont = Montgomery::Create(p).value();
+  const BigInt r_inv =  // 2^-260 mod p
+      BigInt::ModInverse(BigInt(1) << (kLimbs * kLimbBits), p).value();
+
+  RandFn rand = TestRand(11);
+  const BigInt one(1), zero(0), pm1 = p - BigInt(1);
+  // Canonical operands: the lane product must be Montgomery::Mul's
+  // (x * y * 2^-256) times 2^-4, reduced.
+  std::vector<std::pair<BigInt, BigInt>> canonical = {
+      {zero, zero}, {zero, pm1}, {one, one},  {one, pm1},
+      {pm1, pm1},   {pm1, one},  {BigInt::RandomBelow(p, rand), pm1},
+      {BigInt::RandomBelow(p, rand), BigInt::RandomBelow(p, rand)}};
+  // Lazy operands at the documented bounds: a * b < p * 2^260 (both
+  // below 4p; or below 16p times below p, the line substitution).
+  const BigInt four_p = p * BigInt(4), sixteen_p = p * BigInt(16);
+  std::vector<std::pair<BigInt, BigInt>> lazy = {
+      {four_p - one, four_p - one},
+      {sixteen_p - one, pm1},
+      {p * BigInt(3) - one, p * BigInt(2) - one},
+      {four_p - one, zero},
+      {p, p},
+      {p * BigInt(2), four_p - BigInt(2)},
+      {BigInt::RandomBelow(four_p, rand), BigInt::RandomBelow(four_p, rand)},
+      {BigInt::RandomBelow(sixteen_p, rand), BigInt::RandomBelow(p, rand)}};
+  for (const auto* cases : {&canonical, &lazy}) {
+    ASSERT_EQ(cases->size(), kLanes);
+    uint64_t a[kLimbs * kLanes], b[kLimbs * kLanes], out[kLimbs * kLanes];
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      PutLane((*cases)[lane].first, lane, a);
+      PutLane((*cases)[lane].second, lane, b);
+    }
+    miller_ifma::MulLanes(plan.lane_field(), a, b, out);
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      const BigInt& x = (*cases)[lane].first;
+      const BigInt& y = (*cases)[lane].second;
+      const BigInt got = GetLane(out, lane);
+      EXPECT_LT(BigInt::Cmp(got, p * BigInt(2)), 0) << "lane " << lane;
+      const BigInt want = BigInt::Mod(x * y * r_inv, p);
+      EXPECT_EQ(BigInt::Cmp(BigInt::Mod(got, p), want), 0) << "lane " << lane;
+      if (cases == &canonical) {
+        // Same limb pattern through the 64-bit kernel.
+        LimbVec xm = x.limbs(), ym = y.limbs();
+        xm.resize(4, 0);
+        ym.resize(4, 0);
+        Montgomery::Elem prod;
+        mont.Mul(xm, ym, &prod);
+        const BigInt scaled =
+            BigInt::Mod(BigInt::Mod(got, p) * BigInt(16), p);
+        EXPECT_EQ(BigInt::Cmp(scaled, BigInt::FromLimbs(prod)), 0)
+            << "lane " << lane;
+      }
+    }
+  }
+}
+
+// The whole walk at the top of the 4-limb range, where only the
+// documented bounds keep every product under p * 2^260: arbitrary line
+// coefficients and coordinates (extremes p-1 included, plus a trivial
+// line) through both layouts, compared after the (p-1) power that
+// erases F_p* factors, conj(f)/f.
+TEST(MillerIfmaTest, LaneWalkMatchesScalarWalkAtTheTopOfTheRange) {
+  if (!miller_ifma::Available()) GTEST_SKIP() << "no AVX-512 IFMA walk";
+  const BigInt p = TopFourLimbPrime();
+  Fp fp = Fp::Create(p).value();
+  Fp2 fp2 = Fp2::Create(fp).value();
+  const BigInt order = BigInt::FromU64(0xb7e151628aed2a6bULL);
+  MillerPlan scalar = MillerPlan::Create(fp, order, MillerWalk::kScalar)
+                          .value();
+  MillerPlan lanes = MillerPlan::Create(fp, order, MillerWalk::kIfma8)
+                         .value();
+  RandFn rand = TestRand(23);
+  const Fp::Elem top = fp.FromBigInt(p - BigInt(1));
+  auto random_elem = [&]() {
+    if (rand() % 4 == 0) return top;
+    return fp.FromBigInt(BigInt::RandomBelow(p, rand));
+  };
+  constexpr size_t kPairs = 3;
+  std::vector<MillerLineTable> scalar_tables, lane_tables;
+  for (size_t k = 0; k < kPairs; ++k) {
+    // A recorded chain with arbitrary coefficients; normalisation only
+    // needs c_y != 0.
+    MillerChain chain;
+    Fp::Elem product = fp.One(), tmp;
+    for (size_t j = 0; j < scalar.length(); ++j) {
+      MillerChain::Line line{random_elem(), random_elem(), random_elem(),
+                             j == 5};
+      if (fp.IsZero(line.c_y)) line.c_y = fp.One();
+      if (!line.trivial) {
+        fp.Mul(product, line.c_y, &tmp);
+        product = tmp;
+      }
+      chain.prefix.push_back(product);
+      chain.lines.push_back(std::move(line));
+    }
+    InvertMillerChains(fp, &chain, 1);
+    scalar_tables.push_back(NormalizeMillerChain(fp, scalar, chain));
+    lane_tables.push_back(NormalizeMillerChain(fp, lanes, chain));
+  }
+  std::vector<std::vector<Fp::Elem>> xs(kPairs), ys(kPairs);
+  std::vector<LanePairingCoords> lane_pairs(kPairs);
+  for (size_t k = 0; k < kPairs; ++k) {
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      xs[k].push_back(random_elem());
+      ys[k].push_back(random_elem());
+    }
+    lane_pairs[k].table = &lane_tables[k];
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      lane_pairs[k].xq[lane] = &xs[k][lane];
+      lane_pairs[k].y_im[lane] = &ys[k][lane];
+    }
+  }
+  Fp2Elem out[kLanes];
+  PairingScratch scratch;
+  MultiMillerLoopLanes(fp2, lanes, lane_pairs, kLanes, out, &scratch);
+  Curve curve = Curve::Create(fp, BigInt(1), BigInt(0)).value();
+  for (size_t lane = 0; lane < kLanes; ++lane) {
+    std::vector<PrecompiledPairingCoords> pairs;
+    for (size_t k = 0; k < kPairs; ++k) {
+      pairs.push_back(PrecompiledPairingCoords{&scalar_tables[k], xs[k][lane],
+                                               ys[k][lane], false});
+    }
+    const Fp2Elem want = FinalExponentiation(
+        fp2, MultiMillerLoopCoords(curve, fp2, scalar, pairs), BigInt(1));
+    const Fp2Elem got = FinalExponentiation(fp2, out[lane], BigInt(1));
+    EXPECT_TRUE(fp2.Equal(got, want)) << "lane " << lane;
+  }
+}
+
+// ---------- Lane walk vs scalar walk, per F_p kernel ----------
+
+class LaneWalkTest : public ::testing::TestWithParam<KernelDispatch> {
+ protected:
+  void SetUp() override {
+    if (!miller_ifma::Available()) GTEST_SKIP() << "no AVX-512 IFMA walk";
+    group_ = FourLimbGroup(GetParam());
+    ASSERT_EQ(group_->fp().num_limbs(), 4u);
+    const bool lanes = GetParam() == KernelDispatch::kAuto;
+    EXPECT_EQ(group_->miller_plan().walk(),
+              lanes ? MillerWalk::kIfma8 : MillerWalk::kScalar);
+  }
+
+  AffinePoint RandomElement(const RandFn& rand) const {
+    return group_->Mul(BigInt::RandomBelow(group_->params().n, rand),
+                       group_->gen());
+  }
+
+  Fp2Elem FinalExp(const Fp2Elem& f) const {
+    return FinalExponentiation(group_->fp2(), f, group_->params().cofactor);
+  }
+
+  std::unique_ptr<PairingGroup> group_;
+};
+
+TEST_P(LaneWalkTest, LaneWalkMatchesScalarWalkAfterFinalExp) {
+  const Fp& fp = group_->fp();
+  const BigInt& n = group_->params().n;
+  MillerPlan scalar = MillerPlan::Create(fp, n, MillerWalk::kScalar).value();
+  MillerPlan lanes = MillerPlan::Create(fp, n, MillerWalk::kIfma8).value();
+  RandFn rand = TestRand(21);
+  // Three fixed sides (one inverted), eight evaluation points each.
+  constexpr size_t kPairs = 3;
+  std::vector<MillerLineTable> scalar_tables, lane_tables;
+  std::vector<std::vector<Fp::Elem>> xs(kPairs), ys(kPairs);
+  for (size_t k = 0; k < kPairs; ++k) {
+    AffinePoint a = RandomElement(rand);
+    scalar_tables.push_back(
+        PrecompileMillerLines(group_->curve(), scalar, a));
+    lane_tables.push_back(PrecompileMillerLines(group_->curve(), lanes, a));
+    EXPECT_FALSE(scalar_tables.back().packed());
+    EXPECT_TRUE(lane_tables.back().packed());
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      AffinePoint b = RandomElement(rand);
+      Fp::Elem xq, y_im = b.y;
+      fp.Neg(b.x, &xq);
+      if (k == 2) fp.Neg(b.y, &y_im);
+      xs[k].push_back(xq);
+      ys[k].push_back(y_im);
+    }
+  }
+  std::vector<LanePairingCoords> lane_pairs(kPairs);
+  for (size_t k = 0; k < kPairs; ++k) {
+    lane_pairs[k].table = &lane_tables[k];
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      lane_pairs[k].xq[lane] = &xs[k][lane];
+      lane_pairs[k].y_im[lane] = &ys[k][lane];
+    }
+  }
+  Fp2Elem out[kLanes];
+  PairingScratch scratch;
+  MultiMillerLoopLanes(group_->fp2(), lanes, lane_pairs, kLanes, out,
+                       &scratch);
+  for (size_t lane = 0; lane < kLanes; ++lane) {
+    std::vector<PrecompiledPairingCoords> pairs;
+    for (size_t k = 0; k < kPairs; ++k) {
+      pairs.push_back(PrecompiledPairingCoords{&scalar_tables[k], xs[k][lane],
+                                               ys[k][lane], false});
+    }
+    const Fp2Elem want = FinalExp(MultiMillerLoopCoords(
+        group_->curve(), group_->fp2(), scalar, pairs));
+    EXPECT_TRUE(group_->GtEqual(FinalExp(out[lane]), want)) << "lane " << lane;
+    // The scalar walk over the packed tables is bit-identical to the
+    // scalar layout's: packing is a pure re-split.
+    for (size_t k = 0; k < kPairs; ++k) pairs[k].table = &lane_tables[k];
+    const Fp2Elem packed = MultiMillerLoopCoords(
+        group_->curve(), group_->fp2(), lanes, pairs);
+    for (size_t k = 0; k < kPairs; ++k) pairs[k].table = &scalar_tables[k];
+    EXPECT_TRUE(group_->fp2().Equal(
+        packed, MultiMillerLoopCoords(group_->curve(), group_->fp2(), scalar,
+                                      pairs)))
+        << "lane " << lane;
+  }
+}
+
+TEST_P(LaneWalkTest, TablesIdenticalAtOneAndFourThreads) {
+  RandFn rand = TestRand(22);
+  hve::KeyPair keys = hve::Setup(*group_, 4, rand).value();
+  std::vector<hve::Token> tokens;
+  for (const char* pattern : {"0*1*", "****", "1101"}) {
+    tokens.push_back(hve::GenToken(*group_, keys.sk, pattern, rand).value());
+  }
+  std::vector<const hve::Token*> ptrs;
+  for (const hve::Token& t : tokens) ptrs.push_back(&t);
+  auto serial = hve::PrecompileTokens(*group_, ptrs, 1);
+  auto parallel = hve::PrecompileTokens(*group_, ptrs, 4);
+  ASSERT_EQ(serial.size(), tokens.size());
+  ASSERT_EQ(parallel.size(), tokens.size());
+  for (size_t t = 0; t < tokens.size(); ++t) {
+    const hve::PrecompiledToken single =
+        hve::PrecompileToken(*group_, tokens[t]);
+    EXPECT_EQ(serial[t].positions, parallel[t].positions);
+    EXPECT_TRUE(serial[t].k0 == parallel[t].k0);
+    EXPECT_TRUE(serial[t].k1 == parallel[t].k1);
+    EXPECT_TRUE(serial[t].k2 == parallel[t].k2);
+    EXPECT_TRUE(single.k0 == serial[t].k0);
+    EXPECT_TRUE(single.k1 == serial[t].k1);
+    EXPECT_TRUE(single.k2 == serial[t].k2);
+    EXPECT_EQ(serial[t].k0.packed(),
+              group_->miller_plan().walk() == MillerWalk::kIfma8);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, LaneWalkTest,
+    ::testing::Values(KernelDispatch::kAuto, KernelDispatch::kPortableOnly,
+                      KernelDispatch::kGenericOnly),
+    [](const ::testing::TestParamInfo<KernelDispatch>& info) {
+      switch (info.param) {
+        case KernelDispatch::kAuto:
+          return std::string("Auto");
+        case KernelDispatch::kPortableOnly:
+          return std::string("PortableOnly");
+        case KernelDispatch::kGenericOnly:
+          return std::string("GenericOnly");
+      }
+      return std::string("Unknown");
+    });
+
+// ---------- Batched view queries on an ifma8 group ----------
+
+class LaneViewsTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kWidth = 6;
+
+  static void SetUpTestSuite() {
+    if (!miller_ifma::Available()) return;
+    group_ = FourLimbGroup(KernelDispatch::kAuto).release();
+    RandFn rand = TestRand(31);
+    keys_ = new hve::KeyPair(hve::Setup(*group_, kWidth, rand).value());
+    marker_ = new Fp2Elem(group_->RandomGt(rand));
+    cts_ = new std::vector<hve::Ciphertext>();
+    Rng bits(32);
+    for (size_t i = 0; i < 17; ++i) {
+      std::string index(kWidth, '0');
+      for (auto& c : index) c = bits.NextBool() ? '1' : '0';
+      if (i % 3 == 0) index.replace(0, 3, "010");  // matches "01*0**"
+      cts_->push_back(
+          hve::Encrypt(*group_, keys_->pk, index, *marker_, rand).value());
+    }
+  }
+  static void TearDownTestSuite() {
+    delete cts_;
+    delete marker_;
+    delete keys_;
+    delete group_;
+    cts_ = nullptr;
+    marker_ = nullptr;
+    keys_ = nullptr;
+    group_ = nullptr;
+  }
+  void SetUp() override {
+    if (!miller_ifma::Available()) GTEST_SKIP() << "no AVX-512 IFMA walk";
+    ASSERT_EQ(group_->miller_plan().walk(), MillerWalk::kIfma8);
+  }
+
+  /// Runs the batched query over cts[0..count) and checks every ratio
+  /// against the per-view scalar walk and the reference Query.
+  void CheckViews(const hve::Token& token, size_t count,
+                  const std::vector<hve::Ciphertext>& cts) {
+    const hve::PrecompiledToken compiled =
+        hve::PrecompileToken(*group_, token);
+    const hve::EvalLayout layout = hve::MakeEvalLayout(kWidth, {&compiled});
+    std::vector<hve::EvalView> views(count);
+    std::vector<const hve::EvalView*> ptrs;
+    for (size_t i = 0; i < count; ++i) {
+      ASSERT_TRUE(hve::MakeEvalView(*group_, layout, cts[i], &views[i]).ok());
+      ptrs.push_back(&views[i]);
+    }
+    hve::QueryScratch scratch;
+    std::vector<Fp2Elem> batched;
+    group_->ResetCounters();
+    ASSERT_TRUE(hve::QueryMillerPrecompiledViews(*group_, compiled, layout,
+                                                 ptrs, &batched, &scratch)
+                    .ok());
+    const uint64_t batched_pairings = group_->counters().pairings;
+    ASSERT_EQ(batched.size(), count);
+    std::vector<Fp2Elem> scalar;
+    group_->ResetCounters();
+    for (size_t i = 0; i < count; ++i) {
+      scalar.push_back(hve::QueryMillerPrecompiledView(*group_, compiled,
+                                                       layout, views[i],
+                                                       &scratch)
+                           .value());
+    }
+    EXPECT_EQ(group_->counters().pairings, batched_pairings);
+    BatchFinalExponentiation(group_->fp2(), group_->params().cofactor,
+                             &batched);
+    BatchFinalExponentiation(group_->fp2(), group_->params().cofactor,
+                             &scalar);
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_TRUE(group_->GtEqual(batched[i], scalar[i]))
+          << "view " << i << " of " << count;
+      const Fp2Elem recovered =
+          group_->GtMul(cts[i].c_prime, group_->GtInv(batched[i]));
+      EXPECT_TRUE(group_->GtEqual(
+          recovered, hve::Query(*group_, token, cts[i]).value()))
+          << "view " << i << " of " << count;
+    }
+  }
+
+  static PairingGroup* group_;
+  static hve::KeyPair* keys_;
+  static Fp2Elem* marker_;
+  static std::vector<hve::Ciphertext>* cts_;
+};
+
+PairingGroup* LaneViewsTest::group_ = nullptr;
+hve::KeyPair* LaneViewsTest::keys_ = nullptr;
+Fp2Elem* LaneViewsTest::marker_ = nullptr;
+std::vector<hve::Ciphertext>* LaneViewsTest::cts_ = nullptr;
+
+TEST_F(LaneViewsTest, AnyNumberOfAliveLanes) {
+  RandFn rand = TestRand(41);
+  hve::Token token = hve::GenToken(*group_, keys_->sk, "01*0**", rand).value();
+  for (size_t count : {size_t(1), size_t(7), size_t(8), size_t(9),
+                       size_t(17)}) {
+    CheckViews(token, count, *cts_);
+  }
+}
+
+TEST_F(LaneViewsTest, AllStarToken) {
+  RandFn rand = TestRand(42);
+  hve::Token token =
+      hve::GenToken(*group_, keys_->sk, std::string(kWidth, '*'), rand)
+          .value();
+  CheckViews(token, 9, *cts_);
+}
+
+TEST_F(LaneViewsTest, TrivialTablesAreSkipped) {
+  // A token point at infinity compiles to a trivial table: that pair
+  // contributes 1 in every walk.
+  RandFn rand = TestRand(43);
+  hve::Token token = hve::GenToken(*group_, keys_->sk, "1**01*", rand).value();
+  token.k2[1] = group_->curve().Infinity();
+  const hve::PrecompiledToken compiled = hve::PrecompileToken(*group_, token);
+  ASSERT_TRUE(compiled.k2[1].trivial());
+  CheckViews(token, 9, *cts_);
+}
+
+TEST_F(LaneViewsTest, IdentityColumnTakesTheScalarWalk) {
+  // Views 3 and 12 carry an identity point in a column the token reads:
+  // their lane groups (0-7 and 8-15) walk scalar, group 16 walks lanes.
+  RandFn rand = TestRand(44);
+  hve::Token token = hve::GenToken(*group_, keys_->sk, "0**1*1", rand).value();
+  std::vector<hve::Ciphertext> cts = *cts_;
+  cts[3].c1[3] = group_->curve().Infinity();
+  cts[12].c0 = group_->curve().Infinity();
+  CheckViews(token, 17, cts);
+  // A column the token does not read keeps the lanes.
+  cts = *cts_;
+  cts[5].c2[1] = group_->curve().Infinity();
+  CheckViews(token, 8, cts);
+}
+
+}  // namespace
+}  // namespace sloc

@@ -107,14 +107,14 @@ TEST_F(PairingEngineTest, PrecompiledLinesMatchLiveChain) {
     AffinePoint b = RandomElement(rand);
     const bool invert = (iter & 1) != 0;
     MillerLineTable table =
-        PrecompileMillerLines(group_->curve(), group_->params().n, a);
+        PrecompileMillerLines(group_->curve(), group_->miller_plan(), a);
     EXPECT_FALSE(table.trivial());
     std::vector<PrecompiledPairingInput> pairs = {
         PrecompiledPairingInput{&table, &b, invert}};
     size_t executed = 0;
     Fp2Elem miller =
         MultiMillerLoopPrecompiled(group_->curve(), group_->fp2(),
-                                   group_->params().n, pairs, &executed);
+                                   group_->miller_plan(), pairs, &executed);
     EXPECT_EQ(executed, 1u);
     Fp2Elem got = FinalExponentiation(group_->fp2(), miller,
                                       group_->params().cofactor);
@@ -124,8 +124,38 @@ TEST_F(PairingEngineTest, PrecompiledLinesMatchLiveChain) {
   }
   // Identity table is trivial and free.
   MillerLineTable trivial = PrecompileMillerLines(
-      group_->curve(), group_->params().n, group_->curve().Infinity());
+      group_->curve(), group_->miller_plan(), group_->curve().Infinity());
   EXPECT_TRUE(trivial.trivial());
+}
+
+// Chain-granularity precompilation: spreading (token, chain) units over
+// four workers and normalising per token must give the very tables the
+// one-thread path and the per-token entry point give.
+TEST_F(PairingEngineTest, PrecompiledTablesIdenticalAtOneAndFourThreads) {
+  RandFn rand = TestRand(107);
+  hve::KeyPair keys = hve::Setup(*group_, 5, rand).value();
+  std::vector<hve::Token> tokens;
+  for (const char* pattern : {"01*1*", "*****", "10110", "1****"}) {
+    tokens.push_back(hve::GenToken(*group_, keys.sk, pattern, rand).value());
+  }
+  std::vector<const hve::Token*> ptrs;
+  for (const hve::Token& t : tokens) ptrs.push_back(&t);
+  auto serial = hve::PrecompileTokens(*group_, ptrs, 1);
+  auto parallel = hve::PrecompileTokens(*group_, ptrs, 4);
+  ASSERT_EQ(parallel.size(), tokens.size());
+  for (size_t t = 0; t < tokens.size(); ++t) {
+    const hve::PrecompiledToken single =
+        hve::PrecompileToken(*group_, tokens[t]);
+    EXPECT_EQ(parallel[t].pattern, tokens[t].pattern);
+    EXPECT_EQ(parallel[t].positions, serial[t].positions);
+    EXPECT_TRUE(parallel[t].k0 == serial[t].k0) << "token " << t;
+    EXPECT_TRUE(parallel[t].k1 == serial[t].k1) << "token " << t;
+    EXPECT_TRUE(parallel[t].k2 == serial[t].k2) << "token " << t;
+    EXPECT_TRUE(single.k0 == serial[t].k0) << "token " << t;
+    EXPECT_TRUE(single.k1 == serial[t].k1) << "token " << t;
+    EXPECT_TRUE(single.k2 == serial[t].k2) << "token " << t;
+    EXPECT_EQ(serial[t].k0.size(), group_->miller_plan().length());
+  }
 }
 
 // PrecompiledToken evaluation must agree with the reference Query (the
