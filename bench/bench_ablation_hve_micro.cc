@@ -8,6 +8,8 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "hve/hve.h"
@@ -122,59 +124,57 @@ BENCHMARK(BM_HveQueryByNonStar)
     ->Arg(32)
     ->Complexity(benchmark::oN);
 
-// Multi-pairing fast path vs the naive per-pairing final exponentiation.
-void BM_HveQueryMultiPairing(benchmark::State& state) {
-  const PairingGroup& group = SharedGroup();
-  RandFn rand = SeededRand(6);
-  const size_t width = 32;
-  const size_t non_star = size_t(state.range(0));
-  hve::KeyPair keys = hve::Setup(group, width, rand).value();
-  Fp2Elem marker = group.RandomGt(rand);
-  std::string index(width, '0');
-  hve::Ciphertext ct =
-      hve::Encrypt(group, keys.pk, index, marker, rand).value();
-  std::string pattern(width, '*');
-  for (size_t i = 0; i < non_star; ++i) pattern[i] = '0';
-  hve::Token tk = hve::GenToken(group, keys.sk, pattern, rand).value();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hve::QueryMultiPairing(group, tk, ct).value());
-  }
-  state.counters["pairings"] =
-      benchmark::Counter(double(hve::QueryPairingCost(tk)));
-  state.SetComplexityN(int64_t(hve::QueryPairingCost(tk)));
-}
-BENCHMARK(BM_HveQueryMultiPairing)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(32)
-    ->Complexity(benchmark::oN);
-
-// Precompiled token line tables: the per-ciphertext cost once the token
-// side's Miller chains have been run and flattened (the alert-scan
-// regime, where one token is evaluated against the whole store).
-void BM_HveQueryPrecompiled(benchmark::State& state) {
+// The batched engine's per-ciphertext cost once the token side's Miller
+// chains have been run and flattened (the alert-scan regime, where one
+// token is evaluated against the whole store): one token round over a
+// flush of slim views — the Miller walk (eight lanes at a time on an
+// IFMA group) plus one batch final exponentiation. The per_view
+// counter is the round's wall time divided by its views.
+void BM_HveBatchedRoundPerView(benchmark::State& state) {
   const PairingGroup& group = SharedGroup();
   RandFn rand = SeededRand(7);
   const size_t width = 32;
+  const size_t kViews = 16;
   const size_t non_star = size_t(state.range(0));
   hve::KeyPair keys = hve::Setup(group, width, rand).value();
   Fp2Elem marker = group.RandomGt(rand);
-  std::string index(width, '0');
-  hve::Ciphertext ct =
-      hve::Encrypt(group, keys.pk, index, marker, rand).value();
   std::string pattern(width, '*');
   for (size_t i = 0; i < non_star; ++i) pattern[i] = '0';
   hve::Token tk = hve::GenToken(group, keys.sk, pattern, rand).value();
   hve::PrecompiledToken ptk = hve::PrecompileToken(group, tk);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hve::QueryPrecompiled(group, ptk, ct).value());
+  hve::EvalLayout layout = hve::MakeEvalLayout(width, {&ptk});
+  std::vector<hve::EvalView> views;
+  for (size_t v = 0; v < kViews; ++v) {
+    hve::Ciphertext ct =
+        hve::Encrypt(group, keys.pk, std::string(width, '0'), marker, rand)
+            .value();
+    views.push_back(hve::MakeEvalView(group, layout, ct).value());
   }
+  std::vector<const hve::EvalView*> view_ptrs;
+  for (const hve::EvalView& view : views) view_ptrs.push_back(&view);
+  std::vector<Fp2Elem> millers;
+  hve::QueryScratch scratch;
+  for (auto _ : state) {
+    if (!hve::QueryMillerPrecompiledViews(group, ptk, layout, view_ptrs,
+                                          &millers, &scratch)
+             .ok()) {
+      state.SkipWithError("token round failed");
+      break;
+    }
+    BatchFinalExponentiation(group.fp2(), group.params().cofactor, &millers,
+                             &scratch.pairing);
+    benchmark::DoNotOptimize(millers.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_view"] = benchmark::Counter(
+      double(kViews),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
   state.counters["pairings"] =
       benchmark::Counter(double(hve::QueryPairingCost(tk)));
   state.SetComplexityN(int64_t(hve::QueryPairingCost(tk)));
 }
-BENCHMARK(BM_HveQueryPrecompiled)
+BENCHMARK(BM_HveBatchedRoundPerView)
     ->Arg(1)
     ->Arg(4)
     ->Arg(16)

@@ -1,21 +1,21 @@
 // Pairing-engine ablation: quantifies the optimization layers against
 // the paper's dominant cost (HVE query evaluation).
 //
-//  1. shared-squaring multi-pairing (QueryMultiPairing) vs the
-//     per-pairing reference Query,
-//  2. precompiled per-token Miller line tables (QueryPrecompiled) vs
-//     both, amortized over an alert scan,
-//  3. batched final exponentiation (QueryEngine::kBatched): one shared
-//     Fp2 inversion per flush + deferred marker^-1 comparison on top of
-//     the precompiled tables,
-//  4. fixed-base comb tables for Encrypt's scalar multiplications and
+//  1. the batched engine (QueryEngine::kBatched) vs the per-pairing
+//     reference Query over a real alert scan: per-token Miller line
+//     tables precompiled once, slim evaluation views walked per token
+//     round (eight lanes at a time on AVX-512 IFMA groups), one shared
+//     Fp2 inversion per flush and deferred marker^-1 comparison,
+//  2. the Miller walk under one token round: the per-view scalar walk
+//     vs the batched call the flush makes,
+//  3. fixed-base comb tables for Encrypt's scalar multiplications and
 //     the per-key G_T comb for A^s vs the generic paths.
 //
 // The field layer underneath reports which Montgomery kernel is engaged
 // (generic vs unrolled CIOS 4x64/6x64/8x64, portable u128 vs BMI2/ADX
 // intrinsic); at --pbits=120 and above the field prime spans 4 limbs
-// and the fixed-width kernels carry every engine. Runs the real
-// ProcessAlert scan through all ServiceProvider engines and checks the
+// and the fixed-width kernels carry both engines. Runs the real
+// ProcessAlert scan through both ServiceProvider engines and checks the
 // notified sets are identical, re-runs the batched scan with kernel
 // dispatch forced to the generic tier and checks THAT notified set too
 // (bit-identical match outcomes across kernels, asserted before CI's
@@ -222,8 +222,6 @@ int Run(int argc, char** argv) {
   for (auto [engine, name] :
        {std::pair<ServiceProvider::QueryEngine, const char*>{
             ServiceProvider::QueryEngine::kReference, "reference"},
-        {ServiceProvider::QueryEngine::kMultiPairing, "multipairing"},
-        {ServiceProvider::QueryEngine::kPrecompiled, "precompiled"},
         {ServiceProvider::QueryEngine::kBatched, "batched"}}) {
     sp.set_engine(engine);
     EngineRow row;
@@ -251,14 +249,8 @@ int Run(int argc, char** argv) {
     }
     rows.push_back(std::move(row));
   }
-  const double speedup_vs_multi =
-      rows[2].evals_per_sec / rows[1].evals_per_sec;
-  const double speedup_vs_ref =
-      rows[2].evals_per_sec / rows[0].evals_per_sec;
-  const double speedup_batched_vs_precomp =
-      rows[3].evals_per_sec / rows[2].evals_per_sec;
   const double speedup_batched_vs_ref =
-      rows[3].evals_per_sec / rows[0].evals_per_sec;
+      rows[1].evals_per_sec / rows[0].evals_per_sec;
 
   // ---- Cross-kernel match-outcome equivalence ----
   //
@@ -450,11 +442,9 @@ int Run(int argc, char** argv) {
       walk_single_us, walk_batched_us, walk, walk_single_us / walk_batched_us);
   std::printf(
       "single Pair(): %.1f pairings/sec (field kernel: %s, dispatch %s)\n"
-      "precompiled vs multipairing: %.2fx, vs reference: %.2fx\n"
-      "batched vs precompiled: %.2fx, vs reference: %.2fx\n"
+      "batched vs reference: %.2fx\n"
       "Encrypt: %.2f ms generic -> %.2f ms fixed-base (%.2fx)\n",
-      pair_per_sec, kernel, kernel_dispatch, speedup_vs_multi,
-      speedup_vs_ref, speedup_batched_vs_precomp, speedup_batched_vs_ref,
+      pair_per_sec, kernel, kernel_dispatch, speedup_batched_vs_ref,
       enc_naive_ms, enc_comb_ms, enc_naive_ms / enc_comb_ms);
 
   JsonWriter params;
@@ -496,9 +486,6 @@ int Run(int argc, char** argv) {
   root.Number("pairings_per_sec", pair_per_sec);
   root.Nested("fp_mul", fp_mul);
   root.Nested("alert_scan", scan);
-  root.Number("speedup_precompiled_vs_multipairing", speedup_vs_multi);
-  root.Number("speedup_precompiled_vs_reference", speedup_vs_ref);
-  root.Number("speedup_batched_vs_precompiled", speedup_batched_vs_precomp);
   root.Number("speedup_batched_vs_reference", speedup_batched_vs_ref);
   root.Nested("encrypt", encrypt);
   EmitJson("BENCH_pairing_engine", root, argc, argv);

@@ -320,24 +320,20 @@ Result<ServiceProvider::AlertOutcome> ServiceProvider::ProcessAlert(
   }
   out.stats.tokens = tokens.size();
 
-  // The token side is fixed for the whole scan: run each token's Miller
-  // chains once up front (in parallel, LRU-cached across alerts) and
-  // share the line tables across every user/shard/worker (read-only
-  // from here on).
+  // The batched engine's token side is fixed for the whole scan: run
+  // each token's Miller chains once up front (in parallel, LRU-cached
+  // across alerts) and share the line tables across every
+  // user/shard/worker (read-only from here on), evaluated against the
+  // slim layout of the union of the bundle's non-star positions.
+  const bool batched = options_.engine == QueryEngine::kBatched;
   std::vector<std::shared_ptr<const hve::PrecompiledToken>> precompiled;
-  if (options_.engine == QueryEngine::kPrecompiled ||
-      options_.engine == QueryEngine::kBatched) {
+  hve::EvalLayout layout;
+  size_t flush_cts = std::max<size_t>(1, options_.batch_flush_evals);
+  if (batched) {
     PrecompileResult compiled = PrecompileTokens(tokens, token_blobs);
     precompiled = std::move(compiled.tables);
     out.stats.token_cache_hits = compiled.cache_hits;
     out.stats.token_cache_misses = compiled.cache_misses;
-  }
-
-  // The slim evaluation layout of the batched engine: the union of the
-  // bundle's non-star positions, shared read-only by every worker.
-  hve::EvalLayout layout;
-  size_t flush_cts = std::max<size_t>(1, options_.batch_flush_evals);
-  if (options_.engine == QueryEngine::kBatched) {
     std::vector<const hve::PrecompiledToken*> token_ptrs;
     token_ptrs.reserve(precompiled.size());
     for (const auto& table : precompiled) token_ptrs.push_back(table.get());
@@ -369,11 +365,11 @@ Result<ServiceProvider::AlertOutcome> ServiceProvider::ProcessAlert(
   // away.
   std::atomic<bool> abort{false};
 
-  // Per-query engines evaluate and compare inline; the batched engine
-  // defers final exponentiation so a whole flush of Miller ratios
-  // shares one Fp2 inversion (and each ciphertext shares one Gt mul
-  // against the cached marker^-1). Both charge MatchStats.pairings the
-  // same deterministic scan-order cost.
+  // The reference scan evaluates and compares inline; the batched
+  // engine defers final exponentiation so a whole flush of Miller
+  // ratios shares one Fp2 inversion (and each ciphertext shares one Gt
+  // mul against the cached marker^-1). Both charge MatchStats.pairings
+  // the same deterministic scan-order cost.
   auto scan_shards = [&](size_t worker) {
     ShardScan& scan = partials[worker];
     for (size_t shard = worker; shard < num_shards; shard += num_workers) {
@@ -383,18 +379,7 @@ Result<ServiceProvider::AlertOutcome> ServiceProvider::ProcessAlert(
         ++scan.scanned;
         for (size_t k = 0; k < tokens.size(); ++k) {
           const hve::Token& tk = tokens[k];
-          Result<Fp2Elem> recovered = [&]() -> Result<Fp2Elem> {
-            switch (options_.engine) {
-              case QueryEngine::kPrecompiled:
-                return hve::QueryPrecompiled(*group_, *precompiled[k], ct);
-              case QueryEngine::kMultiPairing:
-                return hve::QueryMultiPairing(*group_, tk, ct);
-              case QueryEngine::kBatched:  // handled by scan_batched
-              case QueryEngine::kReference:
-                break;
-            }
-            return hve::Query(*group_, tk, ct);
-          }();
+          Result<Fp2Elem> recovered = hve::Query(*group_, tk, ct);
           if (!recovered.ok()) {
             scan.status = recovered.status();
             abort.store(true, std::memory_order_relaxed);
@@ -493,7 +478,7 @@ Result<ServiceProvider::AlertOutcome> ServiceProvider::ProcessAlert(
         if (abort.load(std::memory_order_relaxed)) return;
         ++scan.scanned;
         // No tokens: nothing to evaluate (and no width to validate
-        // against), matching the per-query engines' empty-bundle scan.
+        // against), matching the reference engine's empty-bundle scan.
         if (tokens.empty()) return;
         BufferedCt& slot = buffer[buffered];
         Status view_status =
@@ -511,7 +496,6 @@ Result<ServiceProvider::AlertOutcome> ServiceProvider::ProcessAlert(
     if (!abort.load(std::memory_order_relaxed)) flush();
   };
 
-  const bool batched = options_.engine == QueryEngine::kBatched;
   RunWorkers(num_workers, [&](size_t w) {
     if (batched) {
       scan_shards_batched(w);

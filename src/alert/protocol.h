@@ -57,8 +57,8 @@ struct MatchStats {
   size_t matches = 0;
   /// Precompiled-token LRU traffic for THIS alert: unique tokens served
   /// from tables retained across alerts vs tables compiled fresh.
-  /// Always zero for the engines that do not precompile (reference,
-  /// multipairing). Operators size Options::token_cache_capacity off
+  /// Always zero for the reference engine, which does not precompile.
+  /// Operators size Options::token_cache_capacity off
   /// the hit rate these report in production.
   size_t token_cache_hits = 0;
   size_t token_cache_misses = 0;
@@ -164,19 +164,19 @@ class MobileUser {
 /// The service provider: pluggable ciphertext store + sharded matcher.
 class ServiceProvider {
  public:
-  /// How token-vs-ciphertext queries are evaluated. All engines produce
-  /// bit-identical match outcomes; they differ only in cost.
+  /// How token-vs-ciphertext queries are evaluated. Both engines
+  /// produce bit-identical match outcomes; they differ only in cost.
   enum class QueryEngine {
-    kReference,     ///< one Pair() + final exponentiation per pairing
-    kMultiPairing,  ///< shared-squaring loop + one final exponentiation
-    kPrecompiled,   ///< per-alert token line tables + multi-pairing
-    kBatched,       ///< precompiled tables + batched final exponentiation:
-                    ///< slim evaluation views (only the columns the token
-                    ///< set reads) buffer per worker; each token round
-                    ///< shares one Fp2 inversion + cofactor ladder across
-                    ///< the buffer, with deferred marker comparison via a
-                    ///< cached marker^-1 and the same early-exit work as
-                    ///< the reference scan
+    kReference,  ///< the oracle: hve::Query, one Pair() + final
+                 ///< exponentiation per pairing
+    kBatched,    ///< precompiled token line tables + batched final
+                 ///< exponentiation: slim evaluation views (only the
+                 ///< columns the token set reads) buffer per worker; each
+                 ///< token round walks the views (eight lanes at a time
+                 ///< on IFMA groups) and shares one Fp2 inversion +
+                 ///< cofactor ladder across the buffer, with deferred
+                 ///< marker comparison via a cached marker^-1 and the
+                 ///< same early-exit work as the reference scan
   };
 
   /// Tuning knobs. Defaults reproduce the sequential scan order with
@@ -261,16 +261,6 @@ class ServiceProvider {
   /// Selects the query engine (identical results, different wall-clock).
   void set_engine(QueryEngine engine) { options_.engine = engine; }
   QueryEngine engine() const { return options_.engine; }
-
-  /// Back-compat toggle: true selects the multi-pairing engine, false
-  /// the per-pairing reference path.
-  void set_use_multipairing(bool enabled) {
-    options_.engine =
-        enabled ? QueryEngine::kMultiPairing : QueryEngine::kReference;
-  }
-  bool use_multipairing() const {
-    return options_.engine != QueryEngine::kReference;
-  }
 
   /// The provider's precompiled-token LRU cache (observability/tests).
   const hve::TokenTableCache& token_cache() const { return token_cache_; }

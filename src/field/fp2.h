@@ -89,7 +89,8 @@ class Fp2 {
   /// for the whole batch and the ladder is interleaved across units, so
   /// a flush-sized batch of final-exponentiation tails (the fixed
   /// cofactor exponent) amortizes the per-call recoding the way the
-  /// multi-pairing shares its f^2 chain. Empty batches are a no-op.
+  /// precompiled multi-pairing shares its f^2 chain. Empty batches are
+  /// a no-op.
   void BatchPowUnitary(const BigInt& exp, std::vector<Fp2Elem>* units) const;
 
   /// BatchPowUnitary with caller-provided scratch: identical results,

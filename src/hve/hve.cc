@@ -406,50 +406,6 @@ Result<bool> Matches(const PairingGroup& group, const Token& token,
   return group.GtEqual(recovered, marker);
 }
 
-Result<Fp2Elem> QueryMillerMultiPairing(const PairingGroup& group,
-                                        const Token& token,
-                                        const Ciphertext& ct) {
-  const size_t width = token.pattern.size();
-  if (ct.c1.size() != width || ct.c2.size() != width) {
-    return Status::InvalidArgument(
-        "ciphertext/token width mismatch in QueryMultiPairing");
-  }
-  const size_t non_star = NonStarCount(token.pattern);
-  if (token.k1.size() != non_star || token.k2.size() != non_star) {
-    return Status::InvalidArgument("malformed token: |k1|,|k2| != |J|");
-  }
-
-  // One shared-squaring pass over the 2|J|+1 pairs: the numerator
-  // e(C_0, K_0) plus each denominator pairing folded in as its inverse
-  // (invert = true evaluates at phi(-K)), so the ratio num/denom falls
-  // out of the loop with no Fp2 inversion.
-  std::vector<PairingInput> pairs;
-  pairs.reserve(2 * non_star + 1);
-  pairs.push_back(PairingInput{&ct.c0, &token.k0, false});
-  size_t j = 0;
-  for (size_t i = 0; i < width; ++i) {
-    if (token.pattern[i] == kStar) continue;
-    pairs.push_back(PairingInput{&ct.c1[i], &token.k1[j], true});
-    pairs.push_back(PairingInput{&ct.c2[i], &token.k2[j], true});
-    ++j;
-  }
-  size_t executed = 0;
-  Fp2Elem ratio_miller = MultiMillerLoop(group.curve(), group.fp2(),
-                                         group.params().n, pairs, &executed);
-  group.CountPairings(executed);
-  return ratio_miller;
-}
-
-Result<Fp2Elem> QueryMultiPairing(const PairingGroup& group,
-                                  const Token& token, const Ciphertext& ct) {
-  SLOC_ASSIGN_OR_RETURN(Fp2Elem ratio_miller,
-                        QueryMillerMultiPairing(group, token, ct));
-  Fp2Elem ratio = FinalExponentiation(group.fp2(), ratio_miller,
-                                      group.params().cofactor);
-  // M = C' / ratio; the exponentiated ratio is unitary.
-  return group.GtMul(ct.c_prime, group.GtInv(ratio));
-}
-
 PrecompiledToken PrecompileToken(const PairingGroup& group,
                                  const Token& token) {
   std::vector<PrecompiledToken> out =
@@ -522,39 +478,6 @@ std::vector<PrecompiledToken> PrecompileTokens(
     }
   }
   return out;
-}
-
-Result<Fp2Elem> QueryMillerPrecompiled(const PairingGroup& group,
-                                       const PrecompiledToken& token,
-                                       const Ciphertext& ct) {
-  const size_t width = token.pattern.size();
-  if (ct.c1.size() != width || ct.c2.size() != width) {
-    return Status::InvalidArgument(
-        "ciphertext/token width mismatch in QueryPrecompiled");
-  }
-  const size_t non_star = NonStarCount(token.pattern);
-  if (token.k1.size() != non_star || token.k2.size() != non_star ||
-      token.positions.size() != non_star) {
-    return Status::InvalidArgument(
-        "malformed precompiled token: |k1|,|k2| != |J|");
-  }
-
-  // Same pair layout as QueryMultiPairing; only the stored line tables
-  // stand in for the token points.
-  std::vector<PrecompiledPairingInput> pairs;
-  pairs.reserve(2 * non_star + 1);
-  pairs.push_back(PrecompiledPairingInput{&token.k0, &ct.c0, false});
-  for (size_t j = 0; j < non_star; ++j) {
-    const size_t i = token.positions[j];
-    pairs.push_back(PrecompiledPairingInput{&token.k1[j], &ct.c1[i], true});
-    pairs.push_back(PrecompiledPairingInput{&token.k2[j], &ct.c2[i], true});
-  }
-  size_t executed = 0;
-  Fp2Elem ratio_miller = MultiMillerLoopPrecompiled(
-      group.curve(), group.fp2(), group.miller_plan(), pairs, &executed);
-  group.CountPairings(executed);
-  group.CountPrecompPairings(executed);
-  return ratio_miller;
 }
 
 EvalLayout MakeEvalLayout(
@@ -664,8 +587,8 @@ Fp2Elem ScalarViewMiller(const PairingGroup& group,
                          const std::vector<size_t>& slots,
                          const EvalView& view, QueryScratch* scratch,
                          size_t* executed) {
-  // Same pair layout as QueryMillerPrecompiled; the stored distorted
-  // coordinates stand in for the ciphertext points.
+  // The numerator e(C_0, K_0) plus each denominator pairing, whose
+  // stored coordinates are pre-negated so it folds in as its inverse.
   std::vector<PrecompiledPairingCoords>& pairs = scratch->pairs;
   pairs.clear();
   pairs.reserve(2 * slots.size() + 1);
@@ -769,24 +692,6 @@ Status QueryMillerPrecompiledViews(const PairingGroup& group,
   group.CountPairings(executed);
   group.CountPrecompPairings(executed);
   return Status::Ok();
-}
-
-Result<Fp2Elem> QueryPrecompiled(const PairingGroup& group,
-                                 const PrecompiledToken& token,
-                                 const Ciphertext& ct) {
-  SLOC_ASSIGN_OR_RETURN(Fp2Elem ratio_miller,
-                        QueryMillerPrecompiled(group, token, ct));
-  Fp2Elem ratio = FinalExponentiation(group.fp2(), ratio_miller,
-                                      group.params().cofactor);
-  return group.GtMul(ct.c_prime, group.GtInv(ratio));
-}
-
-Result<bool> MatchesPrecompiled(const PairingGroup& group,
-                                const PrecompiledToken& token,
-                                const Ciphertext& ct, const Fp2Elem& marker) {
-  SLOC_ASSIGN_OR_RETURN(Fp2Elem recovered,
-                        QueryPrecompiled(group, token, ct));
-  return group.GtEqual(recovered, marker);
 }
 
 }  // namespace hve

@@ -153,17 +153,6 @@ Result<bool> Matches(const PairingGroup& group, const Token& token,
 /// Number of pairings Query will execute for this token (2*|J| + 1).
 size_t QueryPairingCost(const Token& token);
 
-/// Query with the multi-pairing optimization: all 2|J|+1 Miller loops
-/// run inside ONE shared-squaring pass (one fp2 squaring per order bit
-/// total), the denominator pairings are folded in as e(C, -K) so no Fp2
-/// inversion is needed, and a *single* final exponentiation is applied
-/// (the final-exp map is a homomorphism). Produces exactly the same G_T
-/// element as Query at a fraction of the cost. The pairing counter is
-/// charged only with Miller loops actually executed (identity pairs are
-/// free).
-Result<Fp2Elem> QueryMultiPairing(const PairingGroup& group,
-                                  const Token& token, const Ciphertext& ct);
-
 /// A token whose Miller chains have been run once and flattened into
 /// line-coefficient tables. The token side (K_0, K_i,1, K_i,2) is fixed
 /// for the lifetime of an alert, so a scan over many ciphertexts pays
@@ -177,9 +166,9 @@ struct PrecompiledToken {
   std::vector<MillerLineTable> k2;
 };
 
-/// Runs the 2|J|+1 Miller chains of `token` once. Costs about one
-/// QueryMultiPairing without the final exponentiation; every subsequent
-/// QueryPrecompiled against the result skips the chain arithmetic.
+/// Runs the 2|J|+1 Miller chains of `token` once. Costs about 2|J|+1
+/// Miller loops; every later evaluation against the result
+/// (QueryMillerPrecompiledView/Views) skips the chain arithmetic.
 /// Tables are normalised (each line's i-coefficient scaled to 1 through
 /// one batch inversion per token) and laid out for the group's walk.
 PrecompiledToken PrecompileToken(const PairingGroup& group,
@@ -194,38 +183,6 @@ PrecompiledToken PrecompileToken(const PairingGroup& group,
 std::vector<PrecompiledToken> PrecompileTokens(
     const PairingGroup& group, const std::vector<const Token*>& tokens,
     unsigned num_threads);
-
-/// Query against a precompiled token: shared-squaring evaluation of the
-/// stored line tables plus one final exponentiation. Returns exactly the
-/// same G_T element as Query/QueryMultiPairing. Executed pairings are
-/// charged to both the pairing counter and the precompiled-table hit
-/// counter.
-Result<Fp2Elem> QueryPrecompiled(const PairingGroup& group,
-                                 const PrecompiledToken& token,
-                                 const Ciphertext& ct);
-
-/// Convenience predicate over the precompiled path.
-Result<bool> MatchesPrecompiled(const PairingGroup& group,
-                                const PrecompiledToken& token,
-                                const Ciphertext& ct, const Fp2Elem& marker);
-
-/// The *un-exponentiated* Miller ratio of QueryMultiPairing: one
-/// shared-squaring pass over all 2|J|+1 chains, no final exponentiation.
-/// Feeding the result through FinalExponentiation (or, across many
-/// queries, BatchFinalExponentiation) and combining as
-/// M = C' * ratio^-1 reproduces Query's G_T element exactly. This is
-/// the batching seam ProcessAlert uses to share one Fp2 inversion per
-/// flush instead of paying one per (token, ciphertext) query.
-Result<Fp2Elem> QueryMillerMultiPairing(const PairingGroup& group,
-                                        const Token& token,
-                                        const Ciphertext& ct);
-
-/// Un-exponentiated Miller ratio over precompiled line tables (the
-/// precompiled analog of QueryMillerMultiPairing). Charges the pairing
-/// and precompiled-hit counters with executed loops.
-Result<Fp2Elem> QueryMillerPrecompiled(const PairingGroup& group,
-                                       const PrecompiledToken& token,
-                                       const Ciphertext& ct);
 
 /// Which ciphertext columns a fixed token set actually evaluates: the
 /// union of the tokens' non-star positions. Built once per alert; maps
@@ -264,8 +221,8 @@ struct EvalView {
   std::vector<Coord> c2;    ///< phi(-C_i,2) per layout slot
 };
 
-/// Extracts the layout's columns from `ct`. Error on width mismatch
-/// (the check QueryMillerPrecompiled would otherwise make per query).
+/// Extracts the layout's columns from `ct`. Error on width mismatch, so
+/// the view queries need no per-query width check.
 Result<EvalView> MakeEvalView(const PairingGroup& group,
                               const EvalLayout& layout, const Ciphertext& ct);
 
@@ -286,9 +243,15 @@ struct QueryScratch {
   PairingScratch pairing;
 };
 
-/// QueryMillerPrecompiled evaluated against a slim view instead of the
-/// full ciphertext: bit-identical result (the same schedule walk over
-/// the same coordinates), same counter charges.
+/// The *un-exponentiated* Miller ratio of one query, evaluated from the
+/// token's line tables against a slim view: one shared-squaring scalar
+/// walk over the 2|J|+1 chains, the denominator pairings folded in as
+/// e(C, -K) through the view's pre-negated coordinates. Feeding the
+/// result through FinalExponentiation (or, across many queries,
+/// BatchFinalExponentiation) and combining as M = C' * ratio^-1
+/// reproduces Query's G_T element exactly. Executed pairings are
+/// charged to both the pairing counter and the precompiled-table hit
+/// counter.
 Result<Fp2Elem> QueryMillerPrecompiledView(const PairingGroup& group,
                                            const PrecompiledToken& token,
                                            const EvalLayout& layout,

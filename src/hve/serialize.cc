@@ -90,17 +90,24 @@ class Reader {
     SLOC_DCHECK(r_.has_value()) << "read before Open()";
     return r_->Str();
   }
-  Result<BigInt> Big() {
+  /// One field coordinate. Its length is capped at p's byte length
+  /// before decoding: BigInt::FromBytes is quadratic in the input, so an
+  /// oversized coordinate must cost no more than its read.
+  Result<BigInt> Big(const PairingGroup& g) {
     SLOC_DCHECK(r_.has_value()) << "read before Open()";
     SLOC_ASSIGN_OR_RETURN(std::vector<uint8_t> b, r_->Bytes());
+    if (b.size() > (g.fp().p().BitLength() + 7) / 8) {
+      return Status::InvalidArgument(
+          "coordinate longer than the field's byte length");
+    }
     return BigInt::FromBytes(b);
   }
   Result<AffinePoint> Point(const PairingGroup& g) {
     SLOC_ASSIGN_OR_RETURN(uint8_t flag, U8());
     if (flag == 0) return g.curve().Infinity();
     if (flag != 1) return Status::InvalidArgument("bad point flag");
-    SLOC_ASSIGN_OR_RETURN(BigInt x, Big());
-    SLOC_ASSIGN_OR_RETURN(BigInt y, Big());
+    SLOC_ASSIGN_OR_RETURN(BigInt x, Big(g));
+    SLOC_ASSIGN_OR_RETURN(BigInt y, Big(g));
     if (x >= g.fp().p() || y >= g.fp().p()) {
       return Status::InvalidArgument("point coordinate out of field range");
     }
@@ -109,8 +116,8 @@ class Reader {
     return *pt;
   }
   Result<Fp2Elem> Gt(const PairingGroup& g) {
-    SLOC_ASSIGN_OR_RETURN(BigInt re, Big());
-    SLOC_ASSIGN_OR_RETURN(BigInt im, Big());
+    SLOC_ASSIGN_OR_RETURN(BigInt re, Big(g));
+    SLOC_ASSIGN_OR_RETURN(BigInt im, Big(g));
     if (re >= g.fp().p() || im >= g.fp().p()) {
       return Status::InvalidArgument("Gt coordinate out of field range");
     }

@@ -872,7 +872,6 @@ Result<std::unique_ptr<AlertServer>> AlertServer::Start(
   sp_options.num_shards = snap->num_shards();
   sp_options.num_threads =
       options.scan_threads == 0 ? 1 : options.scan_threads;
-  sp_options.engine = options.engine;
   sp_options.token_cache_capacity = options.token_cache_capacity;
   impl->provider = std::make_unique<alert::ServiceProvider>(
       std::move(group), std::move(marker), std::move(snap), sp_options);

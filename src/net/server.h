@@ -101,8 +101,6 @@ class AlertServer {
     /// matcher); scans from different requests serialize, so total scan
     /// parallelism is this knob.
     unsigned scan_threads = 1;
-    alert::ServiceProvider::QueryEngine engine =
-        alert::ServiceProvider::QueryEngine::kBatched;
     size_t token_cache_capacity = 64;
 
     // Backpressure knobs (see file comment).

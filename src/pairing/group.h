@@ -23,9 +23,9 @@ namespace sloc {
 
 /// Snapshot of the running operation counters; the paper's headline
 /// metric is `pairings`. `pairings` counts Miller loops actually
-/// executed (identity-short-circuited pairs are free and not charged);
-/// `precomp_pairings` is the subset served from precompiled line tables
-/// (the cache-hit counter of the multi-pairing engine).
+/// executed (the precompiled walks do not charge identity-short-circuited
+/// pairs; Pair() charges every call); `precomp_pairings` is the subset
+/// served from precompiled line tables.
 struct PairingCounters {
   uint64_t pairings = 0;
   uint64_t precomp_pairings = 0;
@@ -126,8 +126,8 @@ class PairingGroup {
     counters_->scalar_muls.store(0, std::memory_order_relaxed);
     counters_->gt_exps.store(0, std::memory_order_relaxed);
   }
-  /// Accounts for `k` pairings computed outside Pair() (e.g. the
-  /// multi-pairing fast path, which shares one final exponentiation).
+  /// Accounts for `k` pairings computed outside Pair() (the precompiled
+  /// walks, which share one final exponentiation per query or batch).
   /// Callers charge only Miller loops actually executed, not pairs
   /// short-circuited by points at infinity.
   void CountPairings(uint64_t k) const {

@@ -9,14 +9,14 @@ namespace sloc {
 
 namespace {
 
-/// Per-pair state threaded through a Miller loop: the shared contexts
-/// plus the distorted coordinates of this pair's evaluation point.
+/// State threaded through a Miller loop: the shared contexts plus the
+/// distorted coordinates of the evaluation point.
 struct LoopCtx {
   const Curve& curve;
   const Fp& fp;
   const Fp2& fp2;
   Fp::Elem xq;     // x-coordinate of phi(B) = -x_B (in F_p)
-  Fp::Elem yq_im;  // imaginary coefficient of phi(B)'s y = +-y_B
+  Fp::Elem yq_im;  // imaginary coefficient of phi(B)'s y = y_B
 };
 
 /// Intermediates of one doubling step that the line (in either evaluated
@@ -222,24 +222,15 @@ RawLine AddStepLines(const Curve& curve, const AffinePoint& p,
   return line;
 }
 
-/// Builds the per-pair evaluation context: phi(B) for the plain pairing,
-/// phi(-B) when accumulating the inverse.
-LoopCtx MakeCtx(const Curve& curve, const Fp2& fp2, const AffinePoint& b,
-                bool invert) {
-  const Fp& fp = curve.fp();
-  LoopCtx ctx{curve, fp, fp2, fp.Zero(), b.y};
-  fp.Neg(b.x, &ctx.xq);                      // phi(B).x = -x_B
-  if (invert) fp.Neg(b.y, &ctx.yq_im);       // phi(-B).y = -i*y_B
-  return ctx;
-}
-
 }  // namespace
 
 Fp2Elem MillerLoop(const Curve& curve, const Fp2& fp2, const BigInt& order,
                    const AffinePoint& a, const AffinePoint& b) {
   SLOC_CHECK(!a.infinity && !b.infinity)
       << "MillerLoop requires finite points";
-  LoopCtx ctx = MakeCtx(curve, fp2, b, /*invert=*/false);
+  const Fp& fp = curve.fp();
+  LoopCtx ctx{curve, fp, fp2, fp.Zero(), b.y};
+  fp.Neg(b.x, &ctx.xq);  // phi(B).x = -x_B
 
   Fp2Elem f = fp2.One();
   Fp2Elem tmp;
@@ -252,47 +243,6 @@ Fp2Elem MillerLoop(const Curve& curve, const Fp2& fp2, const BigInt& order,
       Fp2Elem line_add = AddStep(ctx, a, &t);
       fp2.Mul(f, line_add, &tmp);
       f = tmp;
-    }
-  }
-  return f;
-}
-
-Fp2Elem MultiMillerLoop(const Curve& curve, const Fp2& fp2,
-                        const BigInt& order,
-                        const std::vector<PairingInput>& pairs,
-                        size_t* loops_executed) {
-  struct PairState {
-    LoopCtx ctx;
-    const AffinePoint* base;
-    JacobianPoint t;
-  };
-  std::vector<PairState> live;
-  live.reserve(pairs.size());
-  for (const PairingInput& pair : pairs) {
-    SLOC_CHECK(pair.a != nullptr && pair.b != nullptr);
-    if (pair.a->infinity || pair.b->infinity) continue;
-    live.push_back(PairState{MakeCtx(curve, fp2, *pair.b, pair.invert),
-                             pair.a, curve.ToJacobian(*pair.a)});
-  }
-  if (loops_executed != nullptr) *loops_executed = live.size();
-  Fp2Elem f = fp2.One();
-  if (live.empty()) return f;
-
-  Fp2Elem tmp;
-  for (size_t i = order.BitLength() - 1; i-- > 0;) {
-    fp2.Sqr(f, &tmp);
-    f = tmp;
-    for (PairState& s : live) {
-      Fp2Elem line = DoubleStep(s.ctx, &s.t);
-      fp2.Mul(f, line, &tmp);
-      f = tmp;
-    }
-    if (order.Bit(i)) {
-      for (PairState& s : live) {
-        Fp2Elem line = AddStep(s.ctx, *s.base, &s.t);
-        fp2.Mul(f, line, &tmp);
-        f = tmp;
-      }
     }
   }
   return f;
@@ -554,48 +504,49 @@ MillerLineTable PrecompileMillerLines(const Curve& curve,
   return NormalizeMillerChain(curve.fp(), plan, chain);
 }
 
-namespace {
-
-/// Precompiled-chain evaluation state: the table plus the distorted
-/// coordinates it is substituted at. The public scratch type owns the
-/// buffer so workers can reuse it across queries.
-using PrecompiledPairState = PairingScratch::EvalUnit;
-
-/// Adds one live pair to a walk, after the O(1) check that its table
-/// was compiled for this plan's schedule (the walk indexes unchecked).
-void AddLiveUnit(const MillerPlan& plan, const MillerLineTable* table,
-                 const Fp::Elem& xq, const Fp::Elem& y_im,
-                 std::vector<PrecompiledPairState>* live) {
-  SLOC_CHECK(table->size() == plan.length())
-      << "Miller line table compiled for a different order";
-  live->emplace_back();
-  PrecompiledPairState& s = live->back();
-  s.table = table;
-  s.xq = xq;
-  s.line.im = y_im;
+Fp2Elem MultiMillerLoopCoords(
+    const Curve& curve, const Fp2& fp2, const MillerPlan& plan,
+    const std::vector<PrecompiledPairingCoords>& pairs,
+    size_t* loops_executed) {
+  PairingScratch scratch;
+  return MultiMillerLoopCoords(curve, fp2, plan, pairs, &scratch,
+                               loops_executed);
 }
 
-/// Shared walker for the precompiled multi-pairing variants: both the
-/// AffinePoint- and coordinate-input entry points reduce their pairs to
-/// PrecompiledPairState and run exactly this loop, which is what makes
-/// the two bit-identical on the same points. Packed tables are decoded
-/// line by line back to the canonical residues they re-split, so the
-/// walk's value does not depend on the layout.
-Fp2Elem WalkPrecompiledSchedule(const Curve& curve, const Fp2& fp2,
-                                const MillerPlan& plan,
-                                std::vector<PrecompiledPairState>* live,
-                                size_t* loops_executed) {
-  const Fp& fp = curve.fp();
-  if (loops_executed != nullptr) *loops_executed = live->size();
+Fp2Elem MultiMillerLoopCoords(
+    const Curve& curve, const Fp2& fp2, const MillerPlan& plan,
+    const std::vector<PrecompiledPairingCoords>& pairs,
+    PairingScratch* scratch, size_t* loops_executed) {
+  using EvalUnit = PairingScratch::EvalUnit;
+  std::vector<EvalUnit>& live = scratch->live;
+  live.clear();
+  live.reserve(pairs.size());
+  for (const PrecompiledPairingCoords& pair : pairs) {
+    SLOC_CHECK(pair.table != nullptr);
+    if (pair.skip || pair.table->trivial()) continue;
+    // O(1) check that the table follows this plan's schedule: the walk
+    // below indexes it unchecked.
+    SLOC_CHECK(pair.table->size() == plan.length())
+        << "Miller line table compiled for a different order";
+    live.emplace_back();
+    EvalUnit& s = live.back();
+    s.table = pair.table;
+    s.xq = pair.xq;
+    s.line.im = pair.y_im;
+  }
+  if (loops_executed != nullptr) *loops_executed = live.size();
   Fp2Elem f = fp2.One();
-  if (live->empty()) return f;
+  if (live.empty()) return f;
 
   // All chains share one schedule: walk it once, substituting each
-  // pair's coordinates into the stored coefficients.
+  // pair's coordinates into the stored coefficients. Packed tables are
+  // decoded line by line back to the canonical residues they re-split,
+  // so the walk's value does not depend on the layout.
+  const Fp& fp = curve.fp();
   Fp2Elem tmp;
   Fp::Elem cx_xq, dec_x, dec_0;
   size_t idx = 0;
-  auto substitute = [&](PrecompiledPairState& s) {
+  auto substitute = [&](EvalUnit& s) {
     const MillerLineTable& table = *s.table;
     const Fp::Elem* c_x;
     const Fp::Elem* c_0;
@@ -620,59 +571,14 @@ Fp2Elem WalkPrecompiledSchedule(const Curve& curve, const Fp2& fp2,
   for (uint8_t add : plan.adds()) {
     fp2.Sqr(f, &tmp);
     f = tmp;
-    for (PrecompiledPairState& s : *live) substitute(s);
+    for (EvalUnit& s : live) substitute(s);
     ++idx;
     if (add != 0) {
-      for (PrecompiledPairState& s : *live) substitute(s);
+      for (EvalUnit& s : live) substitute(s);
       ++idx;
     }
   }
   return f;
-}
-
-}  // namespace
-
-Fp2Elem MultiMillerLoopPrecompiled(
-    const Curve& curve, const Fp2& fp2, const MillerPlan& plan,
-    const std::vector<PrecompiledPairingInput>& pairs,
-    size_t* loops_executed) {
-  const Fp& fp = curve.fp();
-  std::vector<PrecompiledPairState> live;
-  live.reserve(pairs.size());
-  Fp::Elem xq, y_im;
-  for (const PrecompiledPairingInput& pair : pairs) {
-    SLOC_CHECK(pair.table != nullptr && pair.b != nullptr);
-    if (pair.table->trivial() || pair.b->infinity) continue;
-    fp.Neg(pair.b->x, &xq);
-    y_im = pair.b->y;
-    if (pair.invert) fp.Neg(pair.b->y, &y_im);
-    AddLiveUnit(plan, pair.table, xq, y_im, &live);
-  }
-  return WalkPrecompiledSchedule(curve, fp2, plan, &live, loops_executed);
-}
-
-Fp2Elem MultiMillerLoopCoords(
-    const Curve& curve, const Fp2& fp2, const MillerPlan& plan,
-    const std::vector<PrecompiledPairingCoords>& pairs,
-    size_t* loops_executed) {
-  PairingScratch scratch;
-  return MultiMillerLoopCoords(curve, fp2, plan, pairs, &scratch,
-                               loops_executed);
-}
-
-Fp2Elem MultiMillerLoopCoords(
-    const Curve& curve, const Fp2& fp2, const MillerPlan& plan,
-    const std::vector<PrecompiledPairingCoords>& pairs,
-    PairingScratch* scratch, size_t* loops_executed) {
-  std::vector<PrecompiledPairState>& live = scratch->live;
-  live.clear();
-  live.reserve(pairs.size());
-  for (const PrecompiledPairingCoords& pair : pairs) {
-    SLOC_CHECK(pair.table != nullptr);
-    if (pair.skip || pair.table->trivial()) continue;
-    AddLiveUnit(plan, pair.table, pair.xq, pair.y_im, &live);
-  }
-  return WalkPrecompiledSchedule(curve, fp2, plan, &live, loops_executed);
 }
 
 void MultiMillerLoopLanes(const Fp2& fp2, const MillerPlan& plan,

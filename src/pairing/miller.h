@@ -6,24 +6,23 @@
 // exponentiation (p^2-1)/N = (p-1)*c, so the loop uses denominator
 // elimination and scales line values by arbitrary F_p* constants.
 //
-// Four evaluation strategies share the same line formulas:
-//  1. MillerLoop        — one pair, the reference path.
-//  2. MultiMillerLoop   — many pairs in one loop over the order bits,
-//     sharing the f^2 squaring chain and the final exponentiation.
-//  3. PrecompileMillerLines + MultiMillerLoopPrecompiled — the Miller
-//     chain of a *fixed* first argument is run once and its line
-//     coefficients stored, normalised so the i-coefficient is 1; later
-//     evaluations only substitute the other point's distorted
-//     coordinates (1 F_p mul per line instead of a full point-
-//     arithmetic step).
-//  4. MultiMillerLoopLanes — strategy 3 for eight evaluation points at
+// Three evaluation strategies share the same line formulas:
+//  1. MillerLoop        — one pair, the reference path behind Pair().
+//  2. PrecompileMillerLines + MultiMillerLoopCoords — the Miller chain
+//     of a *fixed* first argument is run once and its line coefficients
+//     stored, normalised so the i-coefficient is 1; later evaluations
+//     only substitute the other point's distorted coordinates (1 F_p
+//     mul per line instead of a full point-arithmetic step), and many
+//     pairs share one f^2 squaring chain.
+//  3. MultiMillerLoopLanes — strategy 2 for eight evaluation points at
 //     once on AVX-512 IFMA (pairing/miller_ifma.h), for groups whose
 //     plan selects that walk.
 //
-// Every strategy can fold an inversion into the loop for free: because
-// e(A, -B) = e(A, B)^-1 and phi(-B) = (-x_B, -i*y_B), flipping the sign
-// of the evaluation point's y accumulates the *inverse* of a pairing
-// without any Fp2 inversion. The HVE query ratio uses exactly this.
+// The precompiled walks fold an inversion into the loop for free:
+// because e(A, -B) = e(A, B)^-1 and phi(-B) = (-x_B, -i*y_B), flipping
+// the sign of the evaluation point's y accumulates the *inverse* of a
+// pairing without any Fp2 inversion. The HVE query ratio uses exactly
+// this.
 
 #ifndef SLOC_PAIRING_MILLER_H_
 #define SLOC_PAIRING_MILLER_H_
@@ -44,30 +43,6 @@ namespace sloc {
 /// Returns the un-exponentiated Miller value in F_p^2.
 Fp2Elem MillerLoop(const Curve& curve, const Fp2& fp2, const BigInt& order,
                    const AffinePoint& a, const AffinePoint& b);
-
-/// One (A, B) pair of a multi-pairing. `invert` accumulates e(A, B)^-1
-/// (the evaluation point becomes phi(-B)). Pointed-to points must outlive
-/// the call; pairs where either point is the identity contribute 1 and
-/// cost nothing.
-struct PairingInput {
-  const AffinePoint* a = nullptr;
-  const AffinePoint* b = nullptr;
-  bool invert = false;
-};
-
-/// Shared-squaring multi-Miller loop: accumulates the line functions of
-/// every pair inside ONE pass over the order bits — a single fp2.Sqr(f)
-/// per bit total, instead of one per pair — and returns the combined
-/// un-exponentiated Miller value prod_k f_{N,A_k}(phi(+-B_k)). Apply
-/// FinalExponentiation once to get prod_k e(A_k, B_k)^{+-1}.
-///
-/// `loops_executed` (optional) receives the number of pairs actually
-/// evaluated, i.e. excluding identity-short-circuited ones — this is what
-/// the pairing counters should be charged with.
-Fp2Elem MultiMillerLoop(const Curve& curve, const Fp2& fp2,
-                        const BigInt& order,
-                        const std::vector<PairingInput>& pairs,
-                        size_t* loops_executed = nullptr);
 
 /// Which walk evaluates a group's precompiled line tables, and so how
 /// the tables are laid out.
@@ -209,20 +184,11 @@ MillerLineTable PrecompileMillerLines(const Curve& curve,
                                       const AffinePoint& a);
 
 /// One pair of a precompiled multi-pairing: the table of the fixed side
-/// plus the variable point it is evaluated at (`invert` as above).
-struct PrecompiledPairingInput {
-  const MillerLineTable* table = nullptr;
-  const AffinePoint* b = nullptr;
-  bool invert = false;
-};
-
-/// One pair of a precompiled multi-pairing whose evaluation point is
-/// supplied as already-distorted coordinates: xq = -x_B and y_im = the
-/// i-coefficient of phi(+-B)'s y (so the caller bakes the inversion
-/// sign into y_im). This is the entry point for slim evaluation buffers
-/// that store two F_p residues per point instead of the affine point;
-/// `skip` marks pairs that contribute 1 (identity evaluation point or
-/// trivial table).
+/// plus its evaluation point as already-distorted coordinates: xq =
+/// -x_B and y_im = the i-coefficient of phi(+-B)'s y (so the caller
+/// bakes the inversion sign into y_im). Slim evaluation buffers store
+/// exactly these two F_p residues per point; `skip` marks pairs that
+/// contribute 1 (identity evaluation point or trivial table).
 struct PrecompiledPairingCoords {
   const MillerLineTable* table = nullptr;
   Fp::Elem xq;
@@ -261,19 +227,13 @@ struct PairingScratch {
   Fp2PowScratch pow;               ///< shared-wNAF cofactor ladder
 };
 
-/// Shared-squaring evaluation of precompiled chains: per pair and line
-/// only the substitution c_x * xq + c_0 (one F_p mul) and one fp2.Mul
-/// remain. Trivial tables and identity evaluation points contribute 1;
-/// `loops_executed` counts the pairs actually evaluated. Tables must
-/// have been compiled under `plan` (their length is checked).
-Fp2Elem MultiMillerLoopPrecompiled(
-    const Curve& curve, const Fp2& fp2, const MillerPlan& plan,
-    const std::vector<PrecompiledPairingInput>& pairs,
-    size_t* loops_executed = nullptr);
-
-/// MultiMillerLoopPrecompiled over pre-distorted coordinates: identical
-/// schedule walk and operation order, so the result is bit-identical to
-/// the AffinePoint-input variant on the same points.
+/// Shared-squaring evaluation of precompiled chains at pre-distorted
+/// coordinates: per pair and line only the substitution c_x * xq + c_0
+/// (one F_p mul) and one fp2.Mul remain. Skipped pairs and trivial
+/// tables contribute 1; `loops_executed` counts the pairs actually
+/// evaluated. Tables must have been compiled under `plan` (their length
+/// is checked). Packed tables are decoded line by line, so the value
+/// does not depend on the table layout.
 Fp2Elem MultiMillerLoopCoords(
     const Curve& curve, const Fp2& fp2, const MillerPlan& plan,
     const std::vector<PrecompiledPairingCoords>& pairs,

@@ -273,11 +273,14 @@ TEST(ShardedMatchTest, FourShardsMatchSequentialOn200Users) {
   EXPECT_EQ(seq.notified_users, expected);
   EXPECT_GT(expected.size(), 0u) << "degenerate workload";
 
-  // The multi-pairing fast path stays equivalent under sharding too.
-  sharded.set_use_multipairing(true);
-  auto par_fast = sharded.ProcessAlert(tokens).value();
-  EXPECT_EQ(par_fast.notified_users, seq.notified_users);
-  EXPECT_EQ(par_fast.stats.pairings, seq.stats.pairings);
+  // The reference oracle agrees with the batched engine under sharding
+  // too.
+  sharded.set_engine(ServiceProvider::QueryEngine::kReference);
+  auto par_ref = sharded.ProcessAlert(tokens).value();
+  EXPECT_EQ(par_ref.notified_users, seq.notified_users);
+  EXPECT_EQ(par_ref.stats.pairings, seq.stats.pairings);
+  EXPECT_EQ(par_ref.stats.queries, seq.stats.queries);
+  EXPECT_EQ(par_ref.stats.matches, seq.stats.matches);
 }
 
 TEST(ShardedMatchTest, MoreThreadsThanShardsIsSafe) {

@@ -150,18 +150,6 @@ TEST_F(BatchEngineTest, StatsSurfaceQueriesAndCacheTraffic) {
   EXPECT_EQ(decoded.token_cache_misses, second.stats.token_cache_misses);
 }
 
-TEST_F(BatchEngineTest, BatchedAgreesWithPrecompiledEngine) {
-  ServiceProvider::Options options;
-  options.engine = ServiceProvider::QueryEngine::kPrecompiled;
-  auto precompiled = MakeProvider(options);
-  options.engine = ServiceProvider::QueryEngine::kBatched;
-  auto batched = MakeProvider(options);
-  auto a = precompiled->ProcessAlert(tokens_).value();
-  auto b = batched->ProcessAlert(tokens_).value();
-  EXPECT_EQ(a.notified_users, b.notified_users);
-  EXPECT_EQ(a.stats.pairings, b.stats.pairings);
-}
-
 TEST_F(BatchEngineTest, TokenCacheEvictionPreservesMatchResults) {
   ServiceProvider::Options options;
   options.engine = ServiceProvider::QueryEngine::kReference;

@@ -42,6 +42,22 @@ class HveTest : public ::testing::Test {
     return hve::Encrypt(*group_, keys_.pk, index, marker_, rand_).value();
   }
 
+  /// The G_T element the token recovers through its precompiled line
+  /// tables and a slim view of `ct` plus one final exponentiation: the
+  /// batched engine's per-query arithmetic.
+  Result<Fp2Elem> ViewQuery(const hve::Token& tk, const hve::Ciphertext& ct) {
+    hve::PrecompiledToken ptk = hve::PrecompileToken(*group_, tk);
+    hve::EvalLayout layout = hve::MakeEvalLayout(kWidth, {&ptk});
+    SLOC_ASSIGN_OR_RETURN(hve::EvalView view,
+                          hve::MakeEvalView(*group_, layout, ct));
+    SLOC_ASSIGN_OR_RETURN(
+        Fp2Elem ratio,
+        hve::QueryMillerPrecompiledView(*group_, ptk, layout, view));
+    ratio = FinalExponentiation(group_->fp2(), ratio,
+                                group_->params().cofactor);
+    return group_->GtMul(ct.c_prime, group_->GtInv(ratio));
+  }
+
   bool MatchOf(const std::string& pattern, const std::string& index) {
     hve::Token tk = hve::GenToken(*group_, keys_.sk, pattern, rand_).value();
     hve::Ciphertext ct = EncryptIndex(index);
@@ -181,27 +197,27 @@ TEST_F(HveTest, CiphertextsAreRandomized) {
   EXPECT_FALSE(group_->curve().Equal(a.c0, b.c0));
 }
 
-TEST_F(HveTest, MultiPairingAgreesWithQueryOnMatch) {
+TEST_F(HveTest, PrecompiledViewAgreesWithQueryOnMatch) {
   hve::Token tk = hve::GenToken(*group_, keys_.sk, "01**1*", rand_).value();
   hve::Ciphertext ct = EncryptIndex("010010");
   Fp2Elem slow = hve::Query(*group_, tk, ct).value();
-  Fp2Elem fast = hve::QueryMultiPairing(*group_, tk, ct).value();
+  Fp2Elem fast = ViewQuery(tk, ct).value();
   EXPECT_TRUE(group_->GtEqual(slow, fast));
   EXPECT_TRUE(group_->GtEqual(fast, marker_));
 }
 
-TEST_F(HveTest, MultiPairingAgreesWithQueryOnMismatch) {
+TEST_F(HveTest, PrecompiledViewAgreesWithQueryOnMismatch) {
   // Both paths must recover the *same* garbage on a non-match (the
   // optimization is an algebraic identity, not an approximation).
   hve::Token tk = hve::GenToken(*group_, keys_.sk, "11**1*", rand_).value();
   hve::Ciphertext ct = EncryptIndex("010010");
   Fp2Elem slow = hve::Query(*group_, tk, ct).value();
-  Fp2Elem fast = hve::QueryMultiPairing(*group_, tk, ct).value();
+  Fp2Elem fast = ViewQuery(tk, ct).value();
   EXPECT_TRUE(group_->GtEqual(slow, fast));
   EXPECT_FALSE(group_->GtEqual(fast, marker_));
 }
 
-TEST_F(HveTest, MultiPairingRandomizedAgreement) {
+TEST_F(HveTest, PrecompiledViewRandomizedAgreement) {
   Rng rng(1234);
   for (int iter = 0; iter < 8; ++iter) {
     std::string index(kWidth, '0');
@@ -213,26 +229,34 @@ TEST_F(HveTest, MultiPairingRandomizedAgreement) {
     }
     hve::Token tk = hve::GenToken(*group_, keys_.sk, pattern, rand_).value();
     hve::Ciphertext ct = EncryptIndex(index);
-    EXPECT_TRUE(group_->GtEqual(
-        hve::Query(*group_, tk, ct).value(),
-        hve::QueryMultiPairing(*group_, tk, ct).value()))
+    EXPECT_TRUE(group_->GtEqual(hve::Query(*group_, tk, ct).value(),
+                                ViewQuery(tk, ct).value()))
         << pattern << " vs " << index;
   }
 }
 
-TEST_F(HveTest, MultiPairingCountsLogicalPairings) {
+TEST_F(HveTest, PrecompiledViewCountsLogicalPairings) {
   hve::Token tk = hve::GenToken(*group_, keys_.sk, "0***1*", rand_).value();
   hve::Ciphertext ct = EncryptIndex("010010");
+  hve::PrecompiledToken ptk = hve::PrecompileToken(*group_, tk);
+  hve::EvalLayout layout = hve::MakeEvalLayout(kWidth, {&ptk});
+  hve::EvalView view = hve::MakeEvalView(*group_, layout, ct).value();
   group_->ResetCounters();
-  (void)hve::QueryMultiPairing(*group_, tk, ct).value();
+  (void)hve::QueryMillerPrecompiledView(*group_, ptk, layout, view).value();
   EXPECT_EQ(group_->counters().pairings, 2 * 2 + 1);
 }
 
-TEST_F(HveTest, MultiPairingValidatesArity) {
+TEST_F(HveTest, PrecompiledViewValidatesArity) {
   hve::Token tk = hve::GenToken(*group_, keys_.sk, "010110", rand_).value();
   hve::Ciphertext ct = EncryptIndex("010110");
   ct.c2.pop_back();
-  EXPECT_FALSE(hve::QueryMultiPairing(*group_, tk, ct).ok());
+  EXPECT_FALSE(ViewQuery(tk, ct).ok());
+  // A layout of another width than the token's is refused as well.
+  hve::PrecompiledToken ptk = hve::PrecompileToken(*group_, tk);
+  hve::EvalLayout narrow = hve::MakeEvalLayout(kWidth - 1, {&ptk});
+  hve::EvalView view;
+  EXPECT_FALSE(
+      hve::QueryMillerPrecompiledView(*group_, ptk, narrow, view).ok());
 }
 
 TEST_F(HveTest, WrongKeyTokenDoesNotMatch) {

@@ -148,9 +148,9 @@ TEST(IntegrationTest, SequentialAlertsAndMovement) {
 }
 
 TEST(IntegrationTest, AllQueryEnginesProduceIdenticalOutcomes) {
-  // Every query engine (reference per-pairing, shared-squaring
-  // multi-pairing, precompiled line tables) must notify the same users
-  // and account the same logical pairing count.
+  // Both query engines (the per-pairing reference oracle and the
+  // batched precompiled engine) must notify the same users and account
+  // the same logical work.
   ASSERT_TRUE(Grid::Create(8, 8, 50.0).ok());
   Rng rng(55);
   std::vector<double> probs =
@@ -164,18 +164,13 @@ TEST(IntegrationTest, AllQueryEnginesProduceIdenticalOutcomes) {
   sys.mutable_provider()->set_engine(
       ServiceProvider::QueryEngine::kReference);
   auto naive = sys.TriggerAlert(zone).value();
-  sys.mutable_provider()->set_engine(
-      ServiceProvider::QueryEngine::kMultiPairing);
-  auto multi = sys.TriggerAlert(zone).value();
-  sys.mutable_provider()->set_engine(
-      ServiceProvider::QueryEngine::kPrecompiled);
-  auto precomp = sys.TriggerAlert(zone).value();
-  EXPECT_EQ(multi.notified_users, naive.notified_users);
-  EXPECT_EQ(precomp.notified_users, naive.notified_users);
-  EXPECT_EQ(multi.stats.pairings, naive.stats.pairings);
-  EXPECT_EQ(precomp.stats.pairings, naive.stats.pairings);
-  EXPECT_EQ(multi.stats.matches, naive.stats.matches);
-  EXPECT_EQ(precomp.stats.matches, naive.stats.matches);
+  sys.mutable_provider()->set_engine(ServiceProvider::QueryEngine::kBatched);
+  auto batched = sys.TriggerAlert(zone).value();
+  EXPECT_FALSE(naive.notified_users.empty()) << "degenerate workload";
+  EXPECT_EQ(batched.notified_users, naive.notified_users);
+  EXPECT_EQ(batched.stats.pairings, naive.stats.pairings);
+  EXPECT_EQ(batched.stats.queries, naive.stats.queries);
+  EXPECT_EQ(batched.stats.matches, naive.stats.matches);
 }
 
 TEST(IntegrationTest, TokenBlobsAreInterchangeableAcrossTransports) {

@@ -1,8 +1,9 @@
-// Property tests for the multi-pairing engine: shared-squaring
-// MultiMillerLoop vs products of individual Pair() results, precompiled
-// line tables vs the live Miller chain, PrecompiledToken evaluation vs
-// the reference Query across random patterns and widths, and the
-// executed-loop / precompiled-hit counter accounting.
+// Property tests for the precompiled pairing engine: shared-squaring
+// MultiMillerLoopCoords over precompiled line tables vs products of
+// individual Pair() results, PrecompiledToken evaluation through slim
+// views (per view and per batched token round) vs the reference Query
+// across random patterns and widths, and the executed-loop /
+// precompiled-hit counter accounting.
 
 #include <gtest/gtest.h>
 
@@ -42,12 +43,49 @@ class PairingEngineTest : public ::testing::Test {
                        group_->gen());
   }
 
+  /// The pair of `table` evaluated at phi(B), or at phi(-B) when
+  /// `invert`; an identity B is a skipped pair.
+  static PrecompiledPairingCoords Coords(const MillerLineTable& table,
+                                         const AffinePoint& b, bool invert) {
+    const Fp& fp = group_->fp();
+    PrecompiledPairingCoords pair;
+    pair.table = &table;
+    pair.skip = b.infinity;
+    if (b.infinity) return pair;
+    fp.Neg(b.x, &pair.xq);
+    pair.y_im = b.y;
+    if (invert) fp.Neg(b.y, &pair.y_im);
+    return pair;
+  }
+
+  /// The G_T element `ptk` recovers from `ct` through a slim view: the
+  /// per-view scalar walk plus FinalExponentiation. The batched token
+  /// round over the same one-view batch must recover the same element.
+  static Fp2Elem ViewQuery(const hve::PrecompiledToken& ptk,
+                           const hve::Ciphertext& ct) {
+    hve::EvalLayout layout = hve::MakeEvalLayout(ct.c1.size(), {&ptk});
+    hve::EvalView view = hve::MakeEvalView(*group_, layout, ct).value();
+    Fp2Elem ratio = FinalExponentiation(
+        group_->fp2(),
+        hve::QueryMillerPrecompiledView(*group_, ptk, layout, view).value(),
+        group_->params().cofactor);
+    std::vector<Fp2Elem> round;
+    hve::QueryScratch scratch;
+    EXPECT_TRUE(hve::QueryMillerPrecompiledViews(*group_, ptk, layout,
+                                                 {&view}, &round, &scratch)
+                    .ok());
+    BatchFinalExponentiation(group_->fp2(), group_->params().cofactor,
+                             &round);
+    EXPECT_TRUE(group_->GtEqual(round.at(0), ratio));
+    return group_->GtMul(ct.c_prime, group_->GtInv(ratio));
+  }
+
   static PairingGroup* group_;
 };
 
 PairingGroup* PairingEngineTest::group_ = nullptr;
 
-TEST_F(PairingEngineTest, MultiMillerLoopMatchesPairProduct) {
+TEST_F(PairingEngineTest, MultiMillerLoopCoordsMatchesPairProduct) {
   RandFn rand = TestRand(101);
   for (size_t count = 1; count <= 5; ++count) {
     std::vector<AffinePoint> as, bs;
@@ -57,16 +95,22 @@ TEST_F(PairingEngineTest, MultiMillerLoopMatchesPairProduct) {
       bs.push_back(RandomElement(rand));
       inverts.push_back((rand() & 1) != 0);
     }
-    std::vector<PairingInput> pairs;
+    std::vector<MillerLineTable> tables;
+    for (const AffinePoint& a : as) {
+      tables.push_back(
+          PrecompileMillerLines(group_->curve(), group_->miller_plan(), a));
+    }
+    std::vector<PrecompiledPairingCoords> pairs;
     Fp2Elem expected = group_->GtOne();
     for (size_t k = 0; k < count; ++k) {
-      pairs.push_back(PairingInput{&as[k], &bs[k], inverts[k]});
+      pairs.push_back(Coords(tables[k], bs[k], inverts[k]));
       Fp2Elem e = group_->Pair(as[k], bs[k]);
       expected = group_->GtMul(expected, inverts[k] ? group_->GtInv(e) : e);
     }
     size_t executed = 0;
-    Fp2Elem miller = MultiMillerLoop(group_->curve(), group_->fp2(),
-                                     group_->params().n, pairs, &executed);
+    Fp2Elem miller =
+        MultiMillerLoopCoords(group_->curve(), group_->fp2(),
+                              group_->miller_plan(), pairs, &executed);
     Fp2Elem got = FinalExponentiation(group_->fp2(), miller,
                                       group_->params().cofactor);
     EXPECT_EQ(executed, count);
@@ -74,34 +118,9 @@ TEST_F(PairingEngineTest, MultiMillerLoopMatchesPairProduct) {
   }
 }
 
-TEST_F(PairingEngineTest, MultiMillerLoopSkipsIdentityPairs) {
-  RandFn rand = TestRand(102);
-  AffinePoint a = RandomElement(rand);
-  AffinePoint b = RandomElement(rand);
-  AffinePoint inf = group_->curve().Infinity();
-  std::vector<PairingInput> pairs = {
-      PairingInput{&a, &b, false},
-      PairingInput{&inf, &b, false},  // free
-      PairingInput{&a, &inf, true},   // free
-  };
-  size_t executed = 0;
-  Fp2Elem miller = MultiMillerLoop(group_->curve(), group_->fp2(),
-                                   group_->params().n, pairs, &executed);
-  EXPECT_EQ(executed, 1u);
-  Fp2Elem got = FinalExponentiation(group_->fp2(), miller,
-                                    group_->params().cofactor);
-  EXPECT_TRUE(group_->GtEqual(got, group_->Pair(a, b)));
-
-  // All-identity input never touches the loop and yields 1.
-  std::vector<PairingInput> none = {PairingInput{&inf, &b, false}};
-  Fp2Elem one = MultiMillerLoop(group_->curve(), group_->fp2(),
-                                group_->params().n, none, &executed);
-  EXPECT_EQ(executed, 0u);
-  EXPECT_TRUE(group_->fp2().IsOne(one));
-}
-
 TEST_F(PairingEngineTest, PrecompiledLinesMatchLiveChain) {
   RandFn rand = TestRand(103);
+  const AffinePoint inf = group_->curve().Infinity();
   for (int iter = 0; iter < 4; ++iter) {
     AffinePoint a = RandomElement(rand);
     AffinePoint b = RandomElement(rand);
@@ -109,12 +128,13 @@ TEST_F(PairingEngineTest, PrecompiledLinesMatchLiveChain) {
     MillerLineTable table =
         PrecompileMillerLines(group_->curve(), group_->miller_plan(), a);
     EXPECT_FALSE(table.trivial());
-    std::vector<PrecompiledPairingInput> pairs = {
-        PrecompiledPairingInput{&table, &b, invert}};
+    // The skipped pair (identity evaluation point) contributes 1.
+    std::vector<PrecompiledPairingCoords> pairs = {
+        Coords(table, b, invert), Coords(table, inf, !invert)};
     size_t executed = 0;
     Fp2Elem miller =
-        MultiMillerLoopPrecompiled(group_->curve(), group_->fp2(),
-                                   group_->miller_plan(), pairs, &executed);
+        MultiMillerLoopCoords(group_->curve(), group_->fp2(),
+                              group_->miller_plan(), pairs, &executed);
     EXPECT_EQ(executed, 1u);
     Fp2Elem got = FinalExponentiation(group_->fp2(), miller,
                                       group_->params().cofactor);
@@ -122,10 +142,16 @@ TEST_F(PairingEngineTest, PrecompiledLinesMatchLiveChain) {
     EXPECT_TRUE(group_->GtEqual(got, invert ? group_->GtInv(e) : e))
         << "iter " << iter;
   }
-  // Identity table is trivial and free.
+  // Identity table is trivial and free; an all-free walk yields 1.
   MillerLineTable trivial = PrecompileMillerLines(
-      group_->curve(), group_->miller_plan(), group_->curve().Infinity());
+      group_->curve(), group_->miller_plan(), inf);
   EXPECT_TRUE(trivial.trivial());
+  size_t executed = 1;
+  Fp2Elem one = MultiMillerLoopCoords(
+      group_->curve(), group_->fp2(), group_->miller_plan(),
+      {Coords(trivial, RandomElement(rand), false)}, &executed);
+  EXPECT_EQ(executed, 0u);
+  EXPECT_TRUE(group_->fp2().IsOne(one));
 }
 
 // Chain-granularity precompilation: spreading (token, chain) units over
@@ -158,9 +184,10 @@ TEST_F(PairingEngineTest, PrecompiledTablesIdenticalAtOneAndFourThreads) {
   }
 }
 
-// PrecompiledToken evaluation must agree with the reference Query (the
-// same G_T element, hence the same match outcome) for random patterns,
-// including the all-star and zero-star edge cases, across widths 1-32.
+// PrecompiledToken evaluation through a slim view must agree with the
+// reference Query (the same G_T element, hence the same match outcome)
+// for random patterns, including the all-star and zero-star edge cases,
+// across widths 1-32.
 TEST_F(PairingEngineTest, PrecompiledTokenMatchesQueryAcrossWidths) {
   Rng rng(777);
   RandFn rand = TestRand(104);
@@ -192,15 +219,22 @@ TEST_F(PairingEngineTest, PrecompiledTokenMatchesQueryAcrossWidths) {
           hve::GenToken(*group_, keys.sk, pattern, rand).value();
       hve::PrecompiledToken ptk = hve::PrecompileToken(*group_, tk);
       Fp2Elem reference = hve::Query(*group_, tk, ct).value();
-      Fp2Elem multi = hve::QueryMultiPairing(*group_, tk, ct).value();
-      Fp2Elem precomp = hve::QueryPrecompiled(*group_, ptk, ct).value();
-      EXPECT_TRUE(group_->GtEqual(reference, multi))
-          << "width " << width << " pattern " << pattern;
-      EXPECT_TRUE(group_->GtEqual(reference, precomp))
+      Fp2Elem viewed = ViewQuery(ptk, ct);
+      EXPECT_TRUE(group_->GtEqual(reference, viewed))
           << "width " << width << " pattern " << pattern;
       EXPECT_EQ(hve::Matches(*group_, tk, ct, marker).value(),
-                hve::MatchesPrecompiled(*group_, ptk, ct, marker).value());
+                group_->GtEqual(viewed, marker));
     }
+    // A ciphertext of another width never reaches a walk: the view
+    // extraction rejects it.
+    hve::PrecompiledToken ptk = hve::PrecompileToken(
+        *group_, hve::GenToken(*group_, keys.sk, patterns[1], rand).value());
+    hve::EvalLayout layout = hve::MakeEvalLayout(width, {&ptk});
+    hve::Ciphertext wider = ct;
+    wider.c1.push_back(ct.c1.front());
+    wider.c2.push_back(ct.c2.front());
+    EXPECT_FALSE(hve::MakeEvalView(*group_, layout, wider).ok())
+        << "width " << width;
   }
 }
 
@@ -218,7 +252,7 @@ TEST_F(PairingEngineTest, PrecompiledTokenReuseAcrossCiphertexts) {
     hve::Ciphertext ct =
         hve::Encrypt(*group_, keys.pk, index, marker, rand).value();
     EXPECT_EQ(hve::Matches(*group_, tk, ct, marker).value(),
-              hve::MatchesPrecompiled(*group_, ptk, ct, marker).value())
+              group_->GtEqual(ViewQuery(ptk, ct), marker))
         << index;
   }
 }
@@ -259,8 +293,9 @@ TEST_F(PairingEngineTest, BatchFinalExponentiationBitIdentical) {
   EXPECT_TRUE(none.empty());
 }
 
-// The raw Miller-ratio query plus a (possibly batched) final
-// exponentiation must reproduce QueryPrecompiled / Query exactly.
+// The raw Miller-ratio queries plus a (possibly batched) final
+// exponentiation must reproduce Query exactly: the per-view scalar walk
+// and one batched token round over several views.
 TEST_F(PairingEngineTest, QueryMillerPlusFinalExpEqualsQuery) {
   RandFn rand = TestRand(302);
   const size_t width = 6;
@@ -268,30 +303,37 @@ TEST_F(PairingEngineTest, QueryMillerPlusFinalExpEqualsQuery) {
   Fp2Elem marker = group_->RandomGt(rand);
   hve::Token tk = hve::GenToken(*group_, keys.sk, "0*1*10", rand).value();
   hve::PrecompiledToken ptk = hve::PrecompileToken(*group_, tk);
+  hve::EvalLayout layout = hve::MakeEvalLayout(width, {&ptk});
   const Fp2& fp2 = group_->fp2();
-  // The two raw paths run the Miller chain on opposite arguments
-  // (f_{N,C}(phi(K)) vs the precompiled f_{N,K}(phi(C))), so their
-  // un-exponentiated values differ; both must land on Query's element
-  // after the (batched) final exponentiation.
-  std::vector<Fp2Elem> ratios_p, ratios_m;
-  std::vector<Fp2Elem> expected;
-  std::vector<Fp2Elem> c_primes;
+  const BigInt& cofactor = group_->params().cofactor;
+  std::vector<hve::EvalView> views;
+  std::vector<Fp2Elem> singles, expected, c_primes;
   for (const char* index : {"001110", "011010", "010101"}) {
     hve::Ciphertext ct =
         hve::Encrypt(*group_, keys.pk, index, marker, rand).value();
     expected.push_back(hve::Query(*group_, tk, ct).value());
-    ratios_p.push_back(hve::QueryMillerPrecompiled(*group_, ptk, ct).value());
-    ratios_m.push_back(
-        hve::QueryMillerMultiPairing(*group_, tk, ct).value());
+    views.push_back(hve::MakeEvalView(*group_, layout, ct).value());
+    singles.push_back(FinalExponentiation(
+        fp2,
+        hve::QueryMillerPrecompiledView(*group_, ptk, layout, views.back())
+            .value(),
+        cofactor));
     c_primes.push_back(ct.c_prime);
   }
-  BatchFinalExponentiation(fp2, group_->params().cofactor, &ratios_p);
-  BatchFinalExponentiation(fp2, group_->params().cofactor, &ratios_m);
+  std::vector<const hve::EvalView*> view_ptrs;
+  for (const hve::EvalView& view : views) view_ptrs.push_back(&view);
+  std::vector<Fp2Elem> round;
+  hve::QueryScratch scratch;
+  ASSERT_TRUE(hve::QueryMillerPrecompiledViews(*group_, ptk, layout,
+                                               view_ptrs, &round, &scratch)
+                  .ok());
+  BatchFinalExponentiation(fp2, cofactor, &round);
+  ASSERT_EQ(round.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
-    Fp2Elem rec_p = group_->GtMul(c_primes[i], group_->GtInv(ratios_p[i]));
-    Fp2Elem rec_m = group_->GtMul(c_primes[i], group_->GtInv(ratios_m[i]));
-    EXPECT_TRUE(group_->GtEqual(rec_p, expected[i])) << "ct " << i;
-    EXPECT_TRUE(group_->GtEqual(rec_m, expected[i])) << "ct " << i;
+    Fp2Elem rec_s = group_->GtMul(c_primes[i], group_->GtInv(singles[i]));
+    Fp2Elem rec_b = group_->GtMul(c_primes[i], group_->GtInv(round[i]));
+    EXPECT_TRUE(group_->GtEqual(rec_s, expected[i])) << "ct " << i;
+    EXPECT_TRUE(group_->GtEqual(rec_b, expected[i])) << "ct " << i;
   }
 }
 
@@ -328,27 +370,53 @@ TEST_F(PairingEngineTest, CountersChargeOnlyExecutedLoops) {
       hve::Encrypt(*group_, keys.pk, "0101", marker, rand).value();
   hve::Token tk = hve::GenToken(*group_, keys.sk, "01*1", rand).value();
 
-  // Healthy token: all 2*3+1 loops run; none from tables.
+  // The reference path charges one pairing per Pair() call.
   group_->ResetCounters();
-  (void)hve::QueryMultiPairing(*group_, tk, ct).value();
+  (void)hve::Query(*group_, tk, ct).value();
   EXPECT_EQ(group_->counters().pairings, 7u);
   EXPECT_EQ(group_->counters().precomp_pairings, 0u);
 
-  // Identity token components short-circuit: their loops are free and
-  // must not be charged.
+  // The view path charges both counters with executed loops: all 2*3+1
+  // for a healthy token, per view and per batched round alike.
+  hve::PrecompiledToken ptk = hve::PrecompileToken(*group_, tk);
+  hve::EvalLayout layout = hve::MakeEvalLayout(width, {&ptk});
+  hve::EvalView view = hve::MakeEvalView(*group_, layout, ct).value();
+  group_->ResetCounters();
+  (void)hve::QueryMillerPrecompiledView(*group_, ptk, layout, view).value();
+  EXPECT_EQ(group_->counters().pairings, 7u);
+  EXPECT_EQ(group_->counters().precomp_pairings, 7u);
+  std::vector<Fp2Elem> round;
+  hve::QueryScratch scratch;
+  group_->ResetCounters();
+  ASSERT_TRUE(hve::QueryMillerPrecompiledViews(*group_, ptk, layout,
+                                               {&view, &view}, &round,
+                                               &scratch)
+                  .ok());
+  EXPECT_EQ(group_->counters().pairings, 14u);
+  EXPECT_EQ(group_->counters().precomp_pairings, 14u);
+
+  // Identity token components compile to trivial tables: their loops
+  // are free and must not be charged.
   hve::Token maimed = tk;
   maimed.k1[1] = group_->curve().Infinity();
   maimed.k2[2] = group_->curve().Infinity();
+  hve::PrecompiledToken maimed_ptk = hve::PrecompileToken(*group_, maimed);
   group_->ResetCounters();
-  (void)hve::QueryMultiPairing(*group_, maimed, ct).value();
-  EXPECT_EQ(group_->counters().pairings, 5u);
-
-  // The precompiled path charges both counters with executed loops.
-  hve::PrecompiledToken ptk = hve::PrecompileToken(*group_, maimed);
-  group_->ResetCounters();
-  (void)hve::QueryPrecompiled(*group_, ptk, ct).value();
+  (void)hve::QueryMillerPrecompiledView(*group_, maimed_ptk, layout, view)
+      .value();
   EXPECT_EQ(group_->counters().pairings, 5u);
   EXPECT_EQ(group_->counters().precomp_pairings, 5u);
+
+  // So are identity ciphertext columns (skipped pairs).
+  hve::Ciphertext holed = ct;
+  holed.c1[0] = group_->curve().Infinity();
+  hve::EvalView holed_view =
+      hve::MakeEvalView(*group_, layout, holed).value();
+  group_->ResetCounters();
+  (void)hve::QueryMillerPrecompiledView(*group_, ptk, layout, holed_view)
+      .value();
+  EXPECT_EQ(group_->counters().pairings, 6u);
+  EXPECT_EQ(group_->counters().precomp_pairings, 6u);
 }
 
 }  // namespace

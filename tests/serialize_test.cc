@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
+#include "common/wire.h"
 #include "hve/hve.h"
 #include "hve/serialize.h"
 
@@ -138,6 +141,32 @@ TEST_F(SerializeTest, OffCurvePointRejectedEvenWithValidChecksum) {
   for (int i = 0; i < 8; ++i) payload.push_back(uint8_t(h >> (8 * i)));
   auto parsed = hve::ParseToken(*group_, payload);
   EXPECT_FALSE(parsed.ok());
+}
+
+TEST_F(SerializeTest, OversizedCoordinateRejectedBeforeDecoding) {
+  // Swap the ciphertext's first coordinate (C'.re, right after magic(4)
+  // and tag(1)) for a 64 KiB one and re-append a valid checksum. The
+  // parser must refuse it on length alone, not decode it first.
+  auto blob = hve::SerializeCiphertext(*group_, ct_);
+  const size_t coord_off = 4 + 1;
+  uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) len |= uint32_t(blob[coord_off + i]) << (8 * i);
+  const size_t rest_off = coord_off + 4 + len;
+  ASSERT_LT(rest_off, blob.size() - 8);
+  wire::Writer w;
+  w.Raw(blob.data(), coord_off);
+  w.Bytes(std::vector<uint8_t>(64u << 10, 0x5a));
+  w.Raw(blob.data() + rest_off, blob.size() - 8 - rest_off);
+  std::vector<uint8_t> forged = w.Take();
+  wire::AppendChecksum(&forged);
+  auto parsed = hve::ParseCiphertext(*group_, forged);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+      << parsed.status();
+  // Refused by the length cap, not by the range check after a decode.
+  EXPECT_NE(parsed.status().message().find("byte length"),
+            std::string::npos)
+      << parsed.status();
 }
 
 TEST_F(SerializeTest, BlobsAreCompactAndDeterministic) {
