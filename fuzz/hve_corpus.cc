@@ -3,7 +3,10 @@
 // group spec the harness regenerates, so every seed parses end to end)
 // plus a truncation sweep and single-byte corruptions, so the fuzzer
 // starts from deep inside the format — past the magic, type tag, and
-// checksum — instead of rediscovering them baseline by baseline.
+// checksum — instead of rediscovering them baseline by baseline. One
+// more seed, `oversized_coord`, is a ciphertext whose first coordinate
+// is 4 KiB long under a valid checksum: the length cap must refuse it
+// before any decoding.
 //
 //   ./build/fuzz/hve_corpus <corpus-dir>
 
@@ -14,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/wire.h"
 #include "hve/hve.h"
 #include "hve/serialize.h"
 #include "pairing/group.h"
@@ -26,6 +30,25 @@ void WriteSeed(const std::string& dir, const std::string& name,
                const std::vector<uint8_t>& bytes) {
   std::ofstream out(dir + "/" + name, std::ios::binary);
   out.write(reinterpret_cast<const char*>(bytes.data()), long(bytes.size()));
+}
+
+/// `ct_blob` with its first coordinate (C'.re, right after the magic and
+/// the tag) swapped for `len` bytes of 0x5a, under a fresh valid checksum.
+std::vector<uint8_t> WithOversizedFirstCoordinate(
+    const std::vector<uint8_t>& ct_blob, size_t len) {
+  const size_t coord_off = 4 + 1;
+  uint32_t old_len = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    old_len |= uint32_t(ct_blob[coord_off + i]) << (8 * i);
+  }
+  const size_t rest_off = coord_off + 4 + old_len;
+  wire::Writer w;
+  w.Raw(ct_blob.data(), coord_off);
+  w.Bytes(std::vector<uint8_t>(len, 0x5a));
+  w.Raw(ct_blob.data() + rest_off, ct_blob.size() - 8 - rest_off);
+  std::vector<uint8_t> out = w.Take();
+  wire::AppendChecksum(&out);
+  return out;
 }
 
 }  // namespace
@@ -58,6 +81,8 @@ int main(int argc, char** argv) {
       hve::SerializeCiphertext(
           group,
           hve::Encrypt(group, keys.pk, "01101001", marker, rand).value()));
+  const std::vector<uint8_t> oversized =
+      WithOversizedFirstCoordinate(seeds.back().second, 4096);
   seeds.emplace_back(
       "token",
       hve::SerializeToken(
@@ -87,6 +112,10 @@ int main(int argc, char** argv) {
       ++written;
     }
   }
+  // Written alone: its truncations and flips would only re-test the
+  // checksum.
+  WriteSeed(dir, "oversized_coord", oversized);
+  ++written;
   std::cout << "wrote " << written << " seeds to " << dir << "\n";
   return 0;
 }

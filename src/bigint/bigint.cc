@@ -18,6 +18,18 @@ int Clz64(uint64_t x) {
   return __builtin_clzll(x);
 }
 
+// Byte-order-independent 64-bit big-endian load/store (compilers turn
+// these loops into one byte-swapping move).
+uint64_t LoadBigEndian64(const uint8_t* p) {
+  uint64_t w = 0;
+  for (int i = 0; i < 8; ++i) w = (w << 8) | p[i];
+  return w;
+}
+
+void StoreBigEndian64(uint64_t w, uint8_t* p) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(w >> (56 - 8 * i));
+}
+
 }  // namespace
 
 BigInt::BigInt(int64_t v) {
@@ -537,26 +549,49 @@ double BigInt::ToDouble() const {
 
 std::vector<uint8_t> BigInt::ToBytes() const {
   std::vector<uint8_t> out;
-  if (IsZero()) return out;
-  out.reserve(limbs_.size() * 8);
-  for (size_t i = limbs_.size(); i-- > 0;) {
-    for (int b = 7; b >= 0; --b) {
-      out.push_back(static_cast<uint8_t>(limbs_[i] >> (8 * b)));
-    }
-  }
-  // Strip leading zero bytes.
-  size_t first = 0;
-  while (first < out.size() && out[first] == 0) ++first;
-  out.erase(out.begin(), out.begin() + static_cast<long>(first));
+  AppendMinimalBigEndian(limbs_.data(), limbs_.size(), &out);
   return out;
 }
 
 BigInt BigInt::FromBytes(const std::vector<uint8_t>& bytes) {
-  BigInt out;
-  for (uint8_t b : bytes) {
-    out = (out << 8) + BigInt(b);
+  LimbVec limbs((bytes.size() + 7) / 8);
+  BigEndianToLimbs(bytes.data(), bytes.size(), limbs.data());
+  return FromLimbs(std::move(limbs));
+}
+
+void BigEndianToLimbs(const uint8_t* bytes, size_t len, uint64_t* limbs) {
+  // Whole words from the least significant end, then the short head.
+  size_t end = len;
+  for (; end >= 8; end -= 8) *limbs++ = LoadBigEndian64(bytes + end - 8);
+  if (end != 0) {
+    uint64_t w = 0;
+    for (size_t i = 0; i < end; ++i) w = (w << 8) | bytes[i];
+    *limbs = w;
   }
-  return out;
+}
+
+size_t MinimalBigEndianLength(const uint64_t* limbs, size_t n) {
+  while (n > 0 && limbs[n - 1] == 0) --n;
+  if (n == 0) return 0;
+  return 8 * (n - 1) + size_t(64 - Clz64(limbs[n - 1]) + 7) / 8;
+}
+
+void AppendMinimalBigEndian(const uint64_t* limbs, size_t n,
+                            std::vector<uint8_t>* out) {
+  const size_t len = MinimalBigEndianLength(limbs, n);
+  const size_t base = out->size();
+  out->resize(base + len);
+  // Fill backwards: whole words from the least significant end, then
+  // the top word's significant bytes.
+  uint8_t* pos = out->data() + base + len;
+  size_t i = 0;
+  for (; 8 * (i + 1) <= len; ++i) {
+    pos -= 8;
+    StoreBigEndian64(limbs[i], pos);
+  }
+  for (size_t b = 0; b < len % 8; ++b) {
+    *--pos = static_cast<uint8_t>(limbs[i] >> (8 * b));
+  }
 }
 
 // ---- random ----

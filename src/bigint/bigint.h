@@ -142,7 +142,8 @@ class BigInt {
 
   /// Big-endian magnitude bytes, minimal length (empty for zero).
   std::vector<uint8_t> ToBytes() const;
-  /// From big-endian magnitude bytes (non-negative).
+  /// From big-endian magnitude bytes (non-negative); leading zero bytes
+  /// are allowed. Linear in the input length.
   static BigInt FromBytes(const std::vector<uint8_t>& bytes);
 
   /// Width-w non-adjacent form of the magnitude |v| (the caller applies
@@ -172,6 +173,22 @@ class BigInt {
   LimbVec limbs_;
   bool negative_ = false;
 };
+
+// ---- Big-endian byte <-> limb codecs (shared by BigInt and the
+// Montgomery wire codec) ----
+
+/// Packs `len` big-endian bytes into little-endian 64-bit limbs,
+/// writing exactly limbs[0, ceil(len / 8)).
+void BigEndianToLimbs(const uint8_t* bytes, size_t len, uint64_t* limbs);
+
+/// Byte length of the minimal big-endian encoding of limbs[0, n)
+/// (0 for zero).
+size_t MinimalBigEndianLength(const uint64_t* limbs, size_t n);
+
+/// Appends the minimal big-endian encoding of limbs[0, n): no leading
+/// zero bytes, nothing at all for zero.
+void AppendMinimalBigEndian(const uint64_t* limbs, size_t n,
+                            std::vector<uint8_t>* out);
 
 }  // namespace sloc
 

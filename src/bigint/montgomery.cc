@@ -223,6 +223,8 @@ Montgomery::Montgomery(BigInt modulus, size_t k, MulKernel kernel)
   one_.resize(k_, 0);
   r2_ = r2_mod.limbs();
   r2_.resize(k_, 0);
+  plain_one_ = Elem(k_, 0);
+  plain_one_[0] = 1;
 }
 
 Result<Montgomery> Montgomery::Create(const BigInt& modulus) {
@@ -456,20 +458,36 @@ Montgomery::Elem Montgomery::ToMont(const BigInt& x) const {
   return out;
 }
 
-BigInt Montgomery::FromMont(const Elem& a) const {
-  // Multiply by 1 (non-Montgomery) = REDC(a) = a * R^-1.
-  uint64_t t_stack[2 * LimbVec::kInlineCapacity + 1];
-  LimbVec t_heap;
-  uint64_t* t = t_stack;
-  if (2 * k_ + 1 > sizeof(t_stack) / sizeof(t_stack[0])) {
-    t_heap.resize(2 * k_ + 1);
-    t = t_heap.data();
-  }
-  std::fill(t, t + 2 * k_ + 1, 0);
-  std::copy(a.begin(), a.end(), t);
+Montgomery::Elem Montgomery::Canonical(const Elem& a) const {
   Elem out;
-  Redc(t, &out);
-  return BigInt::FromLimbs(std::move(out));
+  Mul(a, plain_one_, &out);  // a * 1 * R^-1
+  return out;
+}
+
+BigInt Montgomery::FromMont(const Elem& a) const {
+  return BigInt::FromLimbs(Canonical(a));
+}
+
+bool Montgomery::FromCanonicalBytes(const uint8_t* bytes, size_t len,
+                                    Elem* out) const {
+  if (len > 8 * k_) return false;
+  out->resize(k_);
+  std::fill(out->begin(), out->end(), 0);
+  BigEndianToLimbs(bytes, len, out->data());
+  if (CmpRaw(out->data(), n_.data()) >= 0) return false;
+  Mul(*out, r2_, out);  // x * R^2 * R^-1 = x * R, as ToMont
+  return true;
+}
+
+void Montgomery::AppendCanonicalBytes(const Elem& a,
+                                      std::vector<uint8_t>* out) const {
+  const Elem c = Canonical(a);
+  AppendMinimalBigEndian(c.data(), k_, out);
+}
+
+size_t Montgomery::CanonicalByteLength(const Elem& a) const {
+  const Elem c = Canonical(a);
+  return MinimalBigEndianLength(c.data(), k_);
 }
 
 Montgomery::Elem Montgomery::Pow(const Elem& base, const BigInt& exp) const {

@@ -112,6 +112,24 @@ class Montgomery {
   /// Converts back to a canonical BigInt in [0, N).
   BigInt FromMont(const Elem& a) const;
 
+  /// Decodes `len` big-endian bytes (leading zero bytes allowed)
+  /// straight into Montgomery form: the bytes are packed into limbs,
+  /// range-checked against N, and multiplied by R^2 once. Returns
+  /// false, leaving *out unspecified, when len exceeds the modulus limb
+  /// width in bytes or the value is >= N: an out-of-range encoding is
+  /// rejected, never reduced. Linear in len; allocation-free for
+  /// moduli up to LimbVec's inline capacity.
+  [[nodiscard]] bool FromCanonicalBytes(const uint8_t* bytes, size_t len,
+                                        Elem* out) const;
+
+  /// Appends the canonical value of `a` as minimal big-endian bytes
+  /// (nothing for zero), the bytes FromMont(a).ToBytes() would give,
+  /// after one REDC and no BigInt.
+  void AppendCanonicalBytes(const Elem& a, std::vector<uint8_t>* out) const;
+
+  /// The number of bytes AppendCanonicalBytes(a, ...) appends.
+  size_t CanonicalByteLength(const Elem& a) const;
+
   Elem Zero() const { return Elem(k_, 0); }
   /// Montgomery representation of 1.
   const Elem& One() const { return one_; }
@@ -150,6 +168,9 @@ class Montgomery {
   static uint64_t SubRaw(uint64_t* a, const uint64_t* b, size_t k);
   // Generic-width Montgomery product (the pre-kernel reference path).
   void MulGeneric(const Elem& a, const Elem& b, Elem* out) const;
+  // The canonical value of a in [0, N), as k_ limbs: REDC(a), computed
+  // as the Montgomery product a * 1 on the selected kernel.
+  Elem Canonical(const Elem& a) const;
 
   BigInt modulus_;
   size_t k_;                  // limb count of modulus
@@ -158,6 +179,7 @@ class Montgomery {
   uint64_t n0_inv_;           // -N^-1 mod 2^64
   Elem one_;                  // R mod N
   Elem r2_;                   // R^2 mod N (for ToMont)
+  Elem plain_one_;            // the integer 1, not in Montgomery form
 };
 
 }  // namespace sloc

@@ -96,12 +96,16 @@ Result<int> Reader::I32() {
 }
 
 Result<std::vector<uint8_t>> Reader::Bytes() {
+  SLOC_ASSIGN_OR_RETURN(ByteView v, BytesView());
+  return std::vector<uint8_t>(v.data, v.data + v.size);
+}
+
+Result<ByteView> Reader::BytesView() {
   SLOC_ASSIGN_OR_RETURN(uint32_t len, U32());
   if (len > Remaining()) return Status::DataLoss("truncated bytes");
-  std::vector<uint8_t> out(buf_.begin() + long(pos_),
-                           buf_.begin() + long(pos_ + len));
+  ByteView v{buf_.data() + pos_, len};
   pos_ += len;
-  return out;
+  return v;
 }
 
 Result<std::string> Reader::Str() {

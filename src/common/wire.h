@@ -44,6 +44,11 @@ Status CheckLengthPrefixable(size_t len);
 /// Appends little-endian values to a growing buffer.
 class Writer {
  public:
+  Writer() = default;
+  /// Starts with `capacity` bytes reserved: a caller that knows the
+  /// final size allocates exactly once.
+  explicit Writer(size_t capacity) { buf_.reserve(capacity); }
+
   void U8(uint8_t v) { buf_.push_back(v); }
   void U32(uint32_t v);
   void U64(uint64_t v);
@@ -57,10 +62,18 @@ class Writer {
   void Str(const std::string& s);
 
   const std::vector<uint8_t>& buf() const { return buf_; }
+  /// The buffer itself, for encoders that append in place.
+  std::vector<uint8_t>* mutable_buf() { return &buf_; }
   std::vector<uint8_t> Take() { return std::move(buf_); }
 
  private:
   std::vector<uint8_t> buf_;
+};
+
+/// A borrowed byte range; valid while the buffer it points into lives.
+struct ByteView {
+  const uint8_t* data = nullptr;
+  size_t size = 0;
 };
 
 /// Bounds-checked reader over a [begin, end) window of a buffer. Every
@@ -81,6 +94,8 @@ class Reader {
   Result<int> I32();
   /// u32 length prefix + contents.
   Result<std::vector<uint8_t>> Bytes();
+  /// u32 length prefix + contents, as a view into the buffer (no copy).
+  Result<ByteView> BytesView();
   /// u32 length prefix + contents.
   Result<std::string> Str();
 

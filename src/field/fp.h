@@ -6,7 +6,9 @@
 #ifndef SLOC_FIELD_FP_H_
 #define SLOC_FIELD_FP_H_
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "bigint/bigint.h"
 #include "bigint/montgomery.h"
@@ -35,6 +37,18 @@ class Fp {
   Elem FromBigInt(const BigInt& x) const { return mont_->ToMont(x); }
   Elem FromU64(uint64_t x) const { return mont_->ToMont(BigInt::FromU64(x)); }
   BigInt ToBigInt(const Elem& a) const { return mont_->FromMont(a); }
+  /// Wire codec: big-endian bytes straight to and from Montgomery limbs
+  /// (see Montgomery::FromCanonicalBytes / AppendCanonicalBytes).
+  [[nodiscard]] bool FromCanonicalBytes(const uint8_t* bytes, size_t len,
+                                        Elem* out) const {
+    return mont_->FromCanonicalBytes(bytes, len, out);
+  }
+  void AppendCanonicalBytes(const Elem& a, std::vector<uint8_t>* out) const {
+    mont_->AppendCanonicalBytes(a, out);
+  }
+  size_t CanonicalByteLength(const Elem& a) const {
+    return mont_->CanonicalByteLength(a);
+  }
 
   bool IsZero(const Elem& a) const { return mont_->IsZero(a); }
   bool Equal(const Elem& a, const Elem& b) const { return mont_->Equal(a, b); }

@@ -1,10 +1,13 @@
 // Byte-level serialization of HVE artifacts.
 //
-// Wire format: magic "SLH1", a type tag, a little-endian payload, and a
-// trailing FNV-1a checksum. Parsing validates structure, checksum, curve
-// membership of every point, and unitarity of G_T elements, so a
-// malformed or corrupted blob yields a clean Status instead of undefined
-// behaviour downstream.
+// Wire format (docs/WIRE.md §5): magic "SLH1", a type tag, a
+// little-endian payload with big-endian field coordinates, and a
+// trailing FNV-1a checksum. Parsing validates structure, checksum,
+// coordinate length and range, curve membership of every point, and
+// unitarity of G_T elements, so a malformed or corrupted blob yields a
+// clean Status instead of undefined behaviour downstream. Coordinates
+// decode from the blob straight into Montgomery limbs and encode back
+// without a BigInt, in time linear in the blob.
 
 #ifndef SLOC_HVE_SERIALIZE_H_
 #define SLOC_HVE_SERIALIZE_H_

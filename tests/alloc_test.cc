@@ -9,6 +9,9 @@
 //   - one full batched flush round: EvalView refill, precompiled
 //     Miller walks, batch final exponentiation, marker comparison —
 //     on the scalar walk and on the eight-lane IFMA walk.
+// The HVE blob codec is held to exact counts instead: a warm
+// ParseCiphertext allocates only the result's c1/c2 storage, whatever
+// the width, and a warm SerializeCiphertext only its output buffer.
 // Plus LimbVec semantics around the inline/spill boundary: copies,
 // moves, self-assignment, swap — the paths a miscounted capacity or a
 // stale heap pointer would corrupt.
@@ -26,6 +29,7 @@
 #include "bigint/limb_vec.h"
 #include "common/rng.h"
 #include "hve/hve.h"
+#include "hve/serialize.h"
 #include "pairing/group.h"
 #include "pairing/miller.h"
 #include "pairing/miller_ifma.h"
@@ -286,6 +290,53 @@ TEST_F(AllocSteadyStateTest, BatchedFlushRoundIsAllocFreeAfterWarmup) {
   ASSERT_TRUE(round_ok);
   EXPECT_EQ(probe.delta(), 0u)
       << "warm batched flush round must not allocate";
+}
+
+TEST_F(AllocSteadyStateTest, ParseCiphertextAllocatesOnlyTheResult) {
+  RandFn rand = TestRand(5);
+  for (size_t width : {size_t(4), size_t(16)}) {
+    hve::KeyPair kp = hve::Setup(*group_, width, rand).value();
+    const std::string index(width, '1');
+    const std::vector<uint8_t> blob = hve::SerializeCiphertext(
+        *group_,
+        hve::Encrypt(*group_, kp.pk, index, group_->GtOne(), rand).value());
+    ASSERT_TRUE(hve::ParseCiphertext(*group_, blob).ok());  // warm-up
+    size_t allocs = 0;
+    {
+      AllocProbe probe;
+      Result<hve::Ciphertext> ct = hve::ParseCiphertext(*group_, blob);
+      allocs = probe.delta();
+      ASSERT_TRUE(ct.ok()) << ct.status();
+      EXPECT_EQ(ct->c1.size(), width);
+    }
+    // The c1 and c2 arrays; coordinates decode in place, with no
+    // per-coordinate buffer.
+    EXPECT_EQ(allocs, 2u) << "width " << width;
+  }
+}
+
+TEST_F(AllocSteadyStateTest, SerializeCiphertextAllocatesOnlyItsOutput) {
+  RandFn rand = TestRand(6);
+  for (size_t width : {size_t(4), size_t(16)}) {
+    hve::KeyPair kp = hve::Setup(*group_, width, rand).value();
+    const hve::Ciphertext ct =
+        hve::Encrypt(*group_, kp.pk, std::string(width, '0'),
+                     group_->GtOne(), rand)
+            .value();
+    (void)hve::SerializeCiphertext(*group_, ct);  // warm-up
+    size_t allocs = 0;
+    size_t size = 0;
+    size_t capacity = 0;
+    {
+      AllocProbe probe;
+      std::vector<uint8_t> blob = hve::SerializeCiphertext(*group_, ct);
+      allocs = probe.delta();
+      size = blob.size();
+      capacity = blob.capacity();
+    }
+    EXPECT_EQ(allocs, 1u) << "width " << width;
+    EXPECT_EQ(capacity, size) << "the buffer is reserved at its exact size";
+  }
 }
 
 TEST(AllocIfmaTest, WarmLaneFlushRoundIsAllocFree) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -177,6 +179,227 @@ TEST_F(SerializeTest, BlobsAreCompactAndDeterministic) {
   // token must be well under a kilobyte.
   EXPECT_LT(a.size(), 1024u);
 }
+
+// ---------------------------------------------------------------------
+// Differential codec tests: the Montgomery wire codec against the
+// BigInt round trip it replaced, at 2-, 4-, 6- and 9-limb fields (the
+// generic, cios4, cios6 and generic kernels; 9 limbs is past LimbVec's
+// inline capacity, so the canonical conversion spills to the heap).
+// ---------------------------------------------------------------------
+
+struct CodecCase {
+  size_t pbits;
+  size_t limbs;
+  const char* kernel_family;  // MulKernelFamilyName of the field
+};
+
+void PrintTo(const CodecCase& c, std::ostream* os) {
+  *os << "pbits " << c.pbits << " (" << c.limbs << " limbs)";
+}
+
+/// The decode the codec replaced: BigInt::FromBytes, the < p range
+/// check, then ToMont.
+std::optional<Fp::Elem> ReferenceDecode(const Fp& fp,
+                                        const std::vector<uint8_t>& bytes) {
+  const BigInt v = BigInt::FromBytes(bytes);
+  if (v >= fp.p()) return std::nullopt;
+  return fp.FromBigInt(v);
+}
+
+/// The encoding the codec replaced: every coordinate as
+/// ToBigInt().ToBytes() behind a u32 length, the same frame around it.
+class ReferenceWriter {
+ public:
+  ReferenceWriter(const Fp& fp, uint8_t tag) : fp_(fp) {
+    const uint8_t magic[4] = {'S', 'L', 'H', '1'};
+    w_.Raw(magic, 4);
+    w_.U8(tag);
+  }
+  void U32(uint32_t v) { w_.U32(v); }
+  void Str(const std::string& s) { w_.Str(s); }
+  void Point(const AffinePoint& p) {
+    w_.U8(p.infinity ? 0 : 1);
+    if (p.infinity) return;
+    Coord(p.x);
+    Coord(p.y);
+  }
+  void Gt(const Fp2Elem& e) {
+    Coord(e.re);
+    Coord(e.im);
+  }
+  std::vector<uint8_t> Finish() {
+    std::vector<uint8_t> out = w_.Take();
+    wire::AppendChecksum(&out);
+    return out;
+  }
+
+ private:
+  void Coord(const Fp::Elem& a) { w_.Bytes(fp_.ToBigInt(a).ToBytes()); }
+
+  const Fp& fp_;
+  wire::Writer w_;
+};
+
+class CodecDifferentialTest : public ::testing::TestWithParam<CodecCase> {
+ protected:
+  void SetUp() override {
+    PairingParamSpec spec;
+    spec.p_prime_bits = GetParam().pbits;
+    spec.q_prime_bits = GetParam().pbits;
+    spec.seed = 1700 + GetParam().pbits;
+    group_ = std::make_unique<PairingGroup>(
+        PairingGroup::Generate(spec).value());
+    ASSERT_EQ(group_->fp().num_limbs(), GetParam().limbs);
+    ASSERT_STREQ(MulKernelFamilyName(group_->fp().mul_kernel()),
+                 GetParam().kernel_family);
+  }
+
+  /// Decodes through the codec and the reference; both must accept
+  /// or reject together, and agree on the limbs when they accept.
+  void ExpectSameDecode(const std::vector<uint8_t>& bytes,
+                        const std::string& what) {
+    const Fp& fp = group_->fp();
+    Fp::Elem got;
+    const bool ok = fp.FromCanonicalBytes(bytes.data(), bytes.size(), &got);
+    const std::optional<Fp::Elem> want = ReferenceDecode(fp, bytes);
+    if (!want.has_value()) {
+      EXPECT_FALSE(ok) << what << " (" << bytes.size() << " B) accepted";
+      return;
+    }
+    ASSERT_TRUE(ok) << what << " (" << bytes.size() << " B) rejected";
+    EXPECT_TRUE(fp.Equal(got, *want)) << what;
+  }
+
+  std::unique_ptr<PairingGroup> group_;
+};
+
+TEST_P(CodecDifferentialTest, DecodeAcceptsExactlyWhatBigIntPathDid) {
+  const Fp& fp = group_->fp();
+  const BigInt& p = fp.p();
+  const size_t cap = (p.BitLength() + 7) / 8;  // the reader's length cap
+  const size_t limb_bytes = 8 * fp.num_limbs();
+  RandFn rand = TestRand(GetParam().pbits);
+
+  ExpectSameDecode({}, "zero (empty)");
+  ExpectSameDecode({0}, "zero (one byte)");
+  ExpectSameDecode({1}, "one");
+  ExpectSameDecode((p - BigInt(1)).ToBytes(), "p - 1");
+  ExpectSameDecode(p.ToBytes(), "p");
+  ExpectSameDecode((p + BigInt(1)).ToBytes(), "p + 1");
+  ExpectSameDecode(std::vector<uint8_t>(cap, 0xff), "all 0xff at the cap");
+  ExpectSameDecode(std::vector<uint8_t>(limb_bytes, 0xff),
+                   "all 0xff at the limb width");
+  for (int i = 0; i < 200; ++i) {
+    const BigInt v = BigInt::RandomBelow(p, rand);
+    const std::vector<uint8_t> minimal = v.ToBytes();
+    ExpectSameDecode(minimal, "random < p");
+    // Leading-zero padding up to the cap and up to the limb width.
+    for (size_t width : {cap, limb_bytes}) {
+      std::vector<uint8_t> padded(width - minimal.size(), 0);
+      padded.insert(padded.end(), minimal.begin(), minimal.end());
+      ExpectSameDecode(padded, "zero-padded random < p");
+    }
+    // Random byte strings of every length up to the cap: about half of
+    // the full-length ones are >= p.
+    std::vector<uint8_t> noise(size_t(rand() % (cap + 1)));
+    for (uint8_t& b : noise) b = static_cast<uint8_t>(rand());
+    ExpectSameDecode(noise, "random bytes");
+  }
+  // Past the limb width the codec refuses outright (the reader's cap
+  // has already refused anything past p's byte length), even when the
+  // value itself is small.
+  std::vector<uint8_t> wide(limb_bytes + 1, 0);
+  wide.back() = 1;
+  Fp::Elem out;
+  EXPECT_FALSE(fp.FromCanonicalBytes(wide.data(), wide.size(), &out));
+}
+
+TEST_P(CodecDifferentialTest, EncodeMatchesBigIntBytes) {
+  const Fp& fp = group_->fp();
+  RandFn rand = TestRand(GetParam().pbits + 1);
+  std::vector<BigInt> values = {BigInt(0), BigInt(1), fp.p() - BigInt(1)};
+  for (int i = 0; i < 200; ++i) {
+    values.push_back(BigInt::RandomBelow(fp.p(), rand));
+    // Short values: leading zero limbs and bytes in the canonical form.
+    values.push_back(BigInt::FromU64(rand() >> (rand() % 64)));
+  }
+  for (const BigInt& v : values) {
+    const Fp::Elem a = fp.FromBigInt(v);
+    std::vector<uint8_t> got = {0xab};  // appends after existing bytes
+    fp.AppendCanonicalBytes(a, &got);
+    std::vector<uint8_t> want = {0xab};
+    const std::vector<uint8_t> ref = v.ToBytes();
+    want.insert(want.end(), ref.begin(), ref.end());
+    EXPECT_EQ(got, want) << v.ToHex();
+    EXPECT_EQ(fp.CanonicalByteLength(a), ref.size()) << v.ToHex();
+  }
+}
+
+TEST_P(CodecDifferentialTest, BlobsAreByteIdenticalToBigIntEncoding) {
+  const PairingGroup& g = *group_;
+  const Fp& fp = g.fp();
+  RandFn rand = TestRand(GetParam().pbits + 2);
+  hve::KeyPair keys = hve::Setup(g, 4, rand).value();
+  const Fp2Elem marker = g.RandomGt(rand);
+  hve::Ciphertext ct = hve::Encrypt(g, keys.pk, "0110", marker, rand).value();
+  hve::Token tk = hve::GenToken(g, keys.sk, "*1*0", rand).value();
+
+  ReferenceWriter ct_ref(fp, 1);
+  ct_ref.Gt(ct.c_prime);
+  ct_ref.Point(ct.c0);
+  ct_ref.U32(uint32_t(ct.c1.size()));
+  for (size_t i = 0; i < ct.c1.size(); ++i) {
+    ct_ref.Point(ct.c1[i]);
+    ct_ref.Point(ct.c2[i]);
+  }
+  const std::vector<uint8_t> ct_blob = hve::SerializeCiphertext(g, ct);
+  EXPECT_EQ(ct_blob, ct_ref.Finish());
+
+  ReferenceWriter tk_ref(fp, 2);
+  tk_ref.Str(tk.pattern);
+  tk_ref.Point(tk.k0);
+  tk_ref.U32(uint32_t(tk.k1.size()));
+  for (size_t i = 0; i < tk.k1.size(); ++i) {
+    tk_ref.Point(tk.k1[i]);
+    tk_ref.Point(tk.k2[i]);
+  }
+  const std::vector<uint8_t> tk_blob = hve::SerializeToken(g, tk);
+  EXPECT_EQ(tk_blob, tk_ref.Finish());
+
+  ReferenceWriter pk_ref(fp, 3);
+  pk_ref.U32(uint32_t(keys.pk.width));
+  pk_ref.Point(keys.pk.gq);
+  pk_ref.Point(keys.pk.v_blinded);
+  pk_ref.Gt(keys.pk.a_pair);
+  for (size_t i = 0; i < keys.pk.width; ++i) {
+    pk_ref.Point(keys.pk.u[i]);
+    pk_ref.Point(keys.pk.h[i]);
+    pk_ref.Point(keys.pk.w[i]);
+  }
+  const std::vector<uint8_t> pk_blob = hve::SerializePublicKey(g, keys.pk);
+  EXPECT_EQ(pk_blob, pk_ref.Finish());
+
+  // Parsing and re-serializing reproduces every blob byte for byte.
+  auto ct2 = hve::ParseCiphertext(g, ct_blob);
+  ASSERT_TRUE(ct2.ok()) << ct2.status();
+  EXPECT_EQ(hve::SerializeCiphertext(g, *ct2), ct_blob);
+  auto tk2 = hve::ParseToken(g, tk_blob);
+  ASSERT_TRUE(tk2.ok()) << tk2.status();
+  EXPECT_EQ(hve::SerializeToken(g, *tk2), tk_blob);
+  auto pk2 = hve::ParsePublicKey(g, pk_blob);
+  ASSERT_TRUE(pk2.ok()) << pk2.status();
+  EXPECT_EQ(hve::SerializePublicKey(g, *pk2), pk_blob);
+  EXPECT_TRUE(hve::Matches(g, *tk2, *ct2, marker).value());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FieldWidths, CodecDifferentialTest,
+    ::testing::Values(CodecCase{32, 2, "generic"}, CodecCase{120, 4, "cios4"},
+                      CodecCase{184, 6, "cios6"},
+                      CodecCase{256, 9, "generic"}),
+    [](const ::testing::TestParamInfo<CodecCase>& info) {
+      return "pbits" + std::to_string(info.param.pbits);
+    });
 
 }  // namespace
 }  // namespace sloc
