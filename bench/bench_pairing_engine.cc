@@ -7,7 +7,10 @@
 //     round (eight lanes at a time on AVX-512 IFMA groups), one shared
 //     Fp2 inversion per flush and deferred marker^-1 comparison,
 //  2. the Miller walk under one token round: the per-view scalar walk
-//     vs the batched call the flush makes,
+//     vs the batched call the flush makes, and token precompilation:
+//     the bundle's chains through hve::PrecompileTokens (eight per
+//     IFMA lane pass on ifma8 groups) vs one at a time on the scalar
+//     chain, whose tables --verify-kernels=1 requires to be identical,
 //  3. fixed-base comb tables for Encrypt's scalar multiplications and
 //     the per-key G_T comb for A^s vs the generic paths.
 //
@@ -332,6 +335,69 @@ int Run(int argc, char** argv) {
     }
   }
 
+  // ---- Token precompilation: the active walk vs the scalar chain ----
+  //
+  // hve::PrecompileTokens compiles the bundle's chains on one thread,
+  // eight per lane pass under the ifma8 walk; the scalar row runs the
+  // same chains one at a time through PrecompileMillerLines, the scalar
+  // chain behind both layouts. Under --verify-kernels=1 every table
+  // must be byte-identical to the scalar chain's.
+  size_t precompile_chains = 0;
+  double precompile_per_sec = 0.0, precompile_scalar_per_sec = 0.0;
+  {
+    std::vector<hve::Token> tokens;
+    for (const std::vector<uint8_t>& blob : token_blobs) {
+      tokens.push_back(hve::ParseToken(*group, blob).value());
+    }
+    std::vector<const hve::Token*> token_ptrs;
+    std::vector<const AffinePoint*> points;
+    for (const hve::Token& token : tokens) {
+      token_ptrs.push_back(&token);
+      points.push_back(&token.k0);
+      for (size_t j = 0; j < token.k1.size(); ++j) {
+        points.push_back(&token.k1[j]);
+        points.push_back(&token.k2[j]);
+      }
+    }
+    precompile_chains = points.size();
+    const Curve& curve = group->curve();
+    const MillerPlan& plan = group->miller_plan();
+    double lane_s = 0.0, scalar_s = 0.0;
+    std::vector<hve::PrecompiledToken> compiled;
+    std::vector<MillerLineTable> scalar_tables(points.size());
+    for (int rep = 0; rep < 3; ++rep) {  // best-of-3
+      WallTimer lane;
+      compiled = hve::PrecompileTokens(*group, token_ptrs, 1);
+      const double lane_rep = lane.Seconds();
+      WallTimer scalar;
+      for (size_t k = 0; k < points.size(); ++k) {
+        scalar_tables[k] = PrecompileMillerLines(curve, plan, *points[k]);
+      }
+      const double scalar_rep = scalar.Seconds();
+      if (rep == 0 || lane_rep < lane_s) lane_s = lane_rep;
+      if (rep == 0 || scalar_rep < scalar_s) scalar_s = scalar_rep;
+    }
+    precompile_per_sec = double(precompile_chains) / lane_s;
+    precompile_scalar_per_sec = double(precompile_chains) / scalar_s;
+    if (verify_kernels) {
+      size_t k = 0;
+      for (const hve::PrecompiledToken& token : compiled) {
+        SLOC_CHECK(token.k0 == scalar_tables[k++])
+            << "precompiled K_0 table differs from the scalar chain's";
+        for (size_t j = 0; j < token.k1.size(); ++j) {
+          SLOC_CHECK(token.k1[j] == scalar_tables[k++] &&
+                     token.k2[j] == scalar_tables[k++])
+              << "precompiled K_j table differs from the scalar chain's";
+        }
+      }
+      SLOC_CHECK(k == precompile_chains);
+      std::printf(
+          "precompile equivalence: %zu %s tables identical to the scalar "
+          "chain's\n",
+          precompile_chains, walk);
+    }
+  }
+
   // ---- Raw Fp multiplication per kernel (the layer under everything) --
   struct FpMulRow {
     const char* name;
@@ -441,6 +507,11 @@ int Run(int argc, char** argv) {
       "%.1f us/query batched (%s), %.2fx\n",
       walk_single_us, walk_batched_us, walk, walk_single_us / walk_batched_us);
   std::printf(
+      "Token precompile: %zu chains, %.0f chains/s (%s) vs %.0f chains/s "
+      "scalar chain, %.2fx\n",
+      precompile_chains, precompile_per_sec, walk, precompile_scalar_per_sec,
+      precompile_per_sec / precompile_scalar_per_sec);
+  std::printf(
       "single Pair(): %.1f pairings/sec (field kernel: %s, dispatch %s)\n"
       "batched vs reference: %.2fx\n"
       "Encrypt: %.2f ms generic -> %.2f ms fixed-base (%.2fx)\n",
@@ -483,6 +554,13 @@ int Run(int argc, char** argv) {
   walk_json.Number("batched_us_per_query", walk_batched_us);
   walk_json.Number("speedup", walk_single_us / walk_batched_us);
   root.Nested("walk", walk_json);
+  JsonWriter precompile_json;
+  precompile_json.Integer("chains", precompile_chains);
+  precompile_json.Number("chains_per_sec", precompile_per_sec);
+  precompile_json.Number("scalar_chains_per_sec", precompile_scalar_per_sec);
+  precompile_json.Number("speedup",
+                         precompile_per_sec / precompile_scalar_per_sec);
+  root.Nested("precompile", precompile_json);
   root.Number("pairings_per_sec", pair_per_sec);
   root.Nested("fp_mul", fp_mul);
   root.Nested("alert_scan", scan);

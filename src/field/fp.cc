@@ -9,6 +9,7 @@ namespace sloc {
 Fp::Fp(Montgomery mont)
     : mont_(std::make_shared<const Montgomery>(std::move(mont))) {
   const BigInt& p = mont_->modulus();
+  p_minus_2_ = p - BigInt(2);
   p_minus_1_half_ = (p - BigInt(1)) >> 1;
   if ((p % BigInt(4)) == BigInt(3)) {
     p_plus_1_quarter_ = (p + BigInt(1)) >> 2;
@@ -45,7 +46,7 @@ void Fp::MulSmall(const Elem& a, uint64_t c, Elem* out) const {
 
 Result<Fp::Elem> Fp::Inverse(const Elem& a) const {
   if (IsZero(a)) return Status::InvalidArgument("inverse of zero in Fp");
-  return mont_->Inverse(a);
+  return Pow(a, p_minus_2_);
 }
 
 bool Fp::IsSquare(const Elem& a) const {

@@ -73,7 +73,8 @@ class Fp {
     return mont_->Pow(base, exp);
   }
 
-  /// Multiplicative inverse; error for zero.
+  /// Multiplicative inverse a^(p-2) (Fermat; p is prime); error for
+  /// zero.
   Result<Elem> Inverse(const Elem& a) const;
 
   /// Euler criterion: true iff a is a non-zero quadratic residue.
@@ -88,6 +89,7 @@ class Fp {
 
   // Shared so Fp can be copied cheaply into dependent contexts.
   std::shared_ptr<const Montgomery> mont_;
+  BigInt p_minus_2_;       // p-2, the inversion exponent
   BigInt p_minus_1_half_;  // (p-1)/2
   BigInt p_plus_1_quarter_;  // (p+1)/4 when p = 3 mod 4, else 0
 };

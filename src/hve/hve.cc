@@ -417,7 +417,6 @@ std::vector<PrecompiledToken> PrecompileTokens(
     const PairingGroup& group, const std::vector<const Token*>& tokens,
     unsigned num_threads) {
   const Curve& curve = group.curve();
-  const Fp& fp = group.fp();
   const MillerPlan& plan = group.miller_plan();
   // One unit per (token, chain), token-major; within a token K_0, then
   // K_j,1 and K_j,2 per non-star position j (a malformed token stops at
@@ -441,29 +440,26 @@ std::vector<PrecompiledToken> PrecompileTokens(
     first[t + 1] = points.size();
   }
   const size_t units = points.size();
-  // Phase 1: every (token, chain) unit is independent; striping them
-  // keeps a one-token bundle's 2|J|+1 chains on every worker.
-  std::vector<MillerChain> chains(units);
-  const size_t workers = ClampWorkers(num_threads, units);
-  RunWorkers(workers, [&](size_t w) {
-    for (size_t u = w; u < units; u += workers) {
-      chains[u] = RunMillerChain(curve, plan, *points[u]);
-    }
-  });
-  // Phase 2: one batch inversion per token, over its chains' products.
-  const size_t token_workers = ClampWorkers(num_threads, tokens.size());
-  RunWorkers(token_workers, [&](size_t w) {
-    for (size_t t = w; t < tokens.size(); t += token_workers) {
-      InvertMillerChains(fp, chains.data() + first[t], first[t + 1] - first[t]);
-    }
-  });
-  // Phase 3: normalise per chain. Field arithmetic is exact, so the
-  // tables are identical at every thread count.
+  // One pass: consecutive units form groups, each run, inverted and
+  // normalised by one worker (CompileMillerTables). Under the ifma8
+  // walk a group fills the eight lanes; under the scalar walk the units
+  // split evenly over the workers. Field arithmetic is exact, so the
+  // tables are identical at every thread count and grouping.
+  const size_t split = ClampWorkers(num_threads, units);
+  const size_t group_size = plan.walk() == MillerWalk::kIfma8
+                                ? kMillerLanes
+                                : std::max<size_t>(1, (units + split - 1) /
+                                                          split);
+  const size_t groups = (units + group_size - 1) / group_size;
   std::vector<MillerLineTable> tables(units);
+  const size_t workers = ClampWorkers(num_threads, groups);
   RunWorkers(workers, [&](size_t w) {
-    for (size_t u = w; u < units; u += workers) {
-      tables[u] = NormalizeMillerChain(fp, plan, chains[u]);
-      chains[u] = MillerChain();  // release the raw lines early
+    MillerCompileScratch scratch;
+    for (size_t g = w; g < groups; g += workers) {
+      const size_t begin = g * group_size;
+      CompileMillerTables(curve, plan, points.data() + begin,
+                          std::min(group_size, units - begin),
+                          tables.data() + begin, &scratch);
     }
   });
   for (size_t t = 0; t < tokens.size(); ++t) {

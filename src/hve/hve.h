@@ -170,16 +170,18 @@ struct PrecompiledToken {
 /// Miller loops; every later evaluation against the result
 /// (QueryMillerPrecompiledView/Views) skips the chain arithmetic.
 /// Tables are normalised (each line's i-coefficient scaled to 1 through
-/// one batch inversion per token) and laid out for the group's walk.
+/// a shared batch inversion) and laid out for the group's walk.
 PrecompiledToken PrecompileToken(const PairingGroup& group,
                                  const Token& token);
 
-/// PrecompileToken for many tokens across `num_threads` workers, split
-/// at chain granularity: every (token, chain) unit is one work item, so
-/// even a one-token bundle's 2|J|+1 chains spread across the pool. Each
-/// token is then normalised once (one batch inversion over its
-/// chains). The tables are identical at every
-/// thread count and to PrecompileToken's.
+/// PrecompileToken for many tokens across `num_threads` workers in one
+/// pass. The (token, chain) units are cut into groups that each worker
+/// runs, inverts (one shared inversion per group) and normalises on
+/// its own: eight chains per group, one per IFMA lane, under the ifma8
+/// walk; an even split of the units over the workers under the scalar
+/// walk, so even a one-token bundle's 2|J|+1 chains spread across the
+/// pool. The tables are identical at every thread count and to
+/// PrecompileToken's.
 std::vector<PrecompiledToken> PrecompileTokens(
     const PairingGroup& group, const std::vector<const Token*>& tokens,
     unsigned num_threads);

@@ -260,6 +260,8 @@ const char* MillerWalkName(MillerWalk walk) {
 
 namespace {
 
+using miller_ifma::kElemWords;
+using miller_ifma::kLanes;
 using miller_ifma::kLimbBits;
 using miller_ifma::kLimbMask;
 using miller_ifma::kLimbs;
@@ -308,6 +310,27 @@ void Limbs52ToResidue(const uint64_t* limbs, Fp::Elem* out) {
   }
 }
 
+/// Writes a canonical residue shifted left by `shift` bits into lane
+/// `lane` of a [kLimbs][kLanes] block.
+void StoreLane(const Fp::Elem& a, unsigned shift, size_t lane,
+               uint64_t* block) {
+  uint64_t limbs[kLimbs];
+  ResidueToLimbs52(a, shift, limbs);
+  for (size_t l = 0; l < kLimbs; ++l) {
+    block[l * kLanes + lane] = limbs[l];
+  }
+}
+
+/// The residue in lane `lane` of a [kLimbs][kLanes] block of normalized
+/// limbs below 2^256.
+void LoadLane(const uint64_t* block, size_t lane, Fp::Elem* out) {
+  uint64_t limbs[kLimbs];
+  for (size_t l = 0; l < kLimbs; ++l) {
+    limbs[l] = block[l * kLanes + lane];
+  }
+  Limbs52ToResidue(limbs, out);
+}
+
 void BigIntToLimbs52(const BigInt& x, uint64_t* out) {
   uint64_t w[kLimbs] = {};
   const LimbVec& limbs = x.limbs();
@@ -319,6 +342,7 @@ miller_ifma::LaneField MakeLaneField(const BigInt& p) {
   miller_ifma::LaneField field;
   BigIntToLimbs52(p, field.p);
   BigIntToLimbs52(p + p, field.two_p);
+  BigIntToLimbs52(p << 2, field.four_p);
   BigIntToLimbs52(BigInt::Mod(BigInt(1) << (kLimbs * kLimbBits), p),
                   field.one);
   // -p^-1 mod 2^64 by Newton iteration; its low 52 bits are -p^-1 mod
@@ -504,6 +528,146 @@ MillerLineTable PrecompileMillerLines(const Curve& curve,
   return NormalizeMillerChain(curve.fp(), plan, chain);
 }
 
+namespace {
+
+/// A lane group's per-lane outcome: lanes whose chain must be
+/// recompiled on the scalar path, and lanes whose final line is the
+/// closing vertical.
+struct LaneGroupResult {
+  uint8_t exceptional = 0;
+  uint8_t vertical = 0;
+};
+
+/// Runs up to eight finite points through Chain8, inverts the lanes'
+/// c_y products with one field inversion and normalises every
+/// unexceptional lane into dst[lane] (plan.length() * kLineWords words).
+/// Lanes past `filled` repeat the last point and are discarded.
+LaneGroupResult CompileLaneGroup(const Curve& curve, const MillerPlan& plan,
+                                 const AffinePoint* const* points,
+                                 size_t filled, uint64_t* const* dst,
+                                 std::vector<uint64_t>* lines) {
+  const Fp& fp = curve.fp();
+  // Lane-domain inputs: a residue x * 2^256 times 16 is x * 2^260.
+  uint64_t coords[2 * kElemWords];
+  uint64_t curve_a[kLimbs];
+  Fp::Elem tmp;
+  for (size_t lane = 0; lane < kLanes; ++lane) {
+    const AffinePoint& a = *points[lane < filled ? lane : filled - 1];
+    fp.MulSmall(a.x, 16, &tmp);
+    StoreLane(tmp, 0, lane, coords);
+    fp.MulSmall(a.y, 16, &tmp);
+    StoreLane(tmp, 0, lane, coords + kElemWords);
+  }
+  fp.MulSmall(curve.a(), 16, &tmp);
+  ResidueToLimbs52(tmp, 0, curve_a);
+  const size_t n = plan.length();
+  lines->resize(n * miller_ifma::kChainLineWords);
+  uint64_t product[kElemWords];
+  LaneGroupResult result;
+  result.vertical =
+      miller_ifma::Chain8(plan.lane_field(), curve_a, plan.adds().data(),
+                          plan.adds().size(), coords, lines->data(), product);
+
+  // One inversion for the group (Montgomery's trick over the live
+  // lanes). A lane product v = P * 2^260 read as a residue is 16P, so
+  // 16 * (16P)^-1 is the P^-1 * 2^256 that Normalize8 takes.
+  Fp::Elem prods[kLanes], running[kLanes];
+  size_t live[kLanes];
+  size_t num_live = 0;
+  for (size_t lane = 0; lane < filled; ++lane) {
+    LoadLane(product, lane, &prods[lane]);
+    if (fp.IsZero(prods[lane])) {
+      result.exceptional |= uint8_t(1u << lane);
+      continue;
+    }
+    if (num_live == 0) {
+      running[0] = prods[lane];
+    } else {
+      fp.Mul(running[num_live - 1], prods[lane], &running[num_live]);
+    }
+    live[num_live++] = lane;
+  }
+  uint64_t inv[kElemWords] = {};
+  uint64_t* tables[kLanes] = {};
+  if (num_live != 0) {
+    auto total = fp.Inverse(running[num_live - 1]);
+    SLOC_CHECK(total.ok()) << "zero line coefficient in a Miller chain";
+    Fp::Elem acc = *total;  // (running[i])^-1, walking i down
+    Fp::Elem lane_inv;
+    for (size_t i = num_live; i-- > 0;) {
+      const size_t lane = live[i];
+      if (i == 0) {
+        lane_inv = acc;
+      } else {
+        fp.Mul(acc, running[i - 1], &lane_inv);
+      }
+      fp.Mul(acc, prods[lane], &tmp);
+      acc = tmp;
+      fp.MulSmall(lane_inv, 16, &tmp);
+      StoreLane(tmp, 0, lane, inv);
+      tables[lane] = dst[lane];
+    }
+  }
+  miller_ifma::Normalize8(plan.lane_field(), n, lines->data(), inv, tables);
+  return result;
+}
+
+}  // namespace
+
+void CompileMillerTables(const Curve& curve, const MillerPlan& plan,
+                         const AffinePoint* const* points, size_t count,
+                         MillerLineTable* out,
+                         MillerCompileScratch* scratch) {
+  const Fp& fp = curve.fp();
+  if (plan.walk() != MillerWalk::kIfma8) {
+    std::vector<MillerChain> chains(count);
+    for (size_t k = 0; k < count; ++k) {
+      chains[k] = RunMillerChain(curve, plan, *points[k]);
+    }
+    InvertMillerChains(fp, chains.data(), count);
+    for (size_t k = 0; k < count; ++k) {
+      out[k] = NormalizeMillerChain(fp, plan, chains[k]);
+      chains[k] = MillerChain();  // release the raw lines early
+    }
+    return;
+  }
+  const size_t n = plan.length();
+  const AffinePoint* group[kLanes];
+  size_t index[kLanes];
+  uint64_t* dst[kLanes];
+  size_t filled = 0;
+  auto flush = [&]() {
+    const LaneGroupResult result = CompileLaneGroup(
+        curve, plan, group, filled, dst, &scratch->lines);
+    for (size_t lane = 0; lane < filled; ++lane) {
+      MillerLineTable& table = out[index[lane]];
+      if ((result.exceptional >> lane) & 1u) {
+        table = PrecompileMillerLines(curve, plan, *group[lane]);
+      } else if ((result.vertical >> lane) & 1u) {
+        uint64_t* last = dst[lane] + (n - 1) * kLineWords;
+        last[0] = miller_ifma::kTrivialLine;
+        for (size_t w = 1; w < kLineWords; ++w) last[w] = 0;
+      }
+    }
+    filled = 0;
+  };
+  for (size_t k = 0; k < count; ++k) {
+    MillerLineTable& table = out[k];
+    table = MillerLineTable();
+    if (points[k]->infinity) {
+      table.trivial_ = true;
+      continue;
+    }
+    table.size_ = n;
+    table.packed_lines_.resize(n * kLineWords);
+    group[filled] = points[k];
+    index[filled] = k;
+    dst[filled] = table.packed_lines_.data();
+    if (++filled == kLanes) flush();
+  }
+  if (filled != 0) flush();
+}
+
 Fp2Elem MultiMillerLoopCoords(
     const Curve& curve, const Fp2& fp2, const MillerPlan& plan,
     const std::vector<PrecompiledPairingCoords>& pairs,
@@ -594,10 +758,8 @@ void MultiMillerLoopLanes(const Fp2& fp2, const MillerPlan& plan,
     return;
   }
   using miller_ifma::kCoordWords;
-  using miller_ifma::kLanes;
   scratch->lane_tables.resize(n);
   scratch->lane_coords.resize(n * kCoordWords);
-  uint64_t limbs[kLimbs];
   for (size_t k = 0; k < n; ++k) {
     const LanePairingCoords& pair = pairs[k];
     SLOC_CHECK(pair.table != nullptr && pair.table->packed() &&
@@ -607,25 +769,17 @@ void MultiMillerLoopLanes(const Fp2& fp2, const MillerPlan& plan,
     uint64_t* coords = scratch->lane_coords.data() + k * kCoordWords;
     for (size_t lane = 0; lane < kLanes; ++lane) {
       // 16 * xq: see the domain note in pairing/miller_ifma.h.
-      ResidueToLimbs52(*pair.xq[lane], 4, limbs);
-      for (size_t l = 0; l < kLimbs; ++l) coords[l * kLanes + lane] = limbs[l];
-      ResidueToLimbs52(*pair.y_im[lane], 0, limbs);
-      for (size_t l = 0; l < kLimbs; ++l) {
-        coords[(kLimbs + l) * kLanes + lane] = limbs[l];
-      }
+      StoreLane(*pair.xq[lane], 4, lane, coords);
+      StoreLane(*pair.y_im[lane], 0, lane, coords + kElemWords);
     }
   }
-  uint64_t values[2 * kLimbs * kLanes];
+  uint64_t values[2 * kElemWords];
   miller_ifma::Walk8(plan.lane_field(), plan.adds().data(),
                      plan.adds().size(), scratch->lane_tables.data(),
                      scratch->lane_coords.data(), n, values);
   for (size_t lane = 0; lane < count; ++lane) {
-    for (size_t l = 0; l < kLimbs; ++l) limbs[l] = values[l * kLanes + lane];
-    Limbs52ToResidue(limbs, &out[lane].re);
-    for (size_t l = 0; l < kLimbs; ++l) {
-      limbs[l] = values[(kLimbs + l) * kLanes + lane];
-    }
-    Limbs52ToResidue(limbs, &out[lane].im);
+    LoadLane(values, lane, &out[lane].re);
+    LoadLane(values + kElemWords, lane, &out[lane].im);
   }
 }
 

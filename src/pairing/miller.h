@@ -18,6 +18,9 @@
 //     once on AVX-512 IFMA (pairing/miller_ifma.h), for groups whose
 //     plan selects that walk.
 //
+// CompileMillerTables builds many tables at once; under that plan it
+// runs eight chains per pass in the same lanes (miller_ifma::Chain8).
+//
 // The precompiled walks fold an inversion into the loop for free:
 // because e(A, -B) = e(A, B)^-1 and phi(-B) = (-x_B, -i*y_B), flipping
 // the sign of the evaluation point's y accumulates the *inverse* of a
@@ -106,6 +109,7 @@ struct MillerLine {
 };
 
 struct MillerChain;
+struct MillerCompileScratch;
 
 /// The normalised Miller chain of one fixed first argument A, flattened
 /// in execution order: for each bit below the top one doubling line,
@@ -136,6 +140,9 @@ class MillerLineTable {
  private:
   friend MillerLineTable NormalizeMillerChain(const Fp&, const MillerPlan&,
                                               const MillerChain&);
+  friend void CompileMillerTables(const Curve&, const MillerPlan&,
+                                  const AffinePoint* const*, size_t,
+                                  MillerLineTable*, MillerCompileScratch*);
   bool trivial_ = false;
   size_t size_ = 0;
   std::vector<MillerLine> lines_;
@@ -144,11 +151,11 @@ class MillerLineTable {
 
 /// The un-normalised Miller chain of one fixed first argument, as
 /// recorded: each line's (c_x, c_0, c_y) plus the running products of
-/// the non-trivial c_y that normalisation inverts. Precompilation runs
-/// in three phases so the expensive one parallelizes per chain while
-/// inversions are shared: RunMillerChain per chain, InvertMillerChains
-/// once per token (one Montgomery batch inversion over its chains'
-/// products), NormalizeMillerChain per chain.
+/// the non-trivial c_y that normalisation inverts. The scalar
+/// precompilation runs in three phases so inversions are shared:
+/// RunMillerChain per chain, InvertMillerChains once per group of
+/// chains (one Montgomery batch inversion over their products),
+/// NormalizeMillerChain per chain.
 struct MillerChain {
   struct Line {
     Fp::Elem c_x;
@@ -182,6 +189,24 @@ MillerLineTable NormalizeMillerChain(const Fp& fp, const MillerPlan& plan,
 MillerLineTable PrecompileMillerLines(const Curve& curve,
                                       const MillerPlan& plan,
                                       const AffinePoint& a);
+
+/// Reusable buffer of CompileMillerTables: thread one through a
+/// worker's calls. Treat the members as opaque.
+struct MillerCompileScratch {
+  std::vector<uint64_t> lines;  ///< ifma8 plans: Chain8 records
+};
+
+/// The tables of `count` fixed first arguments, out[k] for *points[k],
+/// each identical to PrecompileMillerLines(curve, plan, *points[k]).
+/// Under a kIfma8 plan the finite points run eight chains per pass in
+/// the IFMA lanes (miller_ifma::Chain8), share one field inversion per
+/// pass and are normalised in lanes straight into the packed layout; a
+/// lane that meets an exceptional step other than the closing vertical
+/// line is recompiled on the scalar chain. Under a kScalar plan each
+/// point runs RunMillerChain and the call shares one inversion.
+void CompileMillerTables(const Curve& curve, const MillerPlan& plan,
+                         const AffinePoint* const* points, size_t count,
+                         MillerLineTable* out, MillerCompileScratch* scratch);
 
 /// One pair of a precompiled multi-pairing: the table of the fixed side
 /// plus its evaluation point as already-distorted coordinates: xq =

@@ -31,6 +31,7 @@ struct Fe {
 struct Consts {
   Fe p;
   Fe two_p;
+  Fe four_p;
   Fe one;
   __m512i p_inv;
   __m512i mask;
@@ -41,6 +42,12 @@ Fe Broadcast(const uint64_t* limbs) {
   for (size_t k = 0; k < kLimbs; ++k) {
     r.v[k] = _mm512_set1_epi64(int64_t(limbs[k]));
   }
+  return r;
+}
+
+Fe Zero() {
+  Fe r;
+  for (size_t k = 0; k < kLimbs; ++k) r.v[k] = _mm512_setzero_si512();
   return r;
 }
 
@@ -62,6 +69,7 @@ Consts MakeConsts(const LaneField& field) {
   Consts c;
   c.p = Broadcast(field.p);
   c.two_p = Broadcast(field.two_p);
+  c.four_p = Broadcast(field.four_p);
   c.one = Broadcast(field.one);
   c.p_inv = _mm512_set1_epi64(int64_t(field.p_inv));
   c.mask = _mm512_set1_epi64(int64_t(kLimbMask));
@@ -107,14 +115,18 @@ inline Fe Add(const Fe& a, const Fe& b, const Consts& c) {
   return Carry(r, c);
 }
 
-/// a + 2p - b, normalized; non-negative whenever b < 2p.
-inline Fe SubPlus2p(const Fe& a, const Fe& b, const Consts& c) {
+/// a + m - b, normalized; non-negative whenever b <= m.
+inline Fe SubPlus(const Fe& a, const Fe& b, const Fe& m, const Consts& c) {
   Fe r;
   for (size_t k = 0; k < kLimbs; ++k) {
-    r.v[k] =
-        _mm512_sub_epi64(_mm512_add_epi64(a.v[k], c.two_p.v[k]), b.v[k]);
+    r.v[k] = _mm512_sub_epi64(_mm512_add_epi64(a.v[k], m.v[k]), b.v[k]);
   }
   return SignedCarry(r, c);
+}
+
+/// a + 2p - b, normalized; non-negative whenever b <= 2p.
+inline Fe SubPlus2p(const Fe& a, const Fe& b, const Consts& c) {
+  return SubPlus(a, b, c.two_p, c);
 }
 
 /// a - m where a >= m, else a (lane-wise); a normalized.
@@ -189,6 +201,108 @@ inline void MulLine(Fe* re, Fe* im, const uint64_t* line,
   *im = CondSub(SubPlus2p(u, t1, c), c.two_p, c);
 }
 
+/// a below 4p, brought below 2p.
+inline Fe Reduce4p(const Fe& a, const Consts& c) {
+  return CondSub(a, c.two_p, c);
+}
+
+/// a below 8p, brought below 2p.
+inline Fe Reduce8p(const Fe& a, const Consts& c) {
+  return CondSub(CondSub(a, c.four_p, c), c.two_p, c);
+}
+
+/// Lanes where a (below 2p) is 0 mod p.
+inline __mmask8 ZeroModP(const Fe& a, const Consts& c) {
+  const Fe r = CondSub(a, c.p, c);
+  __m512i any = r.v[0];
+  for (size_t k = 1; k < kLimbs; ++k) any = _mm512_or_si512(any, r.v[k]);
+  return _mm512_cmpeq_epi64_mask(any, _mm512_setzero_si512());
+}
+
+/// Lane-wise a if mask bit clear, b if set.
+inline Fe Blend(__mmask8 mask, const Fe& a, const Fe& b) {
+  Fe r;
+  for (size_t k = 0; k < kLimbs; ++k) {
+    r.v[k] = _mm512_mask_blend_epi64(mask, a.v[k], b.v[k]);
+  }
+  return r;
+}
+
+/// The Jacobian point T of eight chains, every coordinate below 2p.
+struct Point {
+  Fe x, y, z;
+};
+
+/// One recorded line, (c_x * xq + c_0) + (c_y * yq_im) i.
+struct Line {
+  Fe c_x, c_0, c_y;
+};
+
+/// T <- 2T and its tangent line, the formulas of the scalar chain
+/// (pairing/miller.cc, DoubleCore and DoubleStepLines): A = Y^2,
+/// B = 4XA, C = 8A^2, D = 3X^2 + aZ^4, X3 = D^2 - 2B,
+/// Y3 = D(B - X3) - C, Z3 = 2YZ; c_x = -DZ^2, c_0 = DX - 2A,
+/// c_y = Z3 Z^2. Bounds are noted per value (header, "Chain
+/// compilation").
+inline Line DoubleLanes(Point* t, const Fe& curve_a, const Consts& c) {
+  const Fe zero = Zero();
+  const Fe a = Mul(t->y, t->y, c);                        // < 2p
+  const Fe a2 = Add(a, a, c);                             // < 4p
+  const Fe b = Mul(t->x, Add(a2, a2, c), c);              // 2p * 8p
+  const Fe a2_sq = Mul(a2, a2, c);                        // 4p * 4p
+  const Fe cc = Add(a2_sq, a2_sq, c);                     // < 4p
+  const Fe x2 = Mul(t->x, t->x, c);
+  const Fe zz = Mul(t->z, t->z, c);
+  const Fe az4 = Mul(curve_a, Mul(zz, zz, c), c);         // p * 2p
+  const Fe d = Reduce8p(Add(Add(Add(x2, x2, c), x2, c), az4, c), c);
+  const Fe x3 = Reduce8p(SubPlus(Mul(d, d, c), Add(b, b, c), c.four_p, c),
+                         c);                              // < 6p -> 2p
+  const Fe y3 = Reduce8p(
+      SubPlus(Mul(d, SubPlus2p(b, x3, c), c), cc, c.four_p, c), c);
+  const Fe yz = Mul(t->y, t->z, c);
+  const Fe z3 = Reduce4p(Add(yz, yz, c), c);
+  Line line;
+  line.c_x = SubPlus2p(zero, Mul(d, zz, c), c);                // <= 2p
+  line.c_0 = SubPlus(Mul(d, t->x, c), a2, c.four_p, c);        // < 6p
+  line.c_y = Mul(z3, zz, c);
+  *t = Point{x3, y3, z3};
+  return line;
+}
+
+/// T <- T + A (A affine, coordinates below p) and the line through
+/// them, the formulas of AddCore and AddStepLines: H = xa Z^2 - X,
+/// R = ya Z^3 - Y, X3 = R^2 - H^3 - 2 X H^2, Y3 = R(X H^2 - X3) - Y H^3,
+/// Z3 = Z H; c_x = -R, c_0 = R xa - Z3 ya, c_y = Z3. `h_zero` and
+/// `r_zero`, when given, receive the lanes where H and R are 0 mod p.
+inline Line AddLanes(Point* t, const Fe& xa, const Fe& ya, const Consts& c,
+                     __mmask8* h_zero, __mmask8* r_zero) {
+  const Fe zero = Zero();
+  const Fe zz = Mul(t->z, t->z, c);
+  const Fe zcu = Mul(zz, t->z, c);
+  const Fe h = Reduce4p(SubPlus2p(Mul(xa, zz, c), t->x, c), c);
+  const Fe r = Reduce4p(SubPlus2p(Mul(ya, zcu, c), t->y, c), c);
+  if (h_zero != nullptr) {
+    *h_zero = ZeroModP(h, c);
+    *r_zero = ZeroModP(r, c);
+  }
+  const Fe h2 = Mul(h, h, c);
+  const Fe h3 = Mul(h2, h, c);
+  const Fe u1h2 = Mul(t->x, h2, c);
+  const Fe x3 = Reduce8p(SubPlus(SubPlus2p(Mul(r, r, c), h3, c),
+                                 Add(u1h2, u1h2, c), c.four_p, c),
+                         c);                              // < 8p -> 2p
+  const Fe y3 = Reduce4p(SubPlus2p(Mul(r, SubPlus2p(u1h2, x3, c), c),
+                                   Mul(t->y, h3, c), c),
+                         c);
+  const Fe z3 = Mul(t->z, h, c);
+  Line line;
+  line.c_x = SubPlus2p(zero, r, c);                                 // <= 2p
+  line.c_0 = SubPlus2p(Mul(r, xa, c), Mul(z3, ya, c), c);           // < 4p
+  line.c_y = z3;
+  *t = Point{x3, y3, z3};
+  return line;
+}
+
 }  // namespace
 
 bool Available() { return CpuHasAvx512Ifma(); }
@@ -204,8 +318,7 @@ void Walk8(const LaneField& field, const uint8_t* adds, size_t steps,
            size_t num_pairs, uint64_t* out) {
   const Consts c = MakeConsts(field);
   Fe re = c.one;
-  Fe im;
-  for (size_t k = 0; k < kLimbs; ++k) im.v[k] = _mm512_setzero_si512();
+  Fe im = Zero();
   size_t line = 0;
   auto apply = [&]() {
     for (size_t k = 0; k < num_pairs; ++k) {
@@ -221,6 +334,67 @@ void Walk8(const LaneField& field, const uint8_t* adds, size_t steps,
   }
   Store(CondSub(re, c.p, c), out);
   Store(CondSub(im, c.p, c), out + kLimbs * kLanes);
+}
+
+uint8_t Chain8(const LaneField& field, const uint64_t* curve_a,
+               const uint8_t* adds, size_t steps, const uint64_t* points,
+               uint64_t* lines, uint64_t* product) {
+  const Consts c = MakeConsts(field);
+  const Fe a = Broadcast(curve_a);
+  const Fe xa = Load(points);
+  const Fe ya = Load(points + kElemWords);
+  Point t{xa, ya, c.one};
+  Fe prod = c.one;
+  uint64_t* rec = lines;
+  auto record = [&](const Line& line) {
+    Store(line.c_x, rec);
+    Store(line.c_0, rec + kElemWords);
+    Store(line.c_y, rec + 2 * kElemWords);
+    Store(prod, rec + 3 * kElemWords);
+    prod = Mul(prod, line.c_y, c);
+    rec += kChainLineWords;
+  };
+  __mmask8 vertical = 0;
+  for (size_t s = 0; s < steps; ++s) {
+    record(DoubleLanes(&t, a, c));
+    if (adds[s] == 0) continue;
+    if (s + 1 < steps) {
+      record(AddLanes(&t, xa, ya, c, nullptr, nullptr));
+      continue;
+    }
+    // The final addition: T = -A is the chain's closing vertical line,
+    // recorded with c_y = 1 so the lane's product stays invertible.
+    __mmask8 h_zero = 0, r_zero = 0;
+    Line line = AddLanes(&t, xa, ya, c, &h_zero, &r_zero);
+    vertical = __mmask8(h_zero & ~r_zero);
+    line.c_y = Blend(vertical, line.c_y, c.one);
+    record(line);
+  }
+  Store(CondSub(prod, c.p, c), product);
+  return uint8_t(vertical);
+}
+
+void Normalize8(const LaneField& field, size_t num_lines,
+                const uint64_t* lines, const uint64_t* inv,
+                uint64_t* const* tables) {
+  const Consts c = MakeConsts(field);
+  // Walk back: before line j, acc is (prefix_j)^-1, where prefix_j is
+  // the product of c_y over lines 0..j; then c_y_j^-1 = acc * prefix_{j-1}.
+  Fe acc = Load(inv);
+  alignas(64) uint64_t words[kLineWords * kLanes];
+  for (size_t j = num_lines; j-- > 0;) {
+    const uint64_t* rec = lines + j * kChainLineWords;
+    const Fe c_y_inv = Mul(acc, Load(rec + 3 * kElemWords), c);
+    acc = Mul(acc, Load(rec + 2 * kElemWords), c);
+    Store(CondSub(Mul(Load(rec), c_y_inv, c), c.p, c), words);
+    Store(CondSub(Mul(Load(rec + kElemWords), c_y_inv, c), c.p, c),
+          words + kElemWords);
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      if (tables[lane] == nullptr) continue;
+      uint64_t* dst = tables[lane] + j * kLineWords;
+      for (size_t w = 0; w < kLineWords; ++w) dst[w] = words[w * kLanes + lane];
+    }
+  }
 }
 
 }  // namespace miller_ifma
@@ -251,6 +425,16 @@ void MulLanes(const LaneField&, const uint64_t*, const uint64_t*,
 
 void Walk8(const LaneField&, const uint8_t*, size_t, const uint64_t* const*,
            const uint64_t*, size_t, uint64_t*) {
+  Unreachable();
+}
+
+uint8_t Chain8(const LaneField&, const uint64_t*, const uint8_t*, size_t,
+               const uint64_t*, uint64_t*, uint64_t*) {
+  Unreachable();
+}
+
+void Normalize8(const LaneField&, size_t, const uint64_t*, const uint64_t*,
+                uint64_t* const*) {
   Unreachable();
 }
 

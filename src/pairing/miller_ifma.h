@@ -1,10 +1,14 @@
-// AVX-512 IFMA lane walk over packed Miller line tables.
+// AVX-512 IFMA lane kernels: the walk over packed Miller line tables,
+// and the compilation of those tables.
 //
 // The batched alert scan evaluates one token's precompiled line tables
 // over a buffer of independent ciphertexts, so the same line
 // coefficients meet many evaluation points: exactly the shape of eight
-// SIMD lanes. This kernel walks one table set for eight evaluation
-// points at once, one point per 64-bit lane of a __m512i.
+// SIMD lanes. Walk8 walks one table set for eight evaluation points at
+// once, one point per 64-bit lane of a __m512i. Compiling the tables
+// has the same shape the other way round: every chain of a group
+// follows one double-and-add schedule, so Chain8 runs eight chains of
+// different points at once, one per lane.
 //
 // Arithmetic: radix-2^52 Montgomery over 4-limb primes (p < 2^256).
 // An element is five 52-bit limbs, limb-major across the lanes
@@ -30,6 +34,34 @@
 // of 2^-4. That is an F_p* factor, which the final exponentiation
 // erases (its (p-1) power maps F_p* to 1), so after it the two walks
 // agree exactly.
+//
+// Chain compilation (Chain8 / Normalize8): the same arithmetic runs
+// eight Miller chains of fixed first arguments, one chain per lane, in
+// the lane domain: an element x is held as x * 2^260 mod p, so every
+// Mul keeps the domain (the caller loads a canonical Montgomery residue
+// a = x * 2^256 as 16 * a mod p). All chains share the plan's
+// double-and-add schedule. The point T = (X, Y, Z) is kept below 2p;
+// every sum or difference that feeds a product stays below 8p with the
+// other operand below 2p (a * b < 16 p^2 < p * 2^260), and results that
+// are reused are brought back under 2p with conditional subtractions of
+// 4p and 2p. Recorded lines keep c_x <= 2p, c_0 < 6p and c_y < 2p.
+// Normalization multiplies by c_y^-1 held as c_y^-1 * 2^256 (the
+// caller's inversion yields it in that form), so each normalised
+// coefficient comes out as the canonical 64-bit Montgomery residue,
+// which the packed layout re-splits: the words are the scalar
+// normalisation's exactly.
+//
+// Exceptional lanes: the step formulas are the scalar chain's, and a
+// lane's c_y is first zero at the first step where the scalar chain
+// records a trivial or tangent line instead (T of order 2 in a
+// doubling, T = +-A in an addition; T at infinity only follows one of
+// these), since T starts finite with Z = 1 and the steps set Z3 = 2YZ
+// or Z * H. Chain8 does not branch per lane: such a lane's c_y product
+// comes out zero and the caller recompiles it on the scalar chain. The one
+// exception is handled in lanes because every chain of a point whose
+// order divides the group order ends in it: a final addition with
+// T = -A (H = 0, R != 0) records c_y = 1 and is reported as a vertical
+// (trivial) line.
 //
 // Compilation contract: this header declares plain functions and
 // constants only. The kernels live in miller_ifma.cc, the only
@@ -63,10 +95,17 @@ constexpr uint64_t kTrivialLine = uint64_t{1} << 63;
 /// limbs of 16 * xq first, then those of y_im.
 constexpr size_t kCoordWords = 2 * kLimbs * kLanes;
 
+/// Words of one lane element block: [kLimbs][kLanes].
+constexpr size_t kElemWords = kLimbs * kLanes;
+/// Words of one line recorded by Chain8: c_x, c_0, c_y and the c_y
+/// product of the lines before it, one element block each.
+constexpr size_t kChainLineWords = 4 * kElemWords;
+
 /// Radix-2^52 constants of one prime, in limbs.
 struct LaneField {
   uint64_t p[kLimbs] = {};
   uint64_t two_p[kLimbs] = {};
+  uint64_t four_p[kLimbs] = {};
   uint64_t one[kLimbs] = {};  ///< R mod p, the walk's starting value
   uint64_t p_inv = 0;         ///< -p^-1 mod 2^52
 };
@@ -96,6 +135,30 @@ void MulLanes(const LaneField& field, const uint64_t* a, const uint64_t* b,
 void Walk8(const LaneField& field, const uint8_t* adds, size_t steps,
            const uint64_t* const* tables, const uint64_t* coords,
            size_t num_pairs, uint64_t* out);
+
+/// Runs the Miller chains of eight affine points over one schedule
+/// (`adds`, `steps` entries, as in Walk8), one point per lane.
+/// `points` holds the lane-domain coordinates as [2][kLimbs][kLanes]
+/// (x first, then y; each below p) and `curve_a` the lane-domain curve
+/// coefficient a. Writes one record of kChainLineWords per line, in
+/// schedule order, to `lines`, and the lane-domain product of every
+/// recorded c_y, fully reduced, to `product` ([kLimbs][kLanes]). A lane
+/// whose product is zero met an exceptional step and must be
+/// recompiled; returns the mask of lanes whose final line is a vertical
+/// (trivial) line. Precondition: Available().
+uint8_t Chain8(const LaneField& field, const uint64_t* curve_a,
+               const uint8_t* adds, size_t steps, const uint64_t* points,
+               uint64_t* lines, uint64_t* product);
+
+/// Normalises `num_lines` records written by Chain8: lane l's line j
+/// becomes (c_x / c_y, c_0 / c_y) as canonical 64-bit Montgomery
+/// residues re-split into kLineWords packed words at tables[l] + j *
+/// kLineWords. `inv` ([kLimbs][kLanes], each below p) holds each lane's
+/// product^-1 * 2^256 mod p. Lanes with a null table are skipped.
+/// Precondition: Available().
+void Normalize8(const LaneField& field, size_t num_lines,
+                const uint64_t* lines, const uint64_t* inv,
+                uint64_t* const* tables);
 
 }  // namespace miller_ifma
 }  // namespace sloc

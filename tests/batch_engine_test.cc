@@ -299,6 +299,43 @@ TEST_P(BatchEngineWalkTest, BatchedMatchesReferenceUnderEitherWalk) {
   }
 }
 
+// Fresh bundles of 1, 9 and 11 tokens: every token compiles on the
+// alert path, so under the ifma8 plan the lane groups fill partly (one
+// token's chains) and span token boundaries (nine and eleven tokens),
+// while the forced scalar plan splits the chains over the workers.
+TEST_P(BatchEngineWalkTest, FreshBundlesOfOneNineAndElevenTokens) {
+  std::vector<std::vector<uint8_t>> pool;
+  for (int cell = 0; cell < 16 && pool.size() < 11; ++cell) {
+    std::vector<std::vector<uint8_t>> blobs = ta_->IssueAlert({cell}).value();
+    for (std::vector<uint8_t>& blob : blobs) pool.push_back(std::move(blob));
+  }
+  ASSERT_GE(pool.size(), 11u);
+  ServiceProvider::Options ref_options;
+  ref_options.engine = ServiceProvider::QueryEngine::kReference;
+  ServiceProvider reference(group_, ta_->marker(), ref_options);
+  ASSERT_TRUE(reference.SubmitBatch(uploads_).rejected.empty());
+  for (size_t size : {size_t(1), size_t(9), size_t(11)}) {
+    const std::vector<std::vector<uint8_t>> bundle(pool.begin(),
+                                                   pool.begin() + size);
+    auto expected = reference.ProcessAlert(bundle).value();
+    for (unsigned threads : {1u, 4u}) {
+      ServiceProvider::Options options;
+      options.engine = ServiceProvider::QueryEngine::kBatched;
+      options.num_shards = threads;
+      options.num_threads = threads;
+      ServiceProvider sp(group_, ta_->marker(), options);
+      ASSERT_TRUE(sp.SubmitBatch(uploads_).rejected.empty());
+      auto outcome = sp.ProcessAlert(bundle).value();
+      EXPECT_EQ(outcome.notified_users, expected.notified_users)
+          << size << " tokens, threads=" << threads;
+      EXPECT_EQ(outcome.stats.matches, expected.stats.matches);
+      EXPECT_EQ(outcome.stats.pairings, expected.stats.pairings);
+      EXPECT_EQ(outcome.stats.queries, expected.stats.queries);
+      EXPECT_EQ(outcome.stats.non_star_bits, expected.stats.non_star_bits);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Walks, BatchEngineWalkTest,
     ::testing::Values(KernelDispatch::kAuto, KernelDispatch::kPortableOnly),

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "bigint/prime.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "field/fp.h"
@@ -91,6 +94,47 @@ TEST_F(FpTest, InverseAndErrors) {
   }
   EXPECT_FALSE(fp_.Inverse(fp_.Zero()).ok());
 }
+
+// ---------- Fermat inversion against the extended gcd ----------
+
+// Fp::Inverse computes a^(p-2); BigInt::ModInverse is the reference, at
+// 2, 4, 6 and 9 limbs: the field widths of the pbits 32, 120, 184 and
+// 256 pairing groups, on the generic, cios4, cios6 and generic kernels.
+struct InverseCase {
+  size_t bits;
+  size_t limbs;
+};
+
+class FpInverseDifferentialTest
+    : public ::testing::TestWithParam<InverseCase> {};
+
+TEST_P(FpInverseDifferentialTest, MatchesBigIntModInverse) {
+  RandFn rand = TestRand(GetParam().bits);
+  const BigInt p = RandomPrime(GetParam().bits, rand);
+  Fp fp = Fp::Create(p).value();
+  ASSERT_EQ(fp.num_limbs(), GetParam().limbs);
+  std::vector<BigInt> values = {BigInt(1), BigInt(2), p - BigInt(1),
+                                p - BigInt(2), (p - BigInt(1)) >> 1};
+  for (int i = 0; i < 16; ++i) {
+    values.push_back(BigInt::RandomBelow(p - BigInt(1), rand) + BigInt(1));
+  }
+  for (const BigInt& v : values) {
+    auto inv = fp.Inverse(fp.FromBigInt(v));
+    ASSERT_TRUE(inv.ok()) << inv.status();
+    EXPECT_EQ(fp.ToBigInt(*inv), BigInt::ModInverse(v, p).value())
+        << v.ToHex();
+  }
+  auto zero = fp.Inverse(fp.Zero());
+  EXPECT_EQ(zero.status().code(), StatusCode::kInvalidArgument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FieldWidths, FpInverseDifferentialTest,
+    ::testing::Values(InverseCase{70, 2}, InverseCase{248, 4},
+                      InverseCase{379, 6}, InverseCase{522, 9}),
+    [](const ::testing::TestParamInfo<InverseCase>& info) {
+      return "bits" + std::to_string(info.param.bits);
+    });
 
 TEST_F(FpTest, SqrtOfSquaresRandomized) {
   RandFn rand = TestRand(4);

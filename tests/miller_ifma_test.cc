@@ -11,6 +11,12 @@
 //    views, all-star tokens, trivial tables and identity columns.
 //  - Chain-granularity precompilation: identical tables at 1 and 4
 //    threads, in both table layouts.
+//  - Lane-compiled tables (CompileMillerTables, hve::PrecompileTokens)
+//    byte-identical to the scalar chain's PrecompileMillerLines: at the
+//    top of the 4-limb range, and on a pairing group for G_p,
+//    G_q and full-order points, the identity, points of small order
+//    whose chains meet tangents, verticals and infinity mid-chain,
+//    partial lane groups of 1-9 chains, and 1, 2 and 4 threads.
 // Every test skips when the CPU (or the build) has no IFMA walk.
 
 #include <gtest/gtest.h>
@@ -32,6 +38,7 @@ namespace {
 using miller_ifma::kLanes;
 using miller_ifma::kLimbBits;
 using miller_ifma::kLimbs;
+using miller_ifma::kLineWords;
 
 RandFn TestRand(uint64_t seed) {
   auto rng = std::make_shared<Rng>(seed);
@@ -215,6 +222,34 @@ TEST(MillerIfmaTest, LaneWalkMatchesScalarWalkAtTheTopOfTheRange) {
   }
 }
 
+// Lane compilation at the top of the 4-limb range, where the lazy
+// bounds of Chain8 and Normalize8 are tight and products land at or
+// above p often: random points of y^2 = x^3 + x over an arbitrary
+// schedule must compile to the scalar chain's tables, byte for byte.
+TEST(MillerIfmaTest, LaneCompileMatchesScalarChainAtTheTopOfTheRange) {
+  if (!miller_ifma::Available()) GTEST_SKIP() << "no AVX-512 IFMA walk";
+  const BigInt p = TopFourLimbPrime();
+  Fp fp = Fp::Create(p).value();
+  Curve curve = Curve::Create(fp, BigInt(1), BigInt(0)).value();
+  RandFn rand = TestRand(24);
+  const BigInt order =
+      (BigInt(1) << 239) + BigInt::RandomBelow(BigInt(1) << 239, rand);
+  MillerPlan plan = MillerPlan::Create(fp, order, MillerWalk::kIfma8)
+                        .value();
+  std::vector<AffinePoint> points;
+  for (size_t k = 0; k < 11; ++k) points.push_back(curve.RandomPoint(rand));
+  std::vector<const AffinePoint*> ptrs;
+  for (const AffinePoint& a : points) ptrs.push_back(&a);
+  std::vector<MillerLineTable> lanes(points.size());
+  MillerCompileScratch scratch;
+  CompileMillerTables(curve, plan, ptrs.data(), ptrs.size(), lanes.data(),
+                      &scratch);
+  for (size_t k = 0; k < points.size(); ++k) {
+    EXPECT_TRUE(lanes[k] == PrecompileMillerLines(curve, plan, points[k]))
+        << "point " << k;
+  }
+}
+
 // ---------- Lane walk vs scalar walk, per F_p kernel ----------
 
 class LaneWalkTest : public ::testing::TestWithParam<KernelDispatch> {
@@ -343,6 +378,162 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return std::string("Unknown");
     });
+
+// ---------- Lane-compiled tables vs the scalar chain ----------
+
+class LaneCompileTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    if (!miller_ifma::Available()) return;
+    group_ = FourLimbGroup(KernelDispatch::kAuto).release();
+  }
+  static void TearDownTestSuite() {
+    delete group_;
+    group_ = nullptr;
+  }
+  void SetUp() override {
+    if (!miller_ifma::Available()) GTEST_SKIP() << "no AVX-512 IFMA walk";
+    ASSERT_EQ(group_->miller_plan().walk(), MillerWalk::kIfma8);
+  }
+
+  /// Lane-compiles `points` in one call and checks every table against
+  /// the scalar chain's.
+  void ExpectLaneTablesMatch(const std::vector<AffinePoint>& points,
+                             const std::string& what) {
+    const Curve& curve = group_->curve();
+    const MillerPlan& plan = group_->miller_plan();
+    std::vector<const AffinePoint*> ptrs;
+    for (const AffinePoint& a : points) ptrs.push_back(&a);
+    std::vector<MillerLineTable> lanes(points.size());
+    MillerCompileScratch scratch;
+    CompileMillerTables(curve, plan, ptrs.data(), ptrs.size(), lanes.data(),
+                        &scratch);
+    for (size_t k = 0; k < points.size(); ++k) {
+      const MillerLineTable want =
+          PrecompileMillerLines(curve, plan, points[k]);
+      EXPECT_TRUE(lanes[k] == want) << what << ": point " << k;
+      EXPECT_EQ(lanes[k].packed(), !points[k].infinity) << what;
+    }
+  }
+
+  /// A point of order dividing `ell` (ell | p + 1), or the identity.
+  AffinePoint SmallOrderPoint(uint64_t ell, const RandFn& rand) const {
+    const BigInt curve_order = group_->params().field_p + BigInt(1);
+    const BigInt ell_big = BigInt::FromU64(ell);
+    EXPECT_TRUE(BigInt::Mod(curve_order, ell_big).IsZero());
+    return group_->curve().ScalarMul(curve_order / ell_big,
+                                     group_->curve().RandomPoint(rand));
+  }
+
+  static PairingGroup* group_;
+};
+
+PairingGroup* LaneCompileTest::group_ = nullptr;
+
+TEST_F(LaneCompileTest, SubgroupPointsMatchTheScalarChain) {
+  RandFn rand = TestRand(51);
+  const BigInt& n = group_->params().n;
+  std::vector<AffinePoint> points = {
+      group_->RandomGp(rand), group_->RandomGq(rand),
+      group_->Mul(BigInt::RandomBelow(n, rand), group_->gen()),
+      group_->gen_p(), group_->gen_q(), group_->gen(),
+      group_->curve().Infinity(),
+      group_->curve().Neg(group_->RandomGp(rand)),
+      group_->RandomGq(rand), group_->RandomGp(rand)};
+  ExpectLaneTablesMatch(points, "subgroup points");
+  // Every chain of a point whose order divides n closes with the
+  // vertical line T = -A, which the lanes record as trivial.
+  const MillerPlan& plan = group_->miller_plan();
+  ASSERT_NE(plan.adds().back(), 0);
+  std::vector<const AffinePoint*> ptrs = {&points[0], &points[1],
+                                          &points[2]};
+  std::vector<MillerLineTable> tables(ptrs.size());
+  MillerCompileScratch scratch;
+  CompileMillerTables(group_->curve(), plan, ptrs.data(), ptrs.size(),
+                      tables.data(), &scratch);
+  for (const MillerLineTable& table : tables) {
+    const uint64_t* last =
+        table.packed_lines().data() + (plan.length() - 1) * kLineWords;
+    EXPECT_EQ(last[0], miller_ifma::kTrivialLine);
+    for (size_t w = 1; w < kLineWords; ++w) EXPECT_EQ(last[w], 0u);
+  }
+}
+
+TEST_F(LaneCompileTest, AnyCurvePointMatchesTheScalarChain) {
+  // Parsed tokens may carry any curve point. Points outside the order-n
+  // subgroup do not close with a vertical line; points of small order
+  // meet infinity, tangents and verticals mid-chain (2-torsion in a
+  // doubling, T = +-A in an addition), which the lanes hand back to the
+  // scalar chain. Mixed into one lane group with regular points, those
+  // lanes must not disturb the others.
+  RandFn rand = TestRand(52);
+  const Curve& curve = group_->curve();
+  const BigInt curve_order = group_->params().field_p + BigInt(1);
+  std::vector<AffinePoint> points = {curve.RandomPoint(rand),
+                                     group_->RandomGp(rand),
+                                     curve.RandomPoint(rand)};
+  points.push_back(curve.MakePoint(BigInt(0), BigInt(0)).value());  // 2-torsion
+  // p = 3 (mod 4), so 4 | p + 1; other small orders when they divide it.
+  for (uint64_t ell : {uint64_t(4), uint64_t(4), uint64_t(3), uint64_t(5),
+                       uint64_t(8), uint64_t(12)}) {
+    if (!BigInt::Mod(curve_order, BigInt::FromU64(ell)).IsZero()) continue;
+    points.push_back(SmallOrderPoint(ell, rand));
+  }
+  // A point of order dividing the cofactor times a subgroup point.
+  points.push_back(group_->Add(SmallOrderPoint(4, rand),
+                               group_->RandomGq(rand)));
+  points.push_back(group_->RandomGq(rand));
+  ASSERT_GE(points.size(), 8u);
+  ExpectLaneTablesMatch(points, "any curve point");
+}
+
+TEST_F(LaneCompileTest, PartialLaneGroupsOfOneToNineChains) {
+  RandFn rand = TestRand(53);
+  std::vector<AffinePoint> pool;
+  for (size_t k = 0; k < 9; ++k) {
+    pool.push_back(k % 2 == 0 ? group_->RandomGp(rand)
+                              : group_->RandomGq(rand));
+  }
+  for (size_t count = 1; count <= 9; ++count) {
+    std::vector<AffinePoint> points(pool.begin(), pool.begin() + count);
+    ExpectLaneTablesMatch(points, std::to_string(count) + " chains");
+  }
+}
+
+TEST_F(LaneCompileTest, TokenBundlesMatchAtOneTwoAndFourThreads) {
+  RandFn rand = TestRand(54);
+  hve::KeyPair keys = hve::Setup(*group_, 6, rand).value();
+  std::vector<hve::Token> tokens;
+  for (const char* pattern :
+       {"0*1*10", "******", "110101", "*0****", "01*0*1"}) {
+    tokens.push_back(hve::GenToken(*group_, keys.sk, pattern, rand).value());
+  }
+  tokens[4].k1[1] = group_->curve().Infinity();  // a trivial table
+  std::vector<const hve::Token*> ptrs;
+  for (const hve::Token& t : tokens) ptrs.push_back(&t);
+  const Curve& curve = group_->curve();
+  const MillerPlan& plan = group_->miller_plan();
+  for (unsigned threads : {1u, 2u, 4u}) {
+    const std::vector<hve::PrecompiledToken> compiled =
+        hve::PrecompileTokens(*group_, ptrs, threads);
+    ASSERT_EQ(compiled.size(), tokens.size());
+    for (size_t t = 0; t < tokens.size(); ++t) {
+      const hve::Token& token = tokens[t];
+      const hve::PrecompiledToken& got = compiled[t];
+      ASSERT_EQ(got.k1.size(), token.k1.size());
+      EXPECT_TRUE(got.k0 == PrecompileMillerLines(curve, plan, token.k0))
+          << "threads=" << threads << " token " << t;
+      for (size_t j = 0; j < token.k1.size(); ++j) {
+        EXPECT_TRUE(got.k1[j] ==
+                    PrecompileMillerLines(curve, plan, token.k1[j]))
+            << "threads=" << threads << " token " << t << " k1 " << j;
+        EXPECT_TRUE(got.k2[j] ==
+                    PrecompileMillerLines(curve, plan, token.k2[j]))
+            << "threads=" << threads << " token " << t << " k2 " << j;
+      }
+    }
+  }
+}
 
 // ---------- Batched view queries on an ifma8 group ----------
 
