@@ -161,6 +161,22 @@ int Run(int argc, char** argv) {
       "%s Miller walk\n",
       group->params().field_p.BitLength(), group->fp().num_limbs(), kernel,
       kernel_dispatch, walk);
+  // The chains follow the NAF of the group order n: one doubling line
+  // per digit below the top, one addition or subtraction line per
+  // nonzero digit below it.
+  const MillerPlan& plan = group->miller_plan();
+  const size_t order_bits = group->params().n.BitLength();
+  const size_t nonzero_digits =
+      1 + size_t(std::count_if(plan.adds().begin(), plan.adds().end(),
+                               [](int8_t d) { return d != 0; }));
+  std::printf(
+      "Miller plan: n = %zu bits, %zu nonzero NAF digits, %zu lines per "
+      "chain\n",
+      order_bits, nonzero_digits, plan.length());
+  std::printf(
+      "security: HVE falls to factoring n = P*Q; a %zu-bit n is a bench "
+      "size (about 1024 bits for ~80-bit security)\n",
+      order_bits);
   // Kernel-selection assert: 4/6/8-limb fields must run fixed-width.
   const size_t field_limbs = group->fp().num_limbs();
   if (field_limbs == 4 || field_limbs == 6 || field_limbs == 8) {
@@ -549,6 +565,11 @@ int Run(int argc, char** argv) {
   root.Nested("params", params);
   root.String("field_kernel_dispatch", kernel_dispatch);
   root.String("miller_walk", walk);
+  JsonWriter plan_json;
+  plan_json.Integer("order_bits", order_bits);
+  plan_json.Integer("nonzero_digits", nonzero_digits);
+  plan_json.Integer("lines_per_chain", plan.length());
+  root.Nested("plan", plan_json);
   JsonWriter walk_json;
   walk_json.Number("single_us_per_query", walk_single_us);
   walk_json.Number("batched_us_per_query", walk_batched_us);

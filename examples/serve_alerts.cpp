@@ -16,7 +16,8 @@
 //                              the recovered store, re-alert, compare.
 //   --serve --dir=D [--port=P] run the server until killed; prints
 //                              "LISTENING <port> field_kernel=<k>
-//                              miller_walk=<w>" when ready.
+//                              miller_walk=<w> n_bits=<b>" when ready
+//                              (b: the group order's bit length).
 //   --io-threads=N             epoll I/O threads (default 1; >1 shards
 //                              accepts via SO_REUSEPORT). Applies to
 //                              --serve and the self-test.
@@ -232,11 +233,13 @@ bool AlertAndVerify(const World& world, net::AlertClient* client) {
   return report.notified_users == world.expected_notified;
 }
 
-/// The field kernel and Miller walk the server's scans run on.
+/// The field kernel and Miller walk the server's scans run on, and the
+/// bit length of the group order n = P*Q, whose factoring breaks HVE.
 std::string EngineBanner(const World& world) {
   return std::string("field_kernel=") +
          MulKernelName(world.group->fp().mul_kernel()) +
-         " miller_walk=" + MillerWalkName(world.group->miller_plan().walk());
+         " miller_walk=" + MillerWalkName(world.group->miller_plan().walk()) +
+         " n_bits=" + std::to_string(world.group->params().n.BitLength());
 }
 
 int RunServe(const World& world, const std::string& dir, uint16_t port,

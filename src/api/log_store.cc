@@ -310,7 +310,7 @@ Status LogBackedStore::RecoverLegacySnapshot(const std::vector<uint8_t>& snap) {
   SLOC_ASSIGN_OR_RETURN(uint64_t count, r.U64());
   for (uint64_t i = 0; i < count; ++i) {
     SLOC_ASSIGN_OR_RETURN(int user_id, r.I32());
-    SLOC_ASSIGN_OR_RETURN(std::vector<uint8_t> blob, r.Bytes());
+    SLOC_ASSIGN_OR_RETURN(wire::ByteView blob, r.BytesView());
     SLOC_ASSIGN_OR_RETURN(hve::Ciphertext ct,
                           hve::ParseCiphertext(*group_, blob));
     mem_->Put(user_id, std::move(ct));
@@ -536,7 +536,7 @@ Status LogBackedStore::ReplaySegment(const std::string& path, bool last) {
     }
     switch (kind) {
       case kRecordPut: {
-        SLOC_ASSIGN_OR_RETURN(std::vector<uint8_t> blob, r.Bytes());
+        SLOC_ASSIGN_OR_RETURN(wire::ByteView blob, r.BytesView());
         SLOC_ASSIGN_OR_RETURN(hve::Ciphertext ct,
                               hve::ParseCiphertext(*group_, blob));
         mem_->Put(user_id, std::move(ct));

@@ -21,14 +21,14 @@ void AppendChecksum(std::vector<uint8_t>* buf) {
   for (int i = 0; i < 8; ++i) buf->push_back(uint8_t(sum >> (8 * i)));
 }
 
-Result<size_t> VerifyChecksum(const std::vector<uint8_t>& buf) {
-  if (buf.size() < 8) return Status::DataLoss("blob too short for checksum");
-  const size_t body = buf.size() - 8;
+Result<size_t> VerifyChecksum(ByteView buf) {
+  if (buf.size < 8) return Status::DataLoss("blob too short for checksum");
+  const size_t body = buf.size - 8;
   uint64_t stored = 0;
   for (int i = 0; i < 8; ++i) {
-    stored |= uint64_t(buf[body + size_t(i)]) << (8 * i);
+    stored |= uint64_t(buf.data[body + size_t(i)]) << (8 * i);
   }
-  if (Fnv1a(buf.data(), body) != stored) {
+  if (Fnv1a(buf.data, body) != stored) {
     return Status::DataLoss("checksum mismatch");
   }
   return body;
@@ -103,7 +103,7 @@ Result<std::vector<uint8_t>> Reader::Bytes() {
 Result<ByteView> Reader::BytesView() {
   SLOC_ASSIGN_OR_RETURN(uint32_t len, U32());
   if (len > Remaining()) return Status::DataLoss("truncated bytes");
-  ByteView v{buf_.data() + pos_, len};
+  ByteView v{buf_ + pos_, len};
   pos_ += len;
   return v;
 }
@@ -111,7 +111,7 @@ Result<ByteView> Reader::BytesView() {
 Result<std::string> Reader::Str() {
   SLOC_ASSIGN_OR_RETURN(uint32_t len, U32());
   if (len > Remaining()) return Status::DataLoss("truncated string");
-  std::string out(buf_.begin() + long(pos_), buf_.begin() + long(pos_ + len));
+  std::string out(buf_ + pos_, buf_ + pos_ + len);
   pos_ += len;
   return out;
 }

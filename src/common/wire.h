@@ -25,9 +25,18 @@ uint64_t Fnv1a(const uint8_t* data, size_t len);
 /// little-endian u64.
 void AppendChecksum(std::vector<uint8_t>* buf);
 
+/// A borrowed byte range; valid while the buffer it points into lives.
+struct ByteView {
+  const uint8_t* data = nullptr;
+  size_t size = 0;
+};
+
 /// Verifies the trailing checksum over everything before it. Returns
 /// the body length (size - 8), or DataLoss on too-short / mismatch.
-Result<size_t> VerifyChecksum(const std::vector<uint8_t>& buf);
+Result<size_t> VerifyChecksum(ByteView buf);
+inline Result<size_t> VerifyChecksum(const std::vector<uint8_t>& buf) {
+  return VerifyChecksum(ByteView{buf.data(), buf.size()});
+}
 
 /// Largest payload a u32 length prefix can frame. Anything bigger MUST
 /// be rejected before writing: a silent `static_cast<uint32_t>` would
@@ -70,12 +79,6 @@ class Writer {
   std::vector<uint8_t> buf_;
 };
 
-/// A borrowed byte range; valid while the buffer it points into lives.
-struct ByteView {
-  const uint8_t* data = nullptr;
-  size_t size = 0;
-};
-
 /// Bounds-checked reader over a [begin, end) window of a buffer. Every
 /// length that comes off the wire is attacker-controlled: checks are
 /// written subtraction-style so they cannot wrap.
@@ -83,10 +86,14 @@ class Reader {
  public:
   /// Reads the whole buffer.
   explicit Reader(const std::vector<uint8_t>& buf)
-      : buf_(buf), pos_(0), end_(buf.size()) {}
+      : Reader(ByteView{buf.data(), buf.size()}) {}
+  /// Reads the whole view.
+  explicit Reader(ByteView buf) : Reader(buf, 0, buf.size) {}
   /// Reads the window [begin, end). Precondition: begin <= end <= size.
   Reader(const std::vector<uint8_t>& buf, size_t begin, size_t end)
-      : buf_(buf), pos_(begin), end_(end) {}
+      : Reader(ByteView{buf.data(), buf.size()}, begin, end) {}
+  Reader(ByteView buf, size_t begin, size_t end)
+      : buf_(buf.data), pos_(begin), end_(end) {}
 
   Result<uint8_t> U8();
   Result<uint32_t> U32();
@@ -103,7 +110,7 @@ class Reader {
   Status ExpectDone() const;
 
  private:
-  const std::vector<uint8_t>& buf_;
+  const uint8_t* buf_;
   size_t pos_;
   size_t end_;
 };

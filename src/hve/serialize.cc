@@ -115,17 +115,19 @@ std::vector<uint8_t> Serialize(const PairingGroup& g, uint8_t tag,
 /// both values against p, then curve membership or unitarity.
 class Reader {
  public:
-  Reader(const PairingGroup& g, const std::vector<uint8_t>& buf)
+  Reader(const PairingGroup& g, wire::ByteView buf)
       : g_(g), buf_(buf), coord_cap_((g.fp().p().BitLength() + 7) / 8) {}
+  Reader(const PairingGroup& g, const std::vector<uint8_t>& buf)
+      : Reader(g, wire::ByteView{buf.data(), buf.size()}) {}
 
   Status Open(uint8_t expected_tag) {
-    if (buf_.size() < 4 + 1 + 8) return Status::DataLoss("blob too short");
+    if (buf_.size < 4 + 1 + 8) return Status::DataLoss("blob too short");
     auto body = wire::VerifyChecksum(buf_);
     if (!body.ok()) return body.status();
-    if (std::memcmp(buf_.data(), kMagic, 4) != 0) {
+    if (std::memcmp(buf_.data, kMagic, 4) != 0) {
       return Status::InvalidArgument("bad magic");
     }
-    if (buf_[4] != expected_tag) {
+    if (buf_.data[4] != expected_tag) {
       return Status::InvalidArgument("unexpected blob type tag");
     }
     r_.emplace(buf_, 4 + 1, *body);
@@ -202,7 +204,7 @@ class Reader {
   }
 
   const PairingGroup& g_;
-  const std::vector<uint8_t>& buf_;
+  const wire::ByteView buf_;
   const size_t coord_cap_;         // p's byte length
   std::optional<wire::Reader> r_;  // set by Open() on a valid frame
 };
@@ -226,6 +228,11 @@ std::vector<uint8_t> SerializeCiphertext(const PairingGroup& group,
 
 Result<Ciphertext> ParseCiphertext(const PairingGroup& group,
                                    const std::vector<uint8_t>& bytes) {
+  return ParseCiphertext(group, wire::ByteView{bytes.data(), bytes.size()});
+}
+
+Result<Ciphertext> ParseCiphertext(const PairingGroup& group,
+                                   wire::ByteView bytes) {
   Reader r(group, bytes);
   SLOC_RETURN_IF_ERROR(r.Open(kTagCiphertext));
   Ciphertext ct;

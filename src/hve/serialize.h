@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/wire.h"
 #include "hve/hve.h"
 
 namespace sloc {
@@ -27,6 +28,10 @@ std::vector<uint8_t> SerializeCiphertext(const PairingGroup& group,
 /// Parses and validates a ciphertext blob.
 Result<Ciphertext> ParseCiphertext(const PairingGroup& group,
                                    const std::vector<uint8_t>& bytes);
+/// The same over a borrowed range (a blob still inside a log or
+/// snapshot buffer), without copying it out first.
+Result<Ciphertext> ParseCiphertext(const PairingGroup& group,
+                                   wire::ByteView bytes);
 
 /// Serializes a search token (TA -> SP message).
 std::vector<uint8_t> SerializeToken(const PairingGroup& group,

@@ -331,20 +331,29 @@ void LoadLane(const uint64_t* block, size_t lane, Fp::Elem* out) {
   Limbs52ToResidue(limbs, out);
 }
 
-void BigIntToLimbs52(const BigInt& x, uint64_t* out) {
-  uint64_t w[kLimbs] = {};
-  const LimbVec& limbs = x.limbs();
-  for (size_t i = 0; i < limbs.size() && i < kLimbs; ++i) w[i] = limbs[i];
-  SplitLimbs52(w, out);
+/// The low `count` radix-2^52 limbs of x >= 0.
+void BigIntToLimbs52(const BigInt& x, size_t count, uint64_t* out) {
+  const LimbVec& w = x.limbs();
+  for (size_t k = 0; k < count; ++k) {
+    const size_t bit = k * kLimbBits;
+    const size_t word = bit / 64;
+    const size_t off = bit % 64;
+    uint64_t v = word < w.size() ? w[word] >> off : 0;
+    if (off > 64 - kLimbBits && word + 1 < w.size()) {
+      v |= w[word + 1] << (64 - off);
+    }
+    out[k] = v & kLimbMask;
+  }
 }
 
 miller_ifma::LaneField MakeLaneField(const BigInt& p) {
   miller_ifma::LaneField field;
-  BigIntToLimbs52(p, field.p);
-  BigIntToLimbs52(p + p, field.two_p);
-  BigIntToLimbs52(p << 2, field.four_p);
-  BigIntToLimbs52(BigInt::Mod(BigInt(1) << (kLimbs * kLimbBits), p),
+  BigIntToLimbs52(p, kLimbs, field.p);
+  BigIntToLimbs52(p + p, kLimbs, field.two_p);
+  BigIntToLimbs52(p << 2, kLimbs, field.four_p);
+  BigIntToLimbs52(BigInt::Mod(BigInt(1) << (kLimbs * kLimbBits), p), kLimbs,
                   field.one);
+  BigIntToLimbs52((p * p) << 1, 2 * kLimbs, field.two_p_sq);
   // -p^-1 mod 2^64 by Newton iteration; its low 52 bits are -p^-1 mod
   // 2^52.
   const uint64_t p0 = p.limbs()[0];
@@ -365,16 +374,18 @@ MillerPlan MillerPlan::Create(const Fp& fp, const BigInt& order) {
 
 Result<MillerPlan> MillerPlan::Create(const Fp& fp, const BigInt& order,
                                       MillerWalk walk) {
-  const size_t bits = order.BitLength();
-  if (bits < 2) return Status::InvalidArgument("Miller order must be > 1");
+  if (order.BitLength() < 2) {
+    return Status::InvalidArgument("Miller order must be > 1");
+  }
   MillerPlan plan;
   plan.walk_ = walk;
-  plan.adds_.reserve(bits - 1);
-  plan.length_ = bits - 1;
-  for (size_t i = bits - 1; i-- > 0;) {
-    const bool add = order.Bit(i);
-    plan.adds_.push_back(add ? 1 : 0);
-    if (add) ++plan.length_;
+  // NAF digits, least significant first; the top one is +1.
+  std::vector<int8_t> naf = order.ToWnaf(2);
+  while (naf.back() == 0) naf.pop_back();
+  plan.adds_.assign(naf.rbegin() + 1, naf.rend());
+  plan.length_ = plan.adds_.size();
+  for (int8_t digit : plan.adds_) {
+    if (digit != 0) ++plan.length_;
   }
   if (walk == MillerWalk::kIfma8) {
     if (fp.num_limbs() != 4) {
@@ -427,10 +438,15 @@ MillerChain RunMillerChain(const Curve& curve, const MillerPlan& plan,
     chain.prefix.push_back(product);
     chain.lines.push_back(std::move(line));
   };
+  // A -1 digit records the chord through T and -A: f_{m-1} =
+  // f_m * f_{-1} * l_{T,-A} / v_{T-A} with f_{-1} = 1 / v_A, and both
+  // verticals are F_p* values at phi(B), which the final
+  // exponentiation erases.
+  const AffinePoint neg_a = curve.Neg(a);
   JacobianPoint t = curve.ToJacobian(a);
-  for (uint8_t add : plan.adds()) {
+  for (int8_t add : plan.adds()) {
     record(DoubleStepLines(curve, &t));
-    if (add != 0) record(AddStepLines(curve, a, &t));
+    if (add != 0) record(AddStepLines(curve, add > 0 ? a : neg_a, &t));
   }
   return chain;
 }
@@ -732,7 +748,7 @@ Fp2Elem MultiMillerLoopCoords(
     fp2.Mul(f, s.line, &tmp);
     f = tmp;
   };
-  for (uint8_t add : plan.adds()) {
+  for (int8_t add : plan.adds()) {
     fp2.Sqr(f, &tmp);
     f = tmp;
     for (EvalUnit& s : live) substitute(s);

@@ -58,7 +58,7 @@ enum class MillerWalk {
 const char* MillerWalkName(MillerWalk walk);
 
 /// Everything a precompiled walk needs that depends only on the group:
-/// the double-and-add schedule of the order, which walk the tables are
+/// the signed-digit schedule of the order, which walk the tables are
 /// laid out for, and the lane walk's radix-2^52 field constants. Built
 /// once per group (PairingGroup::miller_plan), so walks check a table
 /// against the schedule in O(1).
@@ -79,19 +79,26 @@ class MillerPlan {
                                    MillerWalk walk);
 
   MillerWalk walk() const { return walk_; }
-  /// Lines per chain: one doubling line per order bit below the top,
-  /// plus one addition line per set bit among them.
+  /// Lines per chain: one doubling line per digit below the top, plus
+  /// one addition or subtraction line per nonzero digit among them.
   size_t length() const { return length_; }
-  /// One entry per order bit below the top, most significant first:
-  /// nonzero when an addition line follows that bit's doubling line.
-  const std::vector<uint8_t>& adds() const { return adds_; }
+  /// The order's NAF digits below the top (+1) one, most significant
+  /// first: +1 when an addition line (the chord through T and A)
+  /// follows that digit's doubling line, -1 for a subtraction line (the
+  /// chord through T and -A), 0 for none. No two adjacent digits are
+  /// nonzero, so a chain has about a third fewer addition lines than
+  /// the binary schedule. The walks only test for a nonzero digit.
+  /// MillerLoop (and so Pair) keeps its own binary loop; after the
+  /// final exponentiation both give the same value, since the verticals
+  /// the schedules drop and f_{-1} = 1 / v_A are F_p* values at phi(B).
+  const std::vector<int8_t>& adds() const { return adds_; }
   /// Radix-2^52 constants of the field (meaningful for kIfma8 only).
   const miller_ifma::LaneField& lane_field() const { return lane_field_; }
 
  private:
   MillerWalk walk_ = MillerWalk::kScalar;
   size_t length_ = 0;
-  std::vector<uint8_t> adds_;
+  std::vector<int8_t> adds_;
   miller_ifma::LaneField lane_field_;
 };
 
@@ -112,9 +119,10 @@ struct MillerChain;
 struct MillerCompileScratch;
 
 /// The normalised Miller chain of one fixed first argument A, flattened
-/// in execution order: for each bit below the top one doubling line,
-/// plus one addition line when the order bit is set. The walks follow
-/// the same schedule (MillerPlan::adds), so no per-line tags are needed.
+/// in execution order: for each signed digit below the top one doubling
+/// line, plus one addition or subtraction line per nonzero signed digit.
+/// The walks follow the same schedule (MillerPlan::adds), so no
+/// per-line tags are needed.
 ///
 /// Layout follows the plan's walk, one layout per table: kScalar plans
 /// store MillerLine entries; kIfma8 plans store each line as
@@ -170,7 +178,8 @@ struct MillerChain {
 };
 
 /// Runs the Miller chain of `a` over the plan's schedule, recording
-/// every line. Cost is comparable to one MillerLoop.
+/// every line (a -1 digit adds -a). Cost is comparable to one
+/// MillerLoop.
 MillerChain RunMillerChain(const Curve& curve, const MillerPlan& plan,
                            const AffinePoint& a);
 

@@ -27,12 +27,20 @@ struct Fe {
   __m512i v[kLimbs];
 };
 
+/// An unreduced 5x5-limb product: ten radix-2^52 accumulators, limb k
+/// of weight 2^(52k). A product's limbs are each below 2^56; signed
+/// combinations of products (MulLine) may make limbs negative.
+struct Wide {
+  __m512i v[2 * kLimbs];
+};
+
 /// The field constants broadcast across the lanes once per walk.
 struct Consts {
   Fe p;
   Fe two_p;
   Fe four_p;
   Fe one;
+  Wide two_p_sq;
   __m512i p_inv;
   __m512i mask;
 };
@@ -71,36 +79,28 @@ Consts MakeConsts(const LaneField& field) {
   c.two_p = Broadcast(field.two_p);
   c.four_p = Broadcast(field.four_p);
   c.one = Broadcast(field.one);
+  for (size_t k = 0; k < 2 * kLimbs; ++k) {
+    c.two_p_sq.v[k] = _mm512_set1_epi64(int64_t(field.two_p_sq[k]));
+  }
   c.p_inv = _mm512_set1_epi64(int64_t(field.p_inv));
   c.mask = _mm512_set1_epi64(int64_t(kLimbMask));
   return c;
 }
 
-/// Limb >> 52, logical and arithmetic. The zero-masked forms with a
-/// full mask are the plain shifts; gcc's unmasked intrinsics pass an
-/// undefined source vector that trips -Wmaybe-uninitialized.
+/// Limb >> 52, arithmetic, so a negative limb carries a borrow. The
+/// zero-masked form with a full mask is the plain shift; gcc's unmasked
+/// intrinsic passes an undefined source vector that trips
+/// -Wmaybe-uninitialized.
 inline __m512i ShiftOut(__m512i a) {
-  return _mm512_maskz_srli_epi64(0xFF, a, kLimbBits);
-}
-inline __m512i ShiftOutSigned(__m512i a) {
   return _mm512_maskz_srai_epi64(0xFF, a, kLimbBits);
 }
 
 /// Propagates carries so limbs 0-3 hold 52 bits each; the top limb
-/// keeps the rest. Unsigned: every limb must be non-negative.
+/// keeps the rest. Limbs may be negative (two's complement): borrows
+/// move up and the top limb keeps the sign.
 inline Fe Carry(Fe a, const Consts& c) {
   for (size_t k = 0; k + 1 < kLimbs; ++k) {
     a.v[k + 1] = _mm512_add_epi64(a.v[k + 1], ShiftOut(a.v[k]));
-    a.v[k] = _mm512_and_si512(a.v[k], c.mask);
-  }
-  return a;
-}
-
-/// Carry for limbs that may be negative (two's complement): the
-/// arithmetic shift moves borrows up; the top limb keeps the sign.
-inline Fe SignedCarry(Fe a, const Consts& c) {
-  for (size_t k = 0; k + 1 < kLimbs; ++k) {
-    a.v[k + 1] = _mm512_add_epi64(a.v[k + 1], ShiftOutSigned(a.v[k]));
     a.v[k] = _mm512_and_si512(a.v[k], c.mask);
   }
   return a;
@@ -121,7 +121,7 @@ inline Fe SubPlus(const Fe& a, const Fe& b, const Fe& m, const Consts& c) {
   for (size_t k = 0; k < kLimbs; ++k) {
     r.v[k] = _mm512_sub_epi64(_mm512_add_epi64(a.v[k], m.v[k]), b.v[k]);
   }
-  return SignedCarry(r, c);
+  return Carry(r, c);
 }
 
 /// a + 2p - b, normalized; non-negative whenever b <= 2p.
@@ -135,7 +135,7 @@ inline Fe CondSub(const Fe& a, const Fe& m, const Consts& c) {
   for (size_t k = 0; k < kLimbs; ++k) {
     d.v[k] = _mm512_sub_epi64(a.v[k], m.v[k]);
   }
-  d = SignedCarry(d, c);
+  d = Carry(d, c);
   const __mmask8 ge =
       _mm512_cmpge_epi64_mask(d.v[kLimbs - 1], _mm512_setzero_si512());
   Fe r;
@@ -145,46 +145,78 @@ inline Fe CondSub(const Fe& a, const Fe& m, const Consts& c) {
   return r;
 }
 
-/// Montgomery product a * b * 2^-260 mod p. Operand scanning, then a
-/// word-by-word reduction on the same ten accumulators: each step picks
-/// m so that limb i becomes a multiple of 2^52 and carries it up.
-/// Requires normalized limbs and a * b < p * 2^260; returns a
-/// normalized value below a * b / 2^260 + p, i.e. below 2p.
-inline Fe Mul(const Fe& a, const Fe& b, const Consts& c) {
-  const __m512i zero = _mm512_setzero_si512();
-  __m512i t[2 * kLimbs];
-  for (size_t k = 0; k < 2 * kLimbs; ++k) t[k] = zero;
+/// a * b as ten accumulators, operand scanning: VPMADD52LUQ adds the
+/// low half of a limb product into limb i + j, VPMADD52HUQ the high
+/// half into limb i + j + 1. Requires normalized limbs.
+inline Wide MulWide(const Fe& a, const Fe& b) {
+  Wide t;
+  for (size_t k = 0; k < 2 * kLimbs; ++k) t.v[k] = _mm512_setzero_si512();
   for (size_t i = 0; i < kLimbs; ++i) {
     for (size_t j = 0; j < kLimbs; ++j) {
-      t[i + j] = _mm512_madd52lo_epu64(t[i + j], a.v[i], b.v[j]);
-      t[i + j + 1] = _mm512_madd52hi_epu64(t[i + j + 1], a.v[i], b.v[j]);
+      t.v[i + j] = _mm512_madd52lo_epu64(t.v[i + j], a.v[i], b.v[j]);
+      t.v[i + j + 1] = _mm512_madd52hi_epu64(t.v[i + j + 1], a.v[i], b.v[j]);
     }
   }
+  return t;
+}
+
+/// Montgomery reduction T * 2^-260 mod p, word by word on the same ten
+/// accumulators: each step picks m so that limb i becomes a multiple of
+/// 2^52 and carries it up (an arithmetic shift, so limbs may be
+/// negative). Requires 0 <= T < p * 2^260; returns a normalized value
+/// below T / 2^260 + p, i.e. below 2p.
+inline Fe Redc(Wide t, const Consts& c) {
+  const __m512i zero = _mm512_setzero_si512();
   for (size_t i = 0; i < kLimbs; ++i) {
-    const __m512i m = _mm512_madd52lo_epu64(zero, t[i], c.p_inv);
+    const __m512i m = _mm512_madd52lo_epu64(zero, t.v[i], c.p_inv);
     for (size_t j = 0; j < kLimbs; ++j) {
-      t[i + j] = _mm512_madd52lo_epu64(t[i + j], m, c.p.v[j]);
-      t[i + j + 1] = _mm512_madd52hi_epu64(t[i + j + 1], m, c.p.v[j]);
+      t.v[i + j] = _mm512_madd52lo_epu64(t.v[i + j], m, c.p.v[j]);
+      t.v[i + j + 1] = _mm512_madd52hi_epu64(t.v[i + j + 1], m, c.p.v[j]);
     }
-    t[i + 1] = _mm512_add_epi64(t[i + 1], ShiftOut(t[i]));
+    t.v[i + 1] = _mm512_add_epi64(t.v[i + 1], ShiftOut(t.v[i]));
   }
   Fe r;
-  for (size_t k = 0; k < kLimbs; ++k) r.v[k] = t[kLimbs + k];
+  for (size_t k = 0; k < kLimbs; ++k) r.v[k] = t.v[kLimbs + k];
   return Carry(r, c);
 }
 
+/// Montgomery product a * b * 2^-260 mod p. Requires normalized limbs
+/// and a * b < p * 2^260; returns a normalized value below 2p.
+inline Fe Mul(const Fe& a, const Fe& b, const Consts& c) {
+  return Redc(MulWide(a, b), c);
+}
+
 /// f <- f^2 in F_p^2 = F_p(i): (a + b)(a - b) + 2ab i. Components stay
-/// below 2p: the product inputs are below 4p.
+/// below 2p: the product inputs are below 4p, and 2a * b < 8p^2.
 inline void Sqr2(Fe* re, Fe* im, const Consts& c) {
   const Fe sum = Add(*re, *im, c);
   const Fe diff = SubPlus2p(*re, *im, c);
-  const Fe ab = Mul(*re, *im, c);
+  *im = Mul(Add(*re, *re, c), *im, c);
   *re = Mul(sum, diff, c);
-  *im = CondSub(Add(ab, ab, c), c.two_p, c);
+}
+
+/// f <- f * (l_re + y i) in F_p(i), Karatsuba with lazy reduction:
+/// the three products stay wide, re' = t0 - t1 + 2p^2 and
+/// im' = t2 - t0 - t1 are formed on signed limbs and each reduced once
+/// (header, "Lazy reduction"). Requires re and im below 2p, l_re below
+/// 3p and y below p; re' and im' come out below 2p.
+inline void MulByLine(Fe* re, Fe* im, const Fe& l_re, const Fe& y,
+                      const Consts& c) {
+  const Wide t0 = MulWide(*re, l_re);                          // re * l_re
+  const Wide t1 = MulWide(*im, y);                             // im * y
+  const Wide t2 = MulWide(Add(*re, *im, c), Add(l_re, y, c));  // 4p * 4p
+  Wide r, i;
+  for (size_t k = 0; k < 2 * kLimbs; ++k) {
+    r.v[k] = _mm512_add_epi64(_mm512_sub_epi64(t0.v[k], t1.v[k]),
+                              c.two_p_sq.v[k]);
+    i.v[k] = _mm512_sub_epi64(t2.v[k], _mm512_add_epi64(t0.v[k], t1.v[k]));
+  }
+  *re = Redc(r, c);  // re * l_re - im * y + 2p^2, in (0, 8p^2)
+  *im = Redc(i, c);  // re * y + im * l_re, in [0, 8p^2)
 }
 
 /// f <- f * line for one packed line at this pair's lane coordinates:
-/// line = (c_x * xq + c_0) + y_im i, Karatsuba over F_p(i).
+/// line = (c_x * xq + c_0) + y_im i.
 inline void MulLine(Fe* re, Fe* im, const uint64_t* line,
                     const uint64_t* coords, const Consts& c) {
   if ((line[0] & kTrivialLine) != 0) return;
@@ -193,12 +225,7 @@ inline void MulLine(Fe* re, Fe* im, const uint64_t* line,
   // c_x < p times xq < 16p stays under p * 2^260; plus c_0 < p: < 3p.
   const Fe l_re =
       Add(Mul(Broadcast(line), xq, c), Broadcast(line + kLimbs), c);
-  const Fe t0 = Mul(*re, l_re, c);           // 2p * 3p
-  const Fe t1 = Mul(*im, y, c);              // 2p * p
-  const Fe t2 = Mul(Add(*re, *im, c), Add(l_re, y, c), c);  // 4p * 4p
-  *re = CondSub(SubPlus2p(t0, t1, c), c.two_p, c);
-  const Fe u = CondSub(SubPlus2p(t2, t0, c), c.two_p, c);
-  *im = CondSub(SubPlus2p(u, t1, c), c.two_p, c);
+  MulByLine(re, im, l_re, y, c);
 }
 
 /// a below 4p, brought below 2p.
@@ -269,8 +296,8 @@ inline Line DoubleLanes(Point* t, const Fe& curve_a, const Consts& c) {
   return line;
 }
 
-/// T <- T + A (A affine, coordinates below p) and the line through
-/// them, the formulas of AddCore and AddStepLines: H = xa Z^2 - X,
+/// T <- T + A (A affine, x below p and y at most p) and the line
+/// through them, the formulas of AddCore and AddStepLines: H = xa Z^2 - X,
 /// R = ya Z^3 - Y, X3 = R^2 - H^3 - 2 X H^2, Y3 = R(X H^2 - X3) - Y H^3,
 /// Z3 = Z H; c_x = -R, c_0 = R xa - Z3 ya, c_y = Z3. `h_zero` and
 /// `r_zero`, when given, receive the lanes where H and R are 0 mod p.
@@ -313,7 +340,17 @@ void MulLanes(const LaneField& field, const uint64_t* a, const uint64_t* b,
   Store(Mul(Load(a), Load(b), c), out);
 }
 
-void Walk8(const LaneField& field, const uint8_t* adds, size_t steps,
+void MulLineLanes(const LaneField& field, const uint64_t* f,
+                  const uint64_t* line, uint64_t* out) {
+  const Consts c = MakeConsts(field);
+  Fe re = Load(f);
+  Fe im = Load(f + kElemWords);
+  MulByLine(&re, &im, Load(line), Load(line + kElemWords), c);
+  Store(re, out);
+  Store(im, out + kElemWords);
+}
+
+void Walk8(const LaneField& field, const int8_t* adds, size_t steps,
            const uint64_t* const* tables, const uint64_t* coords,
            size_t num_pairs, uint64_t* out) {
   const Consts c = MakeConsts(field);
@@ -337,12 +374,13 @@ void Walk8(const LaneField& field, const uint8_t* adds, size_t steps,
 }
 
 uint8_t Chain8(const LaneField& field, const uint64_t* curve_a,
-               const uint8_t* adds, size_t steps, const uint64_t* points,
+               const int8_t* adds, size_t steps, const uint64_t* points,
                uint64_t* lines, uint64_t* product) {
   const Consts c = MakeConsts(field);
   const Fe a = Broadcast(curve_a);
   const Fe xa = Load(points);
   const Fe ya = Load(points + kElemWords);
+  const Fe neg_ya = SubPlus(Zero(), ya, c.p, c);  // -A's y: p - ya, <= p
   Point t{xa, ya, c.one};
   Fe prod = c.one;
   uint64_t* rec = lines;
@@ -358,14 +396,16 @@ uint8_t Chain8(const LaneField& field, const uint64_t* curve_a,
   for (size_t s = 0; s < steps; ++s) {
     record(DoubleLanes(&t, a, c));
     if (adds[s] == 0) continue;
+    // A -1 digit adds -A: the chord through T and -A.
+    const Fe& y = adds[s] > 0 ? ya : neg_ya;
     if (s + 1 < steps) {
-      record(AddLanes(&t, xa, ya, c, nullptr, nullptr));
+      record(AddLanes(&t, xa, y, c, nullptr, nullptr));
       continue;
     }
-    // The final addition: T = -A is the chain's closing vertical line,
-    // recorded with c_y = 1 so the lane's product stays invertible.
+    // The final addition: T = -(+-A) is the chain's closing vertical
+    // line, recorded with c_y = 1 so the lane's product stays invertible.
     __mmask8 h_zero = 0, r_zero = 0;
-    Line line = AddLanes(&t, xa, ya, c, &h_zero, &r_zero);
+    Line line = AddLanes(&t, xa, y, c, &h_zero, &r_zero);
     vertical = __mmask8(h_zero & ~r_zero);
     line.c_y = Blend(vertical, line.c_y, c.one);
     record(line);
@@ -423,12 +463,17 @@ void MulLanes(const LaneField&, const uint64_t*, const uint64_t*,
   Unreachable();
 }
 
-void Walk8(const LaneField&, const uint8_t*, size_t, const uint64_t* const*,
+void MulLineLanes(const LaneField&, const uint64_t*, const uint64_t*,
+                  uint64_t*) {
+  Unreachable();
+}
+
+void Walk8(const LaneField&, const int8_t*, size_t, const uint64_t* const*,
            const uint64_t*, size_t, uint64_t*) {
   Unreachable();
 }
 
-uint8_t Chain8(const LaneField&, const uint64_t*, const uint8_t*, size_t,
+uint8_t Chain8(const LaneField&, const uint64_t*, const int8_t*, size_t,
                const uint64_t*, uint64_t*, uint64_t*) {
   Unreachable();
 }

@@ -7,7 +7,7 @@
 // SIMD lanes. Walk8 walks one table set for eight evaluation points at
 // once, one point per 64-bit lane of a __m512i. Compiling the tables
 // has the same shape the other way round: every chain of a group
-// follows one double-and-add schedule, so Chain8 runs eight chains of
+// follows one signed-digit schedule, so Chain8 runs eight chains of
 // different points at once, one per lane.
 //
 // Arithmetic: radix-2^52 Montgomery over 4-limb primes (p < 2^256).
@@ -16,15 +16,27 @@
 // VPMADD52HUQ give the low / high 52 bits of a 52x52-bit product added
 // into a 64-bit accumulator, so a full 5x5-limb product and its
 // word-by-word reduction accumulate carry-free (every accumulator stays
-// below 2^57) and carries are propagated once at the end.
+// below 2^57 in magnitude) and carries are propagated once at the end.
 //
 // Lazy reduction: a product's inputs need only a * b < p * R; with
 // p < 2^256 that holds whenever both are below 4p (R > 16p), and the
 // product then comes out below 2p. The walk keeps the Miller value's
 // components below 2p and the line's real part below 3p, so sums feed
-// products unreduced and only the differences of the F_p^2 product are
-// brought back under 2p with a conditional subtraction.
-//
+// products unreduced. Multiplying the value by a line is Karatsuba over
+// F_p(i) with the reduction deferred (Aranha et al., Eurocrypt 2011):
+// the three products t0 = re * l_re, t1 = im * y and
+// t2 = (re + im)(l_re + y) stay wide, as ten 64-bit accumulators of
+// radix-2^52 limbs (each below 2^56). re' = t0 - t1 + 2p^2 and
+// im' = t2 - t0 - t1 are formed limb by limb, so limbs may be negative
+// (two's complement, carried with arithmetic shifts), and each is
+// brought back by one Montgomery reduction: two reductions and no
+// conditional subtraction per line, against three of each. The 2p^2
+// offset, a multiple of p, keeps re' non-negative (im * y < 2p^2). Both
+// sums lie in [0, 8p^2): re * l_re < 6p^2, and re * y + im * l_re <
+// 2p^2 + 6p^2. A reduction of T < 8p^2 needs T < p * R, which is
+// 8p < 2^260 and holds for every p < 2^256; its output is below
+// 8p^2 / R + p < 1.5p, so the value stays below 2p.
+
 // Domain: packed table words are the bit re-split of the canonical
 // 64-bit Montgomery residues (value * 2^256 mod p), which the radix-52
 // multiplication reads as value * 2^-4. The walk loads each point's xq
@@ -40,7 +52,8 @@
 // the lane domain: an element x is held as x * 2^260 mod p, so every
 // Mul keeps the domain (the caller loads a canonical Montgomery residue
 // a = x * 2^256 as 16 * a mod p). All chains share the plan's
-// double-and-add schedule. The point T = (X, Y, Z) is kept below 2p;
+// signed-digit schedule: a -1 digit adds -A, whose y (p - y_A, at most
+// p) is formed once per chain. The point T = (X, Y, Z) is kept below 2p;
 // every sum or difference that feeds a product stays below 8p with the
 // other operand below 2p (a * b < 16 p^2 < p * 2^260), and results that
 // are reused are brought back under 2p with conditional subtractions of
@@ -56,12 +69,13 @@
 // records a trivial or tangent line instead (T of order 2 in a
 // doubling, T = +-A in an addition; T at infinity only follows one of
 // these), since T starts finite with Z = 1 and the steps set Z3 = 2YZ
-// or Z * H. Chain8 does not branch per lane: such a lane's c_y product
-// comes out zero and the caller recompiles it on the scalar chain. The one
+// or Z * H. A -1 digit is exceptional the same way, at T = +-A.
+// Chain8 does not branch per lane: such a lane's c_y product comes out
+// zero and the caller recompiles it on the scalar chain. The one
 // exception is handled in lanes because every chain of a point whose
-// order divides the group order ends in it: a final addition with
-// T = -A (H = 0, R != 0) records c_y = 1 and is reported as a vertical
-// (trivial) line.
+// order divides the group order ends in it: a final addition of +-A
+// with T = -(+-A) (H = 0, R != 0) records c_y = 1 and is reported as a
+// vertical (trivial) line.
 //
 // Compilation contract: this header declares plain functions and
 // constants only. The kernels live in miller_ifma.cc, the only
@@ -107,6 +121,7 @@ struct LaneField {
   uint64_t two_p[kLimbs] = {};
   uint64_t four_p[kLimbs] = {};
   uint64_t one[kLimbs] = {};  ///< R mod p, the walk's starting value
+  uint64_t two_p_sq[2 * kLimbs] = {};  ///< 2p^2, MulLine's wide offset
   uint64_t p_inv = 0;         ///< -p^-1 mod 2^52
 };
 
@@ -124,20 +139,31 @@ bool Available();
 void MulLanes(const LaneField& field, const uint64_t* a, const uint64_t* b,
               uint64_t* out);
 
+/// The walk's F_p^2 line product, lane-wise: (re + im i) * (l_re + y i)
+/// * 2^-260 mod p. `f` and `out` hold [2][kLimbs][kLanes] (re, then
+/// im), `line` holds l_re's limbs, then y's. Inputs: normalized limbs,
+/// re and im below 2p, l_re below 3p, y below p; output: normalized,
+/// each component below 2p. Exposed for the property tests of the lazy
+/// bounds. Precondition: Available().
+void MulLineLanes(const LaneField& field, const uint64_t* f,
+                  const uint64_t* line, uint64_t* out);
+
 /// The shared-squaring Miller walk of `num_pairs` packed tables for
-/// eight lanes. `adds` has `steps` entries, one per order bit below the
-/// top: nonzero when an addition line follows that bit's doubling line.
+/// eight lanes. `adds` has `steps` entries, the plan's signed digits
+/// below the top (MillerPlan::adds): nonzero when an addition or
+/// subtraction line follows that digit's doubling line.
 /// `tables[k]` holds pair k's packed lines (kLineWords each, in schedule
 /// order) and `coords + k * kCoordWords` its lane coordinates. Writes
 /// the eight Miller values to `out` as [2][kLimbs][kLanes] (real part,
 /// then imaginary), each fully reduced below p. Precondition:
 /// Available().
-void Walk8(const LaneField& field, const uint8_t* adds, size_t steps,
+void Walk8(const LaneField& field, const int8_t* adds, size_t steps,
            const uint64_t* const* tables, const uint64_t* coords,
            size_t num_pairs, uint64_t* out);
 
 /// Runs the Miller chains of eight affine points over one schedule
-/// (`adds`, `steps` entries, as in Walk8), one point per lane.
+/// (`adds`, `steps` entries, as in Walk8; a -1 digit records the chord
+/// through T and -A), one point per lane.
 /// `points` holds the lane-domain coordinates as [2][kLimbs][kLanes]
 /// (x first, then y; each below p) and `curve_a` the lane-domain curve
 /// coefficient a. Writes one record of kChainLineWords per line, in
@@ -147,7 +173,7 @@ void Walk8(const LaneField& field, const uint8_t* adds, size_t steps,
 /// recompiled; returns the mask of lanes whose final line is a vertical
 /// (trivial) line. Precondition: Available().
 uint8_t Chain8(const LaneField& field, const uint64_t* curve_a,
-               const uint8_t* adds, size_t steps, const uint64_t* points,
+               const int8_t* adds, size_t steps, const uint64_t* points,
                uint64_t* lines, uint64_t* product);
 
 /// Normalises `num_lines` records written by Chain8: lane l's line j

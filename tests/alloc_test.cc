@@ -12,20 +12,25 @@
 // The HVE blob codec is held to exact counts instead: a warm
 // ParseCiphertext allocates only the result's c1/c2 storage, whatever
 // the width, and a warm SerializeCiphertext only its output buffer.
+// Likewise a warm WAL replay costs each record only its parsed
+// ciphertext: blobs parse in place from the segment buffer.
 // Plus LimbVec semantics around the inline/spill boundary: copies,
 // moves, self-assignment, swap — the paths a miscounted capacity or a
 // stale heap pointer would corrupt.
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "api/log_store.h"
 #include "bigint/limb_vec.h"
 #include "common/rng.h"
 #include "hve/hve.h"
@@ -337,6 +342,51 @@ TEST_F(AllocSteadyStateTest, SerializeCiphertextAllocatesOnlyItsOutput) {
     EXPECT_EQ(allocs, 1u) << "width " << width;
     EXPECT_EQ(capacity, size) << "the buffer is reserved at its exact size";
   }
+}
+
+// Two logs over the same users, one writing every user once and one
+// writing every user twice, differ only by replacing records; a store
+// map that already holds the user grows by nothing. So the difference
+// of their warm replays is the replacing records' own cost: the parsed
+// ciphertext's c1 and c2 arrays, and no copy of the blob.
+TEST_F(AllocSteadyStateTest, WarmWalReplayAllocatesOnlyTheParsedCiphertexts) {
+  const std::shared_ptr<const PairingGroup> group(
+      group_, [](const PairingGroup*) {});  // borrowed from the suite
+  RandFn rand = TestRand(7);
+  hve::KeyPair kp = hve::Setup(*group_, 8, rand).value();
+  const hve::Ciphertext ct =
+      hve::Encrypt(*group_, kp.pk, "01101001", group_->GtOne(), rand)
+          .value();
+  constexpr int kUsers = 24;
+  api::LogBackedStore::Options options;
+  options.compact_log_bytes = 0;
+  auto replay_allocs = [&](int writes_per_user) {
+    std::string dir = testing::TempDir() + "/alloc_replay_XXXXXX";
+    EXPECT_NE(::mkdtemp(dir.data()), nullptr);
+    {
+      auto store = api::LogBackedStore::Open(dir, group, options).value();
+      for (int w = 0; w < writes_per_user; ++w) {
+        for (int user = 0; user < kUsers; ++user) store->Put(user, ct);
+      }
+      EXPECT_TRUE(store->io_status().ok());
+    }
+    // Warm-up.
+    EXPECT_TRUE(api::LogBackedStore::Open(dir, group, options).ok());
+    size_t allocs = 0;
+    {
+      AllocProbe probe;
+      auto store = api::LogBackedStore::Open(dir, group, options);
+      allocs = probe.delta();
+      EXPECT_TRUE(store.ok()) << store.status();
+      EXPECT_EQ((*store)->size(), size_t(kUsers));
+    }
+    std::filesystem::remove_all(dir);
+    return allocs;
+  };
+  const size_t once = replay_allocs(1);
+  const size_t twice = replay_allocs(2);
+  EXPECT_EQ(twice - once, size_t(2 * kUsers))
+      << "replay once: " << once << ", twice: " << twice;
 }
 
 TEST(AllocIfmaTest, WarmLaneFlushRoundIsAllocFree) {

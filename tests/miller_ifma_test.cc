@@ -3,6 +3,9 @@
 //  - Radix-2^52 Montgomery products against Montgomery::Mul at 0, 1,
 //    p-1 and random residues, and at the lazy-reduction bounds the walk
 //    relies on (inputs up to 4p and 16p, outputs below 2p).
+//  - The walk's lazily reduced F_p^2 line product (MulLineLanes)
+//    against Fp2 arithmetic at the extremes of its input bounds, on the
+//    top 4-limb prime and the perf-gate group's prime.
 //  - MultiMillerLoopLanes against MultiMillerLoopCoords after the final
 //    exponentiation, parameterised over KernelDispatch (the F_p kernel
 //    under the conversions and the final exponentiation).
@@ -16,11 +19,15 @@
 //    top of the 4-limb range, and on a pairing group for G_p,
 //    G_q and full-order points, the identity, points of small order
 //    whose chains meet tangents, verticals and infinity mid-chain,
-//    partial lane groups of 1-9 chains, and 1, 2 and 4 threads.
+//    partial lane groups of 1-9 chains, and 1, 2 and 4 threads; and
+//    under the signed-digit schedule, a -1 digit meeting T = +-A and
+//    chains closing on a -1 digit, with the walked tables against
+//    Pair().
 // Every test skips when the CPU (or the build) has no IFMA walk.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,6 +42,7 @@
 namespace sloc {
 namespace {
 
+using miller_ifma::kElemWords;
 using miller_ifma::kLanes;
 using miller_ifma::kLimbBits;
 using miller_ifma::kLimbs;
@@ -149,6 +157,80 @@ TEST(MillerIfmaTest, Radix52MulMatchesMontgomeryAtEdgesAndBounds) {
   }
 }
 
+// The walk's line product at the extremes of its documented bounds:
+// re and im in {0, p-1, p, 2p-1}, l_re just below 3p and y = p-1. Both
+// wide sums then reach their ceilings (re * l_re - im * y + 2p^2 near
+// 8p^2 at re = 2p-1, im = 0), and the outputs must stay below 2p and
+// equal the F_p^2 product times the 2^-260 domain factor. Random
+// operands across the same ranges follow: without the 2p^2 offset, a
+// lane with re * l_re < im * y comes out negative whenever its
+// reduction adds little, which a handful of extreme lanes can miss.
+TEST(MillerIfmaTest, MulLineLanesMatchesFp2AtTheBounds) {
+  if (!miller_ifma::Available()) GTEST_SKIP() << "no AVX-512 IFMA walk";
+  PairingParamSpec spec;  // the perf-gate and svcbench group
+  spec.p_prime_bits = 120;
+  spec.q_prime_bits = 120;
+  spec.seed = 20210323;
+  const BigInt gate_p = GeneratePairingParams(spec).value().field_p;
+  for (const BigInt& p : {TopFourLimbPrime(), gate_p}) {
+    Fp fp = Fp::Create(p).value();
+    Fp2 fp2 = Fp2::Create(fp).value();
+    ASSERT_EQ(fp.num_limbs(), 4u);
+    MillerPlan plan =
+        MillerPlan::Create(fp, BigInt(1000003), MillerWalk::kIfma8).value();
+    const BigInt r_inv =  // 2^-260 mod p
+        BigInt::ModInverse(BigInt(1) << (kLimbs * kLimbBits), p).value();
+    const BigInt pm1 = p - BigInt(1);
+    const BigInt two_p = p * BigInt(2);
+    const std::vector<BigInt> extremes = {BigInt(0), pm1, p,
+                                          two_p - BigInt(1)};
+    RandFn rand = TestRand(12);
+    // Blocks 0-1: the 16 (re, im) combinations, l_re stepping down from
+    // 3p - 1; blocks 2-9: random operands.
+    for (size_t block = 0; block < 10; ++block) {
+      uint64_t f[2 * kElemWords], line[2 * kElemWords], out[2 * kElemWords];
+      BigInt re[kLanes], im[kLanes], l_re[kLanes], y[kLanes];
+      for (size_t lane = 0; lane < kLanes; ++lane) {
+        const size_t combo = block * kLanes + lane;
+        if (block < 2) {
+          re[lane] = extremes[combo / 4];
+          im[lane] = extremes[combo % 4];
+          l_re[lane] = p * BigInt(3) - BigInt(1 + int64_t(lane));
+          y[lane] = pm1;
+        } else {
+          re[lane] = BigInt::RandomBelow(two_p, rand);
+          im[lane] = BigInt::RandomBelow(two_p, rand);
+          l_re[lane] = BigInt::RandomBelow(p * BigInt(3), rand);
+          y[lane] = BigInt::RandomBelow(p, rand);
+        }
+        PutLane(re[lane], lane, f);
+        PutLane(im[lane], lane, f + kElemWords);
+        PutLane(l_re[lane], lane, line);
+        PutLane(y[lane], lane, line + kElemWords);
+      }
+      miller_ifma::MulLineLanes(plan.lane_field(), f, line, out);
+      for (size_t lane = 0; lane < kLanes; ++lane) {
+        const BigInt got_re = GetLane(out, lane);
+        const BigInt got_im = GetLane(out + kElemWords, lane);
+        EXPECT_LT(BigInt::Cmp(got_re, two_p), 0) << "lane " << lane;
+        EXPECT_LT(BigInt::Cmp(got_im, two_p), 0) << "lane " << lane;
+        const Fp2Elem a{fp.FromBigInt(BigInt::Mod(re[lane], p)),
+                        fp.FromBigInt(BigInt::Mod(im[lane], p))};
+        const Fp2Elem b{fp.FromBigInt(BigInt::Mod(l_re[lane], p)),
+                        fp.FromBigInt(y[lane])};
+        Fp2Elem prod;
+        fp2.Mul(a, b, &prod);
+        const BigInt want_re = BigInt::Mod(fp.ToBigInt(prod.re) * r_inv, p);
+        const BigInt want_im = BigInt::Mod(fp.ToBigInt(prod.im) * r_inv, p);
+        EXPECT_EQ(BigInt::Cmp(BigInt::Mod(got_re, p), want_re), 0)
+            << "block " << block << " lane " << lane;
+        EXPECT_EQ(BigInt::Cmp(BigInt::Mod(got_im, p), want_im), 0)
+            << "block " << block << " lane " << lane;
+      }
+    }
+  }
+}
+
 // The whole walk at the top of the 4-limb range, where only the
 // documented bounds keep every product under p * 2^260: arbitrary line
 // coefficients and coordinates (extremes p-1 included, plus a trivial
@@ -170,7 +252,9 @@ TEST(MillerIfmaTest, LaneWalkMatchesScalarWalkAtTheTopOfTheRange) {
     if (rand() % 4 == 0) return top;
     return fp.FromBigInt(BigInt::RandomBelow(p, rand));
   };
-  constexpr size_t kPairs = 3;
+  // The schedule has -1 digits; the walk only tests for nonzero ones.
+  ASSERT_NE(std::count(lanes.adds().begin(), lanes.adds().end(), -1), 0);
+  constexpr size_t kPairs = 11;
   std::vector<MillerLineTable> scalar_tables, lane_tables;
   for (size_t k = 0; k < kPairs; ++k) {
     // A recorded chain with arbitrary coefficients; normalisation only
@@ -531,6 +615,96 @@ TEST_F(LaneCompileTest, TokenBundlesMatchAtOneTwoAndFourThreads) {
                     PrecompileMillerLines(curve, plan, token.k2[j]))
             << "threads=" << threads << " token " << t << " k2 " << j;
       }
+    }
+  }
+}
+
+// Under the signed-digit schedule a -1 digit adds -A. In a group whose
+// cofactor (36) gives points of order 3, the accumulated multiple after
+// a doubling is +-1 mod 3 whenever it is not 0, so a -1 digit meets
+// T = +-A mid-chain: a vertical (T = A) or a tangent (T = -A), where
+// the lane's c_y is zero and the chain is recompiled on the scalar
+// path. Mixed into lane groups with regular points, every table must
+// match the scalar chain's, and the lane walk over it must give Pair()
+// after the final exponentiation.
+TEST(MillerIfmaTest, MinusOneDigitMeetingPlusMinusATakesTheScalarChain) {
+  if (!miller_ifma::Available()) GTEST_SKIP() << "no AVX-512 IFMA walk";
+  PairingParamSpec spec;
+  spec.p_prime_bits = 100;
+  spec.q_prime_bits = 100;
+  spec.seed = 4;
+  const PairingGroup group = PairingGroup::Generate(spec).value();
+  const MillerPlan& plan = group.miller_plan();
+  ASSERT_EQ(plan.walk(), MillerWalk::kIfma8);
+  const Curve& curve = group.curve();
+  const BigInt curve_order = group.params().field_p + BigInt(1);
+  ASSERT_TRUE(BigInt::Mod(curve_order, BigInt(3)).IsZero());
+  bool met = false;
+  uint64_t m = 1;
+  for (int8_t d : plan.adds()) {
+    m = (2 * m) % 3;
+    if (d < 0 && m != 0) met = true;
+    m = (m + 3 + uint64_t(int64_t(d))) % 3;
+  }
+  ASSERT_TRUE(met);
+  // Like the perf-gate group's, this n is 3 (mod 4), so its NAF ends
+  // in -1: an order-n chain closes with the vertical through T = A and
+  // -A, which the lanes record themselves.
+  ASSERT_EQ(plan.adds().back(), -1);
+
+  RandFn rand = TestRand(55);
+  auto order3 = [&]() {
+    AffinePoint a;
+    do {
+      a = curve.ScalarMul(curve_order / BigInt(3), curve.RandomPoint(rand));
+    } while (a.infinity);
+    return a;
+  };
+  const AffinePoint a3 = order3();
+  std::vector<AffinePoint> points = {
+      group.RandomGp(rand), a3, group.RandomGq(rand), curve.Neg(a3),
+      group.Mul(BigInt::RandomBelow(group.params().n, rand), group.gen()),
+      order3(), curve.RandomPoint(rand),
+      group.Add(order3(), group.RandomGq(rand)), order3(),
+      group.RandomGp(rand)};
+  std::vector<const AffinePoint*> ptrs;
+  for (const AffinePoint& a : points) ptrs.push_back(&a);
+  std::vector<MillerLineTable> tables(points.size());
+  MillerCompileScratch scratch;
+  CompileMillerTables(curve, plan, ptrs.data(), ptrs.size(), tables.data(),
+                      &scratch);
+  const Fp& fp = group.fp();
+  std::vector<AffinePoint> bs;
+  std::vector<Fp::Elem> xs(kLanes), ys(kLanes);
+  for (size_t lane = 0; lane < kLanes; ++lane) {
+    bs.push_back(group.Mul(BigInt::RandomBelow(group.params().n, rand),
+                           group.gen()));
+    fp.Neg(bs[lane].x, &xs[lane]);
+    ys[lane] = bs[lane].y;
+  }
+  PairingScratch walk_scratch;
+  for (const size_t k : {size_t(0), size_t(2), size_t(4)}) {  // order | n
+    const uint64_t* last =
+        tables[k].packed_lines().data() + (plan.length() - 1) * kLineWords;
+    EXPECT_EQ(last[0], miller_ifma::kTrivialLine) << "point " << k;
+  }
+  for (size_t k = 0; k < points.size(); ++k) {
+    EXPECT_TRUE(tables[k] == PrecompileMillerLines(curve, plan, points[k]))
+        << "point " << k;
+    std::vector<LanePairingCoords> pairs(1);
+    pairs[0].table = &tables[k];
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      pairs[0].xq[lane] = &xs[lane];
+      pairs[0].y_im[lane] = &ys[lane];
+    }
+    Fp2Elem out[kLanes];
+    MultiMillerLoopLanes(group.fp2(), plan, pairs, kLanes, out,
+                         &walk_scratch);
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      const Fp2Elem got = FinalExponentiation(group.fp2(), out[lane],
+                                              group.params().cofactor);
+      EXPECT_TRUE(group.GtEqual(got, group.Pair(points[k], bs[lane])))
+          << "point " << k << " lane " << lane;
     }
   }
 }

@@ -3,10 +3,13 @@
 // individual Pair() results, PrecompiledToken evaluation through slim
 // views (per view and per batched token round) vs the reference Query
 // across random patterns and widths, and the executed-loop /
-// precompiled-hit counter accounting.
+// precompiled-hit counter accounting. The signed-digit (NAF) schedule
+// of MillerPlan: its digits, its length at the perf-gate group, and
+// precompiled tables against Pair() for first arguments of any order.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -152,6 +155,122 @@ TEST_F(PairingEngineTest, PrecompiledLinesMatchLiveChain) {
       {Coords(trivial, RandomElement(rand), false)}, &executed);
   EXPECT_EQ(executed, 0u);
   EXPECT_TRUE(group_->fp2().IsOne(one));
+}
+
+/// Checks that `plan`'s digits are the NAF of `order` below its top
+/// digit, and that length() counts one line per digit plus one per
+/// nonzero digit.
+void ExpectNafSchedule(const MillerPlan& plan, const BigInt& order) {
+  const std::vector<int8_t>& digits = plan.adds();
+  BigInt value(1);  // the top digit
+  int8_t prev = 1;
+  size_t nonzero = 0;
+  for (int8_t d : digits) {
+    ASSERT_TRUE(d == -1 || d == 0 || d == 1);
+    EXPECT_FALSE(d != 0 && prev != 0) << "adjacent nonzero digits";
+    value = value + value;
+    if (d > 0) value = value + BigInt(1);
+    if (d < 0) value = value - BigInt(1);
+    if (d != 0) ++nonzero;
+    prev = d;
+  }
+  EXPECT_TRUE(value == order) << order.ToDecimal();
+  EXPECT_EQ(plan.length(), digits.size() + nonzero);
+  if (order.Bit(0)) {
+    ASSERT_FALSE(digits.empty());
+    EXPECT_NE(digits.back(), 0) << "an odd order ends in a nonzero digit";
+  }
+}
+
+TEST(MillerPlanTest, ScheduleIsTheOrdersNaf) {
+  // The perf-gate group (pbits=120, the svcbench group too): a 239-bit
+  // n with 114 set bits. Its NAF has 240 digits, 81 of them nonzero,
+  // so a chain has 239 doubling and 80 addition or subtraction lines:
+  // 319 against the binary schedule's 238 + 113 = 351.
+  PairingParamSpec spec;
+  spec.p_prime_bits = 120;
+  spec.q_prime_bits = 120;
+  spec.seed = 20210323;
+  const PairingParams params = GeneratePairingParams(spec).value();
+  const Fp fp = Fp::Create(params.field_p).value();
+  const MillerPlan gate =
+      MillerPlan::Create(fp, params.n, MillerWalk::kScalar).value();
+  EXPECT_EQ(params.n.BitLength(), 239u);
+  ExpectNafSchedule(gate, params.n);
+  EXPECT_EQ(gate.adds().size(), 239u);
+  EXPECT_EQ(gate.length(), 319u);
+  EXPECT_NE(std::count(gate.adds().begin(), gate.adds().end(), -1), 0);
+
+  RandFn rand = TestRand(110);
+  std::vector<BigInt> orders = {BigInt(2), BigInt(3), BigInt(7),
+                                BigInt(1000003), (BigInt(1) << 64),
+                                (BigInt(1) << 64) - BigInt(1),
+                                (BigInt(1) << 64) + BigInt(1)};
+  for (int k = 0; k < 6; ++k) {
+    orders.push_back((BigInt(1) << 200) +
+                     BigInt::RandomBelow(BigInt(1) << 200, rand));
+  }
+  for (const BigInt& order : orders) {
+    ExpectNafSchedule(
+        MillerPlan::Create(fp, order, MillerWalk::kScalar).value(), order);
+  }
+  EXPECT_FALSE(MillerPlan::Create(fp, BigInt(1), MillerWalk::kScalar).ok());
+}
+
+// Precompiled chains under the signed-digit schedule against Pair(),
+// which keeps its binary loop: the schedules differ by verticals and
+// f_{-1} = 1 / v_A, F_p* values the final exponentiation erases, for
+// first arguments of any order. The test group's cofactor (60) gives
+// points of order 3, 5 and 15; for order 3 the accumulated multiple
+// after a doubling is +-1 mod 3 whenever it is not 0, so a -1 digit
+// meets T = +-A mid-chain (a vertical or a tangent).
+TEST_F(PairingEngineTest, SignedDigitTablesMatchPairForAnyFirstArgument) {
+  RandFn rand = TestRand(111);
+  const Curve& curve = group_->curve();
+  const MillerPlan& plan = group_->miller_plan();
+  const BigInt curve_order = group_->params().field_p + BigInt(1);
+  auto small_order = [&](uint64_t ell) {
+    const BigInt ell_big = BigInt::FromU64(ell);
+    EXPECT_TRUE(BigInt::Mod(curve_order, ell_big).IsZero()) << ell;
+    AffinePoint a;
+    do {
+      a = curve.ScalarMul(curve_order / ell_big, curve.RandomPoint(rand));
+    } while (a.infinity);
+    return a;
+  };
+  // The schedule meets T = +-A at a -1 digit for a point of order 3.
+  bool met = false;
+  uint64_t m = 1;
+  for (int8_t d : plan.adds()) {
+    m = (2 * m) % 3;
+    if (d < 0 && m != 0) met = true;
+    m = (m + 3 + uint64_t(int64_t(d))) % 3;
+  }
+  EXPECT_TRUE(met);
+
+  const AffinePoint order3 = small_order(3);
+  std::vector<AffinePoint> as = {
+      group_->RandomGp(rand),  group_->RandomGq(rand),
+      RandomElement(rand),     order3,
+      curve.Neg(order3),       small_order(5),
+      small_order(15),         small_order(4),
+      curve.MakePoint(BigInt(0), BigInt(0)).value(),  // order 2
+      group_->Add(small_order(3), group_->RandomGp(rand)),
+      curve.RandomPoint(rand)};
+  std::vector<AffinePoint> bs = {RandomElement(rand), group_->RandomGq(rand),
+                                 small_order(3)};
+  for (size_t i = 0; i < as.size(); ++i) {
+    const MillerLineTable table = PrecompileMillerLines(curve, plan, as[i]);
+    for (size_t j = 0; j < bs.size(); ++j) {
+      const Fp2Elem got = FinalExponentiation(
+          group_->fp2(),
+          MultiMillerLoopCoords(curve, group_->fp2(), plan,
+                                {Coords(table, bs[j], false)}),
+          group_->params().cofactor);
+      EXPECT_TRUE(group_->GtEqual(got, group_->Pair(as[i], bs[j])))
+          << "a " << i << ", b " << j;
+    }
+  }
 }
 
 // Chain-granularity precompilation: spreading (token, chain) units over

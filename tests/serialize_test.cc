@@ -118,8 +118,27 @@ TEST_F(SerializeTest, WrongTypeTagRejected) {
 
 TEST_F(SerializeTest, EmptyBlobRejected) {
   EXPECT_FALSE(hve::ParseToken(*group_, {}).ok());
-  EXPECT_FALSE(hve::ParseCiphertext(*group_, {}).ok());
+  EXPECT_FALSE(hve::ParseCiphertext(*group_, std::vector<uint8_t>{}).ok());
+  EXPECT_FALSE(hve::ParseCiphertext(*group_, wire::ByteView{}).ok());
   EXPECT_FALSE(hve::ParsePublicKey(*group_, {}).ok());
+}
+
+TEST_F(SerializeTest, CiphertextParsesInPlaceFromAView) {
+  // A blob inside a larger buffer (a log record, a snapshot entry)
+  // parses through a view of its bytes exactly as through a copy, and a
+  // view one byte short fails.
+  const std::vector<uint8_t> blob = hve::SerializeCiphertext(*group_, ct_);
+  std::vector<uint8_t> framed = {0xaa, 0xbb, 0xcc};
+  framed.insert(framed.end(), blob.begin(), blob.end());
+  framed.push_back(0xdd);
+  auto in_place =
+      hve::ParseCiphertext(*group_, wire::ByteView{framed.data() + 3,
+                                                   blob.size()});
+  ASSERT_TRUE(in_place.ok()) << in_place.status();
+  EXPECT_EQ(hve::SerializeCiphertext(*group_, *in_place), blob);
+  EXPECT_FALSE(hve::ParseCiphertext(
+                   *group_, wire::ByteView{framed.data() + 3, blob.size() - 1})
+                   .ok());
 }
 
 TEST_F(SerializeTest, OffCurvePointRejectedEvenWithValidChecksum) {
