@@ -9,7 +9,7 @@
 //     acks, so the wire, framing, parse, and per-shard batch-apply
 //     paths all stay busy);
 //   * alert latency — ProcessAlert round trips *while a background
-//     client keeps re-uploading*, i.e. the epoch-snapshot scan racing
+//     client keeps re-uploading*, i.e. the pointer-snapshot scan racing
 //     live ingest. p50/p99 over the sampled round trips; the first
 //     alert is also reported alone, since on a freshly recovered store
 //     it is the scan that lazily materializes the mmap snapshot;

@@ -205,17 +205,8 @@ LogBackedStore::LogBackedStore(std::string dir,
     : dir_(std::move(dir)),
       group_(std::move(group)),
       options_(options),
-      mem_(MakeStore(options.num_shards == 0 ? 1 : options.num_shards)),
-      shard_mu_(std::make_unique<Mutex[]>(mem_->num_shards())),
-      recovery_(std::make_unique<ShardRecovery[]>(mem_->num_shards())),
-      loaded_hint_(std::make_unique<std::atomic<bool>[]>(mem_->num_shards())),
-      access_count_(
-          std::make_unique<std::atomic<uint64_t>[]>(mem_->num_shards())) {
-  for (size_t s = 0; s < mem_->num_shards(); ++s) {
-    loaded_hint_[s].store(true, std::memory_order_relaxed);
-    access_count_[s].store(0, std::memory_order_relaxed);
-  }
-}
+      num_shards_(std::max<size_t>(options.num_shards, 1)),
+      shards_(std::make_unique<Shard[]>(num_shards_)) {}
 
 Result<std::unique_ptr<LogBackedStore>> LogBackedStore::Open(
     const std::string& dir, std::shared_ptr<const PairingGroup> group,
@@ -226,14 +217,7 @@ Result<std::unique_ptr<LogBackedStore>> LogBackedStore::Open(
   }
   std::unique_ptr<LogBackedStore> store(
       new LogBackedStore(dir, std::move(group), options));
-  {
-    // No other thread exists yet, but Recover rebuilds log-guarded
-    // state (segments_, byte counters), so hold its lock: the analysis
-    // sees one discipline for init and steady state. Released before
-    // LoadAllShards, whose shard -> log leg must not nest inside it.
-    MutexLock lock(store->log_mu_);
-    SLOC_RETURN_IF_ERROR(store->Recover());
-  }
+  SLOC_RETURN_IF_ERROR(store->Recover());
   if (options.eager_snapshot_load) {
     // Restore the v1 all-or-nothing startup check: every blob parses
     // and checksums, or Open fails.
@@ -249,23 +233,10 @@ Result<std::unique_ptr<LogBackedStore>> LogBackedStore::Open(
   if (options.fsync_batch_max > 0) {
     store->sync_thread_ = std::thread(&LogBackedStore::SyncLoop, store.get());
   }
-  if (options.background_materialize) {
-    bool any_pending;
-    {
-      MutexLock lock(store->snap_mu_);
-      any_pending = store->shards_pending_ > 0;
-    }
-    if (any_pending) {
-      store->mat_thread_ =
-          std::thread(&LogBackedStore::MaterializeLoop, store.get());
-    }
-  }
   return store;
 }
 
 LogBackedStore::~LogBackedStore() {
-  mat_stop_.store(true, std::memory_order_relaxed);
-  if (mat_thread_.joinable()) mat_thread_.join();
   if (sync_thread_.joinable()) {
     {
       MutexLock lock(sync_mu_);
@@ -313,7 +284,8 @@ Status LogBackedStore::RecoverLegacySnapshot(const std::vector<uint8_t>& snap) {
     SLOC_ASSIGN_OR_RETURN(wire::ByteView blob, r.BytesView());
     SLOC_ASSIGN_OR_RETURN(hve::Ciphertext ct,
                           hve::ParseCiphertext(*group_, blob));
-    mem_->Put(user_id, std::move(ct));
+    ApplyRecovered(user_id,
+                   std::make_shared<const hve::Ciphertext>(std::move(ct)));
   }
   return r.ExpectDone();
 }
@@ -393,7 +365,7 @@ Status LogBackedStore::RecoverMmapSnapshot(int fd, size_t file_bytes) {
     return Status::DataLoss("snapshot " + path +
                             " per-shard counts do not sum to entry count");
   }
-  const bool same_sharding = file_shards == mem_->num_shards();
+  const bool same_sharding = file_shards == num_shards_;
   for (uint32_t s = 0; s < file_shards; ++s) {
     for (uint64_t i = 0; i < shard_counts[s]; ++i, p += kV2EntryBytes) {
       MappedSnapshot::Entry e;
@@ -413,7 +385,7 @@ Status LogBackedStore::RecoverMmapSnapshot(int fd, size_t file_bytes) {
                                 std::to_string(s) +
                                 " index is not sorted by user id");
       }
-      if (same_sharding && mem_->ShardOf(e.user_id) != s) {
+      if (same_sharding && ShardOf(e.user_id) != s) {
         return Status::DataLoss("snapshot " + path + " entry for user " +
                                 std::to_string(e.user_id) +
                                 " filed under the wrong shard");
@@ -424,8 +396,8 @@ Status LogBackedStore::RecoverMmapSnapshot(int fd, size_t file_bytes) {
 
   if (!same_sharding) {
     // The file's index is useless under a different shard count:
-    // materialize everything now, re-sharded by mem_. Documented as the
-    // one recovery shape that pays the full eager parse.
+    // materialize everything now, re-sharded by ShardOf. Documented as
+    // the one recovery shape that pays the full eager parse.
     std::vector<uint8_t> scratch;
     for (const auto& entries : snap->shard_entries) {
       for (const auto& e : entries) {
@@ -438,7 +410,8 @@ Status LogBackedStore::RecoverMmapSnapshot(int fd, size_t file_bytes) {
         scratch.assign(blob, blob + e.len);
         SLOC_ASSIGN_OR_RETURN(hve::Ciphertext ct,
                               hve::ParseCiphertext(*group_, scratch));
-        mem_->Put(e.user_id, std::move(ct));
+        ApplyRecovered(e.user_id, std::make_shared<const hve::Ciphertext>(
+                                      std::move(ct)));
       }
     }
     return Status::Ok();  // snap unmaps at scope exit
@@ -449,8 +422,9 @@ Status LogBackedStore::RecoverMmapSnapshot(int fd, size_t file_bytes) {
   size_t pending_shards = 0;
   for (uint32_t s = 0; s < file_shards; ++s) {
     if (!snap->shard_entries[s].empty()) {
-      recovery_[s].loaded = false;
-      loaded_hint_[s].store(false, std::memory_order_relaxed);
+      Shard& shard = shards_[s];
+      MutexLock lock(shard.mu);
+      shard.loaded = false;
       ++pending_shards;
     }
   }
@@ -463,7 +437,8 @@ Status LogBackedStore::RecoverMmapSnapshot(int fd, size_t file_bytes) {
   return Status::Ok();
 }
 
-Status LogBackedStore::ReplaySegment(const std::string& path, bool last) {
+Status LogBackedStore::ReplaySegment(const std::string& path, bool last,
+                                     size_t* valid_bytes) {
   // `valid_end` advances past every intact record; a bad record that
   // runs to end-of-file WITH no valid record anywhere after it is a
   // torn append (crash mid-write) and — in the last segment only — is
@@ -472,8 +447,9 @@ Status LogBackedStore::ReplaySegment(const std::string& path, bool last) {
   // corruption and rejects recovery.
   //
   // Replayed users land in their shard's overlay: their log-derived
-  // state in mem_ supersedes any snapshot index entry, which is skipped
-  // if the shard later materializes.
+  // resident state supersedes any snapshot index entry, which is
+  // skipped if the shard later materializes.
+  *valid_bytes = 0;
   std::vector<uint8_t> log;
   Status log_st = ReadFile(path, &log);
   if (!log_st.ok()) {
@@ -528,22 +504,17 @@ Status LogBackedStore::ReplaySegment(const std::string& path, bool last) {
     wire::Reader r(log, payload_at, payload_at + len);
     SLOC_ASSIGN_OR_RETURN(uint8_t kind, r.U8());
     SLOC_ASSIGN_OR_RETURN(int user_id, r.I32());
-    const size_t shard = mem_->ShardOf(user_id);
-    ShardRecovery& rec = recovery_[shard];
-    if (!rec.loaded && rec.overlay.insert(user_id).second &&
-        SnapshotIndexHasLocked(shard, user_id)) {
-      pending_entries_.fetch_sub(1, std::memory_order_relaxed);
-    }
     switch (kind) {
       case kRecordPut: {
         SLOC_ASSIGN_OR_RETURN(wire::ByteView blob, r.BytesView());
         SLOC_ASSIGN_OR_RETURN(hve::Ciphertext ct,
                               hve::ParseCiphertext(*group_, blob));
-        mem_->Put(user_id, std::move(ct));
+        ApplyRecovered(user_id,
+                       std::make_shared<const hve::Ciphertext>(std::move(ct)));
         break;
       }
       case kRecordErase:
-        mem_->Erase(user_id);
+        ApplyRecovered(user_id, nullptr);
         break;
       default:
         return Status::DataLoss("unknown log record kind " +
@@ -563,9 +534,20 @@ Status LogBackedStore::ReplaySegment(const std::string& path, bool last) {
       return Errno("truncate torn tail of " + path);
     }
   }
-  log_bytes_ += valid_end;
-  if (last) active_bytes_ = valid_end;
+  *valid_bytes = valid_end;
   return Status::Ok();
+}
+
+void LogBackedStore::ApplyRecovered(int user_id, CtPtr ct) {
+  const size_t index = ShardOf(user_id);
+  Shard& shard = shards_[index];
+  MutexLock lock(shard.mu);
+  OverlayLocked(index, shard, user_id);
+  if (ct != nullptr) {
+    shard.users[user_id] = std::move(ct);
+  } else {
+    shard.users.erase(user_id);
+  }
 }
 
 Status LogBackedStore::Recover() {
@@ -602,7 +584,7 @@ Status LogBackedStore::Recover() {
   // 2. The manifest names the live segments in replay order; a store
   // that has never rotated has no manifest and implicitly owns
   // [wal.log] (docs/WIRE.md#manifest).
-  segments_.clear();
+  std::vector<std::string> segments;
   std::vector<uint8_t> mf;
   const Status mf_st = ReadFile(ManifestPath(dir_), &mf);
   if (mf_st.ok()) {
@@ -637,27 +619,30 @@ Status LogBackedStore::Recover() {
         return Status::DataLoss("manifest segment name \"" + name +
                                 "\" is not a plain file name");
       }
-      segments_.push_back(std::move(name));
+      segments.push_back(std::move(name));
     }
     SLOC_RETURN_IF_ERROR(r.ExpectDone());
   } else {
-    segments_.push_back(kInitialSegment);
+    segments.push_back(kInitialSegment);
   }
-  for (const std::string& name : segments_) {
+  uint64_t next_segment_seq = 1;
+  for (const std::string& name : segments) {
     uint64_t seq = 0;
-    if (ParseSegmentSeq(name, &seq) && seq >= next_segment_seq_) {
-      next_segment_seq_ = seq + 1;
+    if (ParseSegmentSeq(name, &seq) && seq >= next_segment_seq) {
+      next_segment_seq = seq + 1;
     }
   }
 
   // 3. Replay the segments in manifest order. Re-applying a record the
   // snapshot already folded in is harmless — last record per user wins,
   // and per-user order is preserved across segments.
-  log_bytes_ = 0;
-  active_bytes_ = 0;
-  for (size_t i = 0; i < segments_.size(); ++i) {
-    SLOC_RETURN_IF_ERROR(
-        ReplaySegment(SegmentPath(segments_[i]), i + 1 == segments_.size()));
+  size_t log_bytes = 0;
+  size_t active_bytes = 0;
+  for (size_t i = 0; i < segments.size(); ++i) {
+    SLOC_RETURN_IF_ERROR(ReplaySegment(SegmentPath(segments[i]),
+                                       i + 1 == segments.size(),
+                                       &active_bytes));
+    log_bytes += active_bytes;
   }
 
   // 4. Retire stray segment files the manifest does not own: leftovers
@@ -674,9 +659,8 @@ Status LogBackedStore::Recover() {
           name == kInitialSegment ||
           (name.size() > 8 && name.compare(0, 4, "wal-") == 0 &&
            name.compare(name.size() - 4, 4, ".log") == 0);
-      if (wal_like &&
-          std::find(segments_.begin(), segments_.end(), name) ==
-              segments_.end()) {
+      if (wal_like && std::find(segments.begin(), segments.end(), name) ==
+                          segments.end()) {
         strays.push_back(name);
       }
     }
@@ -685,26 +669,41 @@ Status LogBackedStore::Recover() {
       ::unlink(SegmentPath(name).c_str());
     }
   }
+
+  MutexLock lock(log_mu_);
+  segments_ = std::move(segments);
+  next_segment_seq_ = next_segment_seq;
+  log_bytes_ = log_bytes;
+  active_bytes_ = active_bytes;
   return Status::Ok();
 }
 
-bool LogBackedStore::SnapshotIndexHasLocked(size_t shard, int user_id) const {
+bool LogBackedStore::SnapshotIndexHas(size_t index, int user_id) const {
   std::shared_ptr<const MappedSnapshot> snap;
   {
     MutexLock lock(snap_mu_);
     snap = snap_;
   }
   if (snap == nullptr) return false;
-  const auto& entries = snap->shard_entries[shard];
+  const auto& entries = snap->shard_entries[index];
   const auto it = std::lower_bound(
       entries.begin(), entries.end(), user_id,
       [](const MappedSnapshot::Entry& e, int id) { return e.user_id < id; });
   return it != entries.end() && it->user_id == user_id;
 }
 
-Status LogBackedStore::EnsureShardLoadedLocked(size_t shard) const {
-  ShardRecovery& rec = recovery_[shard];
-  if (rec.loaded) return Status::Ok();
+bool LogBackedStore::OverlayLocked(size_t index, Shard& shard, int user_id) {
+  if (shard.loaded || !shard.overlay.insert(user_id).second ||
+      !SnapshotIndexHas(index, user_id)) {
+    return false;
+  }
+  pending_entries_.fetch_sub(1, std::memory_order_relaxed);
+  return true;
+}
+
+Status LogBackedStore::EnsureShardLoadedLocked(size_t index,
+                                               Shard& shard) const {
+  if (shard.loaded) return Status::Ok();
   std::shared_ptr<const MappedSnapshot> snap;
   {
     MutexLock lock(snap_mu_);
@@ -717,8 +716,8 @@ Status LogBackedStore::EnsureShardLoadedLocked(size_t shard) const {
     // of the shard still loads so one bad entry does not take down the
     // whole shard's residents.
     std::vector<uint8_t> scratch;
-    for (const MappedSnapshot::Entry& e : snap->shard_entries[shard]) {
-      if (rec.overlay.count(e.user_id) != 0) continue;  // superseded
+    for (const MappedSnapshot::Entry& e : snap->shard_entries[index]) {
+      if (shard.overlay.count(e.user_id) != 0) continue;  // superseded
       Status st;
       const uint8_t* blob = snap->data + e.offset;
       if (wire::Fnv1a(blob, e.len) != e.fnv) {
@@ -729,7 +728,8 @@ Status LogBackedStore::EnsureShardLoadedLocked(size_t shard) const {
         scratch.assign(blob, blob + e.len);
         auto ct = hve::ParseCiphertext(*group_, scratch);
         if (ct.ok()) {
-          mem_->Put(e.user_id, std::move(*ct));
+          shard.users[e.user_id] =
+              std::make_shared<const hve::Ciphertext>(std::move(*ct));
         } else {
           st = ct.status();
         }
@@ -738,9 +738,8 @@ Status LogBackedStore::EnsureShardLoadedLocked(size_t shard) const {
       if (!st.ok() && first.ok()) first = st;
     }
   }
-  rec.loaded = true;
-  rec.overlay = {};
-  loaded_hint_[shard].store(true, std::memory_order_relaxed);
+  shard.loaded = true;
+  shard.overlay = {};
   {
     MutexLock lock(snap_mu_);
     if (shards_pending_ > 0 && --shards_pending_ == 0) {
@@ -756,9 +755,10 @@ Status LogBackedStore::EnsureShardLoadedLocked(size_t shard) const {
 
 Status LogBackedStore::LoadAllShards() {
   Status first;
-  for (size_t shard = 0; shard < mem_->num_shards(); ++shard) {
-    MutexLock lock(shard_mu_[shard]);
-    const Status st = EnsureShardLoadedLocked(shard);
+  for (size_t index = 0; index < num_shards_; ++index) {
+    Shard& shard = shards_[index];
+    MutexLock lock(shard.mu);
+    const Status st = EnsureShardLoadedLocked(index, shard);
     if (!st.ok() && first.ok()) first = st;
   }
   return first;
@@ -824,17 +824,16 @@ void LogBackedStore::Put(int user_id, hve::Ciphertext ct) {
   // overlays the snapshot index entry, keeping recovered-store ingest
   // O(1) per put.
   const std::vector<uint8_t> blob = hve::SerializeCiphertext(*group_, ct);
+  // Declared before the lock, so the replaced ciphertext (swapped into
+  // it) is freed after the lock is released.
+  CtPtr slot = std::make_shared<const hve::Ciphertext>(std::move(ct));
   bool compact_due;
   {
-    const size_t shard = mem_->ShardOf(user_id);
-    access_count_[shard].fetch_add(1, std::memory_order_relaxed);
-    MutexLock lock(shard_mu_[shard]);
-    ShardRecovery& rec = recovery_[shard];
-    if (!rec.loaded && rec.overlay.insert(user_id).second &&
-        SnapshotIndexHasLocked(shard, user_id)) {
-      pending_entries_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    mem_->Put(user_id, std::move(ct));
+    const size_t index = ShardOf(user_id);
+    Shard& shard = shards_[index];
+    MutexLock lock(shard.mu);
+    OverlayLocked(index, shard, user_id);
+    shard.users[user_id].swap(slot);
     compact_due = Append(kRecordPut, user_id, blob);
   }
   if (compact_due) AutoCompact();
@@ -844,20 +843,14 @@ bool LogBackedStore::Erase(int user_id) {
   bool existed;
   bool compact_due = false;
   {
-    const size_t shard = mem_->ShardOf(user_id);
-    access_count_[shard].fetch_add(1, std::memory_order_relaxed);
-    MutexLock lock(shard_mu_[shard]);
-    ShardRecovery& rec = recovery_[shard];
-    if (rec.loaded || rec.overlay.count(user_id) != 0) {
-      existed = mem_->Erase(user_id);
-    } else {
-      // Unmaterialized and not yet overlaid: existence is answered by
-      // the snapshot index, and the overlay mark makes the erase stick
-      // without ever parsing the blob.
-      existed = SnapshotIndexHasLocked(shard, user_id);
-      rec.overlay.insert(user_id);
-      if (existed) pending_entries_.fetch_sub(1, std::memory_order_relaxed);
-    }
+    const size_t index = ShardOf(user_id);
+    Shard& shard = shards_[index];
+    MutexLock lock(shard.mu);
+    // An unmaterialized user that was never overlaid exists only in the
+    // snapshot index; the overlay mark makes the erase stick without
+    // ever parsing its blob.
+    const bool in_snapshot = OverlayLocked(index, shard, user_id);
+    existed = shard.users.erase(user_id) > 0 || in_snapshot;
     if (existed) compact_due = Append(kRecordErase, user_id, {});
   }
   if (compact_due) AutoCompact();
@@ -865,23 +858,37 @@ bool LogBackedStore::Erase(int user_id) {
 }
 
 bool LogBackedStore::Contains(int user_id) const {
-  const size_t shard = mem_->ShardOf(user_id);
-  access_count_[shard].fetch_add(1, std::memory_order_relaxed);
-  MutexLock lock(shard_mu_[shard]);
-  const ShardRecovery& rec = recovery_[shard];
-  if (rec.loaded || rec.overlay.count(user_id) != 0) {
-    return mem_->Contains(user_id);
+  const size_t index = ShardOf(user_id);
+  const Shard& shard = shards_[index];
+  MutexLock lock(shard.mu);
+  if (shard.loaded || shard.overlay.count(user_id) != 0) {
+    return shard.users.count(user_id) > 0;
   }
-  return SnapshotIndexHasLocked(shard, user_id);
+  return SnapshotIndexHas(index, user_id);
+}
+
+size_t LogBackedStore::size() const {
+  size_t total = pending_entries_.load(std::memory_order_relaxed);
+  for (size_t index = 0; index < num_shards_; ++index) {
+    const Shard& shard = shards_[index];
+    MutexLock lock(shard.mu);
+    total += shard.users.size();
+  }
+  return total;
 }
 
 void LogBackedStore::VisitShard(
-    size_t shard,
+    size_t index,
     const std::function<void(int, const hve::Ciphertext&)>& fn) const {
-  access_count_[shard].fetch_add(1, std::memory_order_relaxed);
-  MutexLock lock(shard_mu_[shard]);
-  EnsureShardLoadedLocked(shard);  // failure latched in io_status_
-  mem_->VisitShard(shard, fn);
+  SLOC_CHECK(index < num_shards_) << "shard index out of range";
+  Shard& shard = shards_[index];
+  std::vector<std::pair<int, CtPtr>> entries;
+  {
+    MutexLock lock(shard.mu);
+    EnsureShardLoadedLocked(index, shard);  // failure latched in io_status_
+    entries.assign(shard.users.begin(), shard.users.end());
+  }
+  for (const auto& [user_id, ct] : entries) fn(user_id, *ct);
 }
 
 // ---------------------------------------------------------------------------
@@ -1031,43 +1038,6 @@ void LogBackedStore::SyncLoop() {
       lock.Lock();
     }
     if (sync_stop_ && !SyncPendingLocked()) return;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Background materialization.
-
-void LogBackedStore::MaterializeLoop() {
-  const size_t ns = mem_->num_shards();
-  while (!mat_stop_.load(std::memory_order_relaxed)) {
-    std::shared_ptr<const MappedSnapshot> snap;
-    {
-      MutexLock lock(snap_mu_);
-      if (shards_pending_ == 0) return;
-      snap = snap_;
-    }
-    if (snap == nullptr) return;
-    // Most-accessed pending shard first (entry count as tiebreak): the
-    // shards ingest and scans keep touching converge to steady-state
-    // latency soonest. Hints are racy by design — a shard that loads
-    // under us is a cheap no-op below.
-    size_t best = ns;
-    uint64_t best_access = 0;
-    size_t best_entries = 0;
-    for (size_t s = 0; s < ns; ++s) {
-      if (loaded_hint_[s].load(std::memory_order_relaxed)) continue;
-      const uint64_t access = access_count_[s].load(std::memory_order_relaxed);
-      const size_t entries = snap->shard_entries[s].size();
-      if (best == ns || access > best_access ||
-          (access == best_access && entries > best_entries)) {
-        best = s;
-        best_access = access;
-        best_entries = entries;
-      }
-    }
-    if (best == ns) return;
-    MutexLock lock(shard_mu_[best]);
-    EnsureShardLoadedLocked(best);  // failure latched in io_status_
   }
 }
 
@@ -1249,25 +1219,33 @@ Status LogBackedStore::Compact() {
   // Mutations racing into already-swept shards are fine: they went to
   // the fresh active segment, which stays live in the manifest and
   // replays over the snapshot.
-  const size_t ns = mem_->num_shards();
-  std::vector<std::vector<std::pair<int, std::vector<uint8_t>>>> shards(ns);
+  std::vector<std::vector<std::pair<int, std::vector<uint8_t>>>> shards(
+      num_shards_);
   size_t count = 0;
-  for (size_t shard = 0; shard < ns; ++shard) {
-    MutexLock lock(shard_mu_[shard]);
-    const size_t held = compact_locks_now_.fetch_add(1) + 1;
-    size_t seen = compact_locks_max_.load(std::memory_order_relaxed);
-    while (seen < held &&
-           !compact_locks_max_.compare_exchange_weak(seen, held)) {
+  for (size_t index = 0; index < num_shards_; ++index) {
+    Shard& shard = shards_[index];
+    std::vector<std::pair<int, CtPtr>> entries;
+    {
+      MutexLock lock(shard.mu);
+      const size_t held = compact_locks_now_.fetch_add(1) + 1;
+      size_t seen = compact_locks_max_.load(std::memory_order_relaxed);
+      while (seen < held &&
+             !compact_locks_max_.compare_exchange_weak(seen, held)) {
+      }
+      EnsureShardLoadedLocked(index, shard);  // failure latched in io_status_
+      entries.assign(shard.users.begin(), shard.users.end());
+      compact_locks_now_.fetch_sub(1);
     }
-    EnsureShardLoadedLocked(shard);  // failure latched in io_status_
-    auto& out = shards[shard];
-    mem_->VisitShard(shard, [&](int user_id, const hve::Ciphertext& ct) {
-      out.emplace_back(user_id, hve::SerializeCiphertext(*group_, ct));
-      ++count;
-    });
+    // Ciphertexts are immutable, so serializing the copied pointers
+    // after the lock is released writes the shard as it was when copied.
+    auto& out = shards[index];
+    out.reserve(entries.size());
+    for (const auto& [user_id, ct] : entries) {
+      out.emplace_back(user_id, hve::SerializeCiphertext(*group_, *ct));
+    }
+    count += out.size();
     std::sort(out.begin(), out.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
-    compact_locks_now_.fetch_sub(1);
   }
   SLOC_RETURN_IF_ERROR(fault("serialized"));
 

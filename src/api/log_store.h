@@ -2,9 +2,10 @@
 // snapshots, with an mmap-indexed snapshot format sized for
 // million-user stores.
 //
-// LogBackedStore wraps the in-memory backends of store.h with a
-// write-ahead persistence layer so a service-provider store survives
-// process restart (the net/ front-end's durability story):
+// LogBackedStore keeps the same sharded in-memory state as store.h's
+// ShardedStore behind a write-ahead persistence layer, so a
+// service-provider store survives process restart (the net/
+// front-end's durability story):
 //
 //   * every Put/Erase appends one length-prefixed, checksummed record
 //     to the active log segment before returning — by the time an
@@ -41,14 +42,14 @@
 //
 //   Compaction is *incremental*: it first rotates the log (fsync +
 //   retire the active segment, open a fresh one, commit both to the
-//   manifest), then serializes the resident state one shard at a time
-//   holding only that shard's lock, writes the snapshot, and finally
-//   shrinks the manifest to just the active segment. Ingest proceeds
-//   concurrently throughout; a crash at any point leaves a manifest
-//   whose snapshot + segment replay reconstructs the full state
-//   (records already folded into the snapshot replay idempotently —
-//   last record per user wins, and per-user order is preserved across
-//   segments).
+//   manifest), then copies each shard's ciphertext pointers under that
+//   shard's lock and serializes them after releasing it, writes the
+//   snapshot, and finally shrinks the manifest to just the active
+//   segment. Ingest proceeds concurrently throughout; a crash at any
+//   point leaves a manifest whose snapshot + segment replay
+//   reconstructs the full state (records already folded into the
+//   snapshot replay idempotently — last record per user wins, and
+//   per-user order is preserved across segments).
 //
 // Group commit:
 //
@@ -76,8 +77,6 @@
 //     not a full-file parse; ingest against a freshly recovered store
 //     never pays materialization at all (mutations overlay the index).
 //     The mapping is released once every shard has materialized.
-//     Options::background_materialize starts a thread that retires the
-//     pending shards in access-frequency order without blocking ingest.
 //   * v1 "SLSS" (SnapshotFormat::kLegacy) — flat count-prefixed
 //     entries with a whole-file checksum; reading it means parsing
 //     every blob up front. Still read transparently for migration;
@@ -96,27 +95,27 @@
 // startup set Options::eager_snapshot_load (or call LoadAllShards()
 // right after Open and check its Status).
 //
-// Threading: stronger than the base CiphertextStore contract. Put,
-// Erase, Contains, VisitShard, and Compact are internally synchronized
-// (per-shard mutexes for resident state, one mutex for the log file).
-// A mutation applies to resident state AND appends its log record under
-// one shard-lock hold, so per-user log order always matches memory
-// order — two racing Puts for the same user can never ack one
-// ciphertext and recover the other. Lock order is always
-// shards-in-ascending-index-order -> {snapshot mapping, log} -> sync
-// state: Put/Erase take one shard then the log, the compaction sweep
-// takes one shard at a time (never two, asserted by
-// compaction_max_shard_locks()), and auto-compaction runs after the
+// Threading: the CiphertextStore contract (store.h) — every method is
+// thread-safe, each shard has one mutex (Shard::mu, guarding the
+// shard's ciphertext map and its lazy-recovery state), and VisitShard
+// runs the visitor over a pointer copy taken under it. A mutation
+// applies to resident state AND appends its log record under one
+// shard-lock hold, so per-user log order always matches memory order —
+// two racing Puts for the same user can never ack one ciphertext and
+// recover the other. Lock order is always one shard -> {snapshot
+// mapping, log} -> sync state: Put/Erase take one shard then the log,
+// the compaction sweep copies one shard at a time (never two, asserted
+// by compaction_max_shard_locks()), and auto-compaction runs after the
 // triggering append's shard lock is released, so compaction cannot
-// deadlock against appends. size() is an unsynchronized sum — exact
-// once writers quiesce, approximate under concurrency.
+// deadlock against appends. Recovery inside Open() takes shard locks
+// with no other lock held.
 //
 // The lock discipline is machine-checked (common/thread_annotations.h):
-// each nameable capability below declares what it guards via
-// SLOC_GUARDED_BY, the log -> sync leg of the order is a compile-time
-// SLOC_ACQUIRED_AFTER edge, and the per-shard legs (not expressible as
-// attributes over a lock array) are lock-note'd at the member and
-// exercised by TSan CI.
+// each capability declares what it guards via SLOC_GUARDED_BY, helpers
+// that need a shard held say so with SLOC_REQUIRES(shard.mu), and the
+// log -> sync leg of the order is a compile-time SLOC_ACQUIRED_AFTER
+// edge. The shard -> log leg (a lock per array element) is exercised
+// by TSan CI.
 
 #ifndef SLOC_API_LOG_STORE_H_
 #define SLOC_API_LOG_STORE_H_
@@ -127,6 +126,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -147,7 +147,7 @@ class LogBackedStore : public CiphertextStore, public DurabilityWaiter {
   };
 
   struct Options {
-    size_t num_shards = 1;  ///< shard count of the resident delegate
+    size_t num_shards = 1;  ///< resident shards (0 is treated as 1)
     /// Compact (snapshot + retire segments) once the live log holds
     /// this many bytes appended since the last snapshot; 0 disables
     /// auto-compaction (Compact() stays available).
@@ -173,12 +173,6 @@ class LogBackedStore : public CiphertextStore, public DurabilityWaiter {
     /// corrupt blob, instead of the default lazy per-shard loading.
     /// Restores the v1 all-or-nothing startup check at v1 cost.
     bool eager_snapshot_load = false;
-    /// Start a background thread after Open() that materializes the
-    /// lazily-pending mmap shards in access-frequency order (most
-    /// frequently touched shard first, entry count as tiebreak), so
-    /// first-scan latency converges to steady state without blocking
-    /// ingest or startup. No effect when there is nothing pending.
-    bool background_materialize = false;
   };
 
   /// Opens (creating if absent) the store rooted at directory `dir`,
@@ -200,20 +194,17 @@ class LogBackedStore : public CiphertextStore, public DurabilityWaiter {
   // a non-OK status. Against an unmaterialized shard, Put/Erase stay
   // O(1): the mutation lands in resident memory and overlays the
   // snapshot index entry, which is skipped if the shard later loads.
-  std::string name() const override { return "log/" + mem_->name(); }
+  std::string name() const override {
+    return "log/sharded/" + std::to_string(num_shards_);
+  }
   void Put(int user_id, hve::Ciphertext ct) override;
   bool Erase(int user_id) override;
   bool Contains(int user_id) const override;
   /// Resident + lazily-pending entries (exact once writers quiesce).
-  size_t size() const override {
-    return mem_->size() + pending_entries_.load(std::memory_order_relaxed);
-  }
-  size_t num_shards() const override { return mem_->num_shards(); }
-  size_t ShardOf(int user_id) const override { return mem_->ShardOf(user_id); }
-  /// Holds the shard's mutex for the duration of the visit (and
-  /// materializes the shard first when it is lazily pending) — wrap in
-  /// a snapshotting store (net::EpochSnapshotStore) when scans must not
-  /// block ingest of the same shard.
+  size_t size() const override;
+  size_t num_shards() const override { return num_shards_; }
+  /// Materializes the shard first when it is lazily pending (under its
+  /// lock), then visits a pointer copy as the base contract says.
   void VisitShard(size_t shard,
                   const std::function<void(int, const hve::Ciphertext&)>& fn)
       const override;
@@ -288,6 +279,21 @@ class LogBackedStore : public CiphertextStore, public DurabilityWaiter {
  private:
   struct MappedSnapshot;
 
+  /// One resident shard: its mutex, the ciphertexts it guards, and the
+  /// shard's lazy-recovery state.
+  struct Shard {
+    mutable Mutex mu;
+    std::unordered_map<int, CtPtr> users SLOC_GUARDED_BY(mu);
+    /// True once the shard's snapshot entries live in `users`
+    /// (immediately true for shards with no snapshot entries and after
+    /// any legacy recovery).
+    bool loaded SLOC_GUARDED_BY(mu) = true;
+    /// Users whose authoritative state is `users` (log replay or
+    /// post-open mutation): their snapshot index entry, if any, is
+    /// stale and skipped at materialization. Cleared once loaded.
+    std::unordered_set<int> overlay SLOC_GUARDED_BY(mu);
+  };
+
   LogBackedStore(std::string dir, std::shared_ptr<const PairingGroup> group,
                  const Options& options);
 
@@ -299,34 +305,51 @@ class LogBackedStore : public CiphertextStore, public DurabilityWaiter {
   bool Append(uint8_t kind, int user_id, const std::vector<uint8_t>& blob)
       SLOC_EXCLUDES(log_mu_, sync_mu_);
 
-  /// Loads snapshot + manifest-listed segments into mem_ (v2
+  /// Loads snapshot + manifest-listed segments into the shards (v2
   /// snapshots: index only, blobs stay mapped and pending). Truncates
   /// a torn tail of the last segment in place; rejects mid-log
-  /// corruption anywhere else. Open() holds log_mu_ across it: the
-  /// segment list and byte counters it rebuilds are log state.
-  Status Recover() SLOC_REQUIRES(log_mu_);
+  /// corruption anywhere else. Runs inside Open(), before any other
+  /// thread can reach the store; it takes shard locks one at a time
+  /// and installs the rebuilt segment list and byte counters under
+  /// log_mu_ at the end.
+  Status Recover() SLOC_EXCLUDES(log_mu_);
 
-  /// Replays one log segment over mem_. `last` permits (and truncates)
-  /// a torn tail; non-last segments must parse to their exact end.
-  /// On success adds the segment's valid byte count to log_bytes_.
-  Status ReplaySegment(const std::string& path, bool last)
-      SLOC_REQUIRES(log_mu_);
+  /// Replays one log segment over the shards. `last` permits (and
+  /// truncates) a torn tail; non-last segments must parse to their
+  /// exact end. On success sets `*valid_bytes` to the segment's intact
+  /// length.
+  Status ReplaySegment(const std::string& path, bool last,
+                       size_t* valid_bytes);
+
+  /// Recovery's apply step for snapshot entries and replayed records:
+  /// makes `ct` the user's resident state, or erases the user when
+  /// `ct` is null.
+  void ApplyRecovered(int user_id, CtPtr ct);
 
   /// Parses + validates a v2 snapshot: maps the file, checks header and
   /// index checksums/bounds, and fills snap_. Blobs are not touched.
   Status RecoverMmapSnapshot(int fd, size_t file_bytes);
 
-  /// Reads + parses a whole v1 snapshot into mem_ (the legacy path).
+  /// Reads + parses a whole v1 snapshot into the shards (the legacy
+  /// path).
   Status RecoverLegacySnapshot(const std::vector<uint8_t>& snap);
 
-  /// Materializes one shard from the mapped snapshot into mem_.
-  /// Requires shard_mu_[shard]; no-op when already loaded. Corrupt
-  /// blobs latch DataLoss and are dropped (see file comment).
-  Status EnsureShardLoadedLocked(size_t shard) const;
+  /// Materializes shard `index` from the mapped snapshot; no-op when
+  /// already loaded. Corrupt blobs latch DataLoss and are dropped (see
+  /// file comment).
+  Status EnsureShardLoadedLocked(size_t index, Shard& shard) const
+      SLOC_REQUIRES(shard.mu);
+
+  /// Makes the resident map authoritative for `user_id` in a shard
+  /// whose snapshot entries are still pending: marks the user overlaid
+  /// and drops its index entry, if any, from the pending count.
+  /// Returns true when that dropped an index entry.
+  bool OverlayLocked(size_t index, Shard& shard, int user_id)
+      SLOC_REQUIRES(shard.mu);
 
   /// True when the (unmaterialized) snapshot index holds `user_id` in
-  /// `shard`. Requires shard_mu_[shard].
-  bool SnapshotIndexHasLocked(size_t shard, int user_id) const;
+  /// shard `index`.
+  bool SnapshotIndexHas(size_t index, int user_id) const;
 
   /// Threshold-triggered Compact(); collapses a stampede of concurrent
   /// triggers to one sweep and latches io_status_ on failure.
@@ -362,44 +385,13 @@ class LogBackedStore : public CiphertextStore, public DurabilityWaiter {
   void CompleteSync(uint64_t covered, Status st)
       SLOC_EXCLUDES(sync_mu_);
 
-  /// The background materializer body: retire pending shards
-  /// most-accessed-first, one shard lock at a time.
-  void MaterializeLoop();
-
   std::string dir_;
   std::shared_ptr<const PairingGroup> group_;
   Options options_;
-  std::unique_ptr<CiphertextStore> mem_;  // partitioned by shard_mu_[i]
-  // lock-note: shard_mu_[i] guards shard i's slice of mem_ and
-  // recovery_[i]. A per-element guard over an array of capabilities is
-  // not expressible in the attribute grammar, so the discipline is by
-  // convention: every access goes through MutexLock lock(shard_mu_[s])
-  // with s = ShardOf(user), and multiple shard locks are only ever held
-  // in ascending index order (today nothing holds two:
-  // compaction_max_shard_locks() pins the sweep to one).
-  mutable std::unique_ptr<Mutex[]> shard_mu_;
-
-  /// Lazy-recovery state per shard, guarded by the matching shard_mu_
-  /// (see the lock-note above — per-element guards are by convention).
-  struct ShardRecovery {
-    /// True once the shard's snapshot entries live in mem_ (immediately
-    /// true for shards with no snapshot entries and after any legacy
-    /// recovery).
-    bool loaded = true;
-    /// Users whose authoritative state is mem_'s (log replay or
-    /// post-open mutation): their snapshot index entry, if any, is
-    /// stale and skipped at materialization. Cleared once loaded.
-    std::unordered_set<int> overlay;
-  };
-  mutable std::unique_ptr<ShardRecovery[]> recovery_;
+  size_t num_shards_;
+  std::unique_ptr<Shard[]> shards_;
   /// Snapshot entries not yet materialized (and not overlaid).
   mutable std::atomic<size_t> pending_entries_{0};
-  /// Lock-free mirror of ShardRecovery::loaded for the materializer's
-  /// scheduling pass (authoritative state stays under the shard lock).
-  mutable std::unique_ptr<std::atomic<bool>[]> loaded_hint_;
-  /// Per-shard access counts (Put/Erase/Contains/VisitShard), the
-  /// materializer's frequency signal.
-  mutable std::unique_ptr<std::atomic<uint64_t>[]> access_count_;
 
   /// Guards the mapped v2 snapshot (innermost with shard locks:
   /// shard -> snap, never snap -> shard).
@@ -458,10 +450,6 @@ class LogBackedStore : public CiphertextStore, public DurabilityWaiter {
   /// WaitDurable/Drain callers skipping the window.
   size_t urgent_ SLOC_GUARDED_BY(sync_mu_) = 0;
   std::thread sync_thread_;
-
-  // Background materializer state.
-  std::atomic<bool> mat_stop_{false};
-  std::thread mat_thread_;
 };
 
 }  // namespace api

@@ -2,11 +2,11 @@
 //
 // The SP's job is (a) keep the latest encrypted location per user and
 // (b) scan all of them against alert tokens. Both operations are behind
-// this interface so the matcher is storage-agnostic: the in-memory
-// backend serves tests and small deployments, the sharded backend
-// partitions users across N independent hash shards so ingestion and
-// matching can fan out across worker threads (one worker owns a
-// disjoint set of shards — no locks on the hot path).
+// this interface so the matcher is storage-agnostic: ShardedStore keeps
+// everything in memory, LogBackedStore (log_store.h) adds a write-ahead
+// log and snapshots. Both partition users across N hash shards so
+// ingestion and matching can fan out across worker threads, and both
+// keep ingest running while a scan of the same shard is under way.
 
 #ifndef SLOC_API_STORE_H_
 #define SLOC_API_STORE_H_
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "hve/hve.h"
 
 namespace sloc {
@@ -56,25 +57,25 @@ class DurabilityWaiter {
   virtual void DrainNotifications() = 0;
 };
 
+/// A stored ciphertext. Stores never modify one after it is stored, so
+/// a scan may keep reading it after the user's entry has been replaced
+/// or erased; the last holder frees it.
+using CtPtr = std::shared_ptr<const hve::Ciphertext>;
+
 /// Abstract store of parsed, validated ciphertexts keyed by user id.
 ///
-/// Thread-compatibility contract: calls that touch *different shards*
-/// may run concurrently (that is what the sharded matcher and batch
-/// ingester rely on); calls touching the same shard must be externally
-/// serialized, as must structural operations against reads.
-///
-/// The serializing capability deliberately lives OUTSIDE this
-/// interface, so backends stay lock-free on the single-owner hot path:
-/// concurrent callers go through a synchronizing wrapper that owns a
-/// per-shard sloc::Mutex (net::EpochSnapshotStore) or a backend that
-/// locks internally (api::LogBackedStore). Implementations therefore
-/// carry no mutex members to annotate; see
-/// common/thread_annotations.h for the vocabulary the wrappers use.
+/// Concurrency contract: every method is thread-safe. Each shard has
+/// exactly one mutex, owned by the store. VisitShard copies the shard's
+/// (user id, ciphertext pointer) pairs under that mutex, releases it,
+/// and only then runs the visitor over the copy: writers never wait on
+/// a scan, a scan sees each shard as it was at one instant, and the
+/// visitor may call any method of the store, including writes to the
+/// shard it is visiting.
 class CiphertextStore {
  public:
   virtual ~CiphertextStore() = default;
 
-  /// Human-readable backend name ("in_memory", "sharded/8").
+  /// Human-readable backend name ("sharded/8", "log/sharded/8").
   virtual std::string name() const = 0;
 
   /// Inserts or replaces a user's latest ciphertext.
@@ -85,71 +86,56 @@ class CiphertextStore {
 
   virtual bool Contains(int user_id) const = 0;
 
-  /// Total users stored, across all shards.
+  /// Total users stored, across all shards (exact once writers quiesce).
   virtual size_t size() const = 0;
 
   /// Number of independently scannable partitions (>= 1).
   virtual size_t num_shards() const = 0;
 
-  /// The shard `user_id` lives in (< num_shards()).
-  virtual size_t ShardOf(int user_id) const = 0;
+  /// The shard `user_id` lives in (< num_shards()): one hash partition
+  /// for every backend.
+  size_t ShardOf(int user_id) const;
 
-  /// Invokes `fn(user_id, ciphertext)` for every entry of shard `shard`
-  /// (iteration order unspecified). Precondition: shard < num_shards().
-  ///
-  /// The ciphertext reference only needs to stay valid for the
-  /// duration of the callback: every matcher copies what it retains
-  /// (the batched engine extracts a slim hve::EvalView per entry at
-  /// visit time), so backends that materialize entries on the fly are
-  /// fine.
+  /// Invokes `fn(user_id, ciphertext)` for every entry shard `shard`
+  /// held when the call copied it (iteration order unspecified), with
+  /// no store lock held. Precondition: shard < num_shards(). Each
+  /// ciphertext reference stays valid until `fn` returns, whatever the
+  /// visitor or other threads write meanwhile.
   virtual void VisitShard(
       size_t shard,
       const std::function<void(int, const hve::Ciphertext&)>& fn) const = 0;
 };
 
-/// Single-map backend: the simplest correct store.
-class InMemoryStore : public CiphertextStore {
- public:
-  std::string name() const override { return "in_memory"; }
-  void Put(int user_id, hve::Ciphertext ct) override;
-  bool Erase(int user_id) override;
-  bool Contains(int user_id) const override;
-  size_t size() const override { return users_.size(); }
-  size_t num_shards() const override { return 1; }
-  size_t ShardOf(int) const override { return 0; }
-  void VisitShard(size_t shard,
-                  const std::function<void(int, const hve::Ciphertext&)>& fn)
-      const override;
-
- private:
-  std::unordered_map<int, hve::Ciphertext> users_;
-};
-
-/// Hash-partitioned backend: users are spread across `num_shards`
-/// independent maps, the unit of parallelism for the sharded matcher.
+/// Hash-partitioned in-memory backend: users are spread across
+/// `num_shards` maps, the unit of parallelism for the sharded matcher.
 class ShardedStore : public CiphertextStore {
  public:
   /// Precondition: num_shards >= 1.
   explicit ShardedStore(size_t num_shards);
 
   std::string name() const override {
-    return "sharded/" + std::to_string(shards_.size());
+    return "sharded/" + std::to_string(num_shards_);
   }
   void Put(int user_id, hve::Ciphertext ct) override;
   bool Erase(int user_id) override;
   bool Contains(int user_id) const override;
   size_t size() const override;
-  size_t num_shards() const override { return shards_.size(); }
-  size_t ShardOf(int user_id) const override;
+  size_t num_shards() const override { return num_shards_; }
   void VisitShard(size_t shard,
                   const std::function<void(int, const hve::Ciphertext&)>& fn)
       const override;
 
  private:
-  std::vector<std::unordered_map<int, hve::Ciphertext>> shards_;
+  struct Shard {
+    mutable Mutex mu;
+    std::unordered_map<int, CtPtr> users SLOC_GUARDED_BY(mu);
+  };
+
+  size_t num_shards_;
+  std::unique_ptr<Shard[]> shards_;
 };
 
-/// Factory: one shard -> InMemoryStore, otherwise ShardedStore.
+/// Factory: a ShardedStore with max(num_shards, 1) shards.
 std::unique_ptr<CiphertextStore> MakeStore(size_t num_shards);
 
 }  // namespace api

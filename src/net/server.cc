@@ -22,7 +22,6 @@
 #include "common/check.h"
 #include "common/thread_annotations.h"
 #include "net/frame.h"
-#include "net/snapshot_store.h"
 
 namespace sloc {
 namespace net {
@@ -61,7 +60,7 @@ struct AlertServer::Impl {
   // ---- Fixed configuration (set before threads start) ----
   Options options;
   std::shared_ptr<const PairingGroup> group;
-  EpochSnapshotStore* snap = nullptr;  // owned by provider's store slot
+  api::CiphertextStore* store = nullptr;  // owned by provider
   std::unique_ptr<alert::ServiceProvider> provider;
   uint16_t port = 0;
 
@@ -425,7 +424,7 @@ struct AlertServer::Impl {
       req->remaining.store(uploads.size(), std::memory_order_relaxed);
       std::vector<size_t> touched;
       for (api::LocationUpload& upload : uploads) {
-        const size_t shard = impl->snap->ShardOf(upload.user_id);
+        const size_t shard = impl->store->ShardOf(upload.user_id);
         ShardQueue& queue = *impl->shard_queues[shard];
         MutexLock lock(queue.mu);
         queue.items.push_back(
@@ -711,26 +710,23 @@ struct AlertServer::Impl {
         }
         batch.swap(queue.items);
       }
-      // Parse and validate with no locks held — the expensive half.
-      std::vector<std::pair<int, hve::Ciphertext>> good;
-      std::vector<bool> ok(batch.size(), false);
+      // Parse and validate with no locks held — the expensive half —
+      // and apply in queue order: this worker is the shard's only
+      // drainer, so per-user order is the arrival order. The acks go
+      // out together once the whole drain is applied (and logged).
       std::vector<Status> why(batch.size());
-      good.reserve(batch.size());
       for (size_t i = 0; i < batch.size(); ++i) {
         auto ct = hve::ParseCiphertext(*group, batch[i].blob);
         if (ct.ok()) {
-          ok[i] = true;
-          good.emplace_back(batch[i].user_id, std::move(ct).value());
+          store->Put(batch[i].user_id, std::move(ct).value());
         } else {
           why[i] = ct.status();
         }
       }
-      // Apply the whole batch under one shard-lock acquisition.
-      snap->PutBatch(shard, std::move(good));
       stats.ingest_drains.fetch_add(1, std::memory_order_relaxed);
       for (size_t i = 0; i < batch.size(); ++i) {
         RequestState& req = *batch[i].req;
-        if (ok[i]) {
+        if (why[i].ok()) {
           req.accepted.fetch_add(1, std::memory_order_relaxed);
           stats.uploads_accepted.fetch_add(1, std::memory_order_relaxed);
         } else {
@@ -866,18 +862,17 @@ Result<std::unique_ptr<AlertServer>> AlertServer::Start(
   if (impl->options.io_threads == 0) impl->options.io_threads = 1;
   impl->group = group;
 
-  auto snap = std::make_unique<EpochSnapshotStore>(std::move(store));
-  impl->snap = snap.get();
+  impl->store = store.get();
   alert::ServiceProvider::Options sp_options;
-  sp_options.num_shards = snap->num_shards();
+  sp_options.num_shards = store->num_shards();
   sp_options.num_threads =
       options.scan_threads == 0 ? 1 : options.scan_threads;
   sp_options.token_cache_capacity = options.token_cache_capacity;
   impl->provider = std::make_unique<alert::ServiceProvider>(
-      std::move(group), std::move(marker), std::move(snap), sp_options);
+      std::move(group), std::move(marker), std::move(store), sp_options);
   SLOC_RETURN_IF_ERROR(impl->provider->config_status());
 
-  impl->shard_queues.resize(impl->snap->num_shards());
+  impl->shard_queues.resize(impl->store->num_shards());
   for (auto& queue : impl->shard_queues) {
     queue = std::make_unique<Impl::ShardQueue>();
   }

@@ -13,12 +13,12 @@
 //   kLocationUpload/kLocationBatch
 //     -> bin uploads into per-shard
 //        ingest queues ---------> drain one shard's queue: parse +
-//                                 validate every blob (curve checks),
-//                                 then apply the whole batch under one
-//                                 shard-lock acquisition
-//   kAlertTokens ----------------> ProcessAlertBundle on an epoch
-//                                 snapshot of the store (scans never
-//                                 block ingest; snapshot_store.h)
+//                                 validate each blob (curve checks),
+//                                 then store->Put it, in queue order
+//   kAlertTokens ----------------> ProcessAlertBundle; each shard is
+//                                 scanned from a pointer copy taken
+//                                 under its lock (scans never block
+//                                 ingest; api/store.h)
 //   write acks/outcomes <-------- per-thread reply queue + eventfd
 //
 // Multi-threaded I/O: with io_threads > 1, each thread has its own
@@ -118,7 +118,7 @@ class AlertServer {
     api::DurabilityWaiter* durability = nullptr;
   };
 
-  /// Binds 127.0.0.1:<port>, wraps `store` in an epoch-snapshot layer,
+  /// Binds 127.0.0.1:<port>, hands `store` to the scanning provider,
   /// and starts the I/O thread + workers. The store's shard count is
   /// the ingest/scan parallelism ceiling.
   static Result<std::unique_ptr<AlertServer>> Start(

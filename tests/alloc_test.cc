@@ -13,7 +13,10 @@
 // ParseCiphertext allocates only the result's c1/c2 storage, whatever
 // the width, and a warm SerializeCiphertext only its output buffer.
 // Likewise a warm WAL replay costs each record only its parsed
-// ciphertext: blobs parse in place from the segment buffer.
+// ciphertext and that ciphertext's shared holder: blobs parse in place
+// from the segment buffer. A store visit costs one vector of
+// (user, pointer) pairs, whatever the shard's size: no ciphertext is
+// copied.
 // Plus LimbVec semantics around the inline/spill boundary: copies,
 // moves, self-assignment, swap — the paths a miscounted capacity or a
 // stale heap pointer would corrupt.
@@ -31,6 +34,7 @@
 #include <vector>
 
 #include "api/log_store.h"
+#include "api/store.h"
 #include "bigint/limb_vec.h"
 #include "common/rng.h"
 #include "hve/hve.h"
@@ -348,7 +352,8 @@ TEST_F(AllocSteadyStateTest, SerializeCiphertextAllocatesOnlyItsOutput) {
 // writing every user twice, differ only by replacing records; a store
 // map that already holds the user grows by nothing. So the difference
 // of their warm replays is the replacing records' own cost: the parsed
-// ciphertext's c1 and c2 arrays, and no copy of the blob.
+// ciphertext's c1 and c2 arrays and the shared holder the store keeps
+// it in, and no copy of the blob.
 TEST_F(AllocSteadyStateTest, WarmWalReplayAllocatesOnlyTheParsedCiphertexts) {
   const std::shared_ptr<const PairingGroup> group(
       group_, [](const PairingGroup*) {});  // borrowed from the suite
@@ -385,8 +390,47 @@ TEST_F(AllocSteadyStateTest, WarmWalReplayAllocatesOnlyTheParsedCiphertexts) {
   };
   const size_t once = replay_allocs(1);
   const size_t twice = replay_allocs(2);
-  EXPECT_EQ(twice - once, size_t(2 * kUsers))
+  EXPECT_EQ(twice - once, size_t(3 * kUsers))
       << "replay once: " << once << ", twice: " << twice;
+}
+
+TEST_F(AllocSteadyStateTest, VisitShardAllocatesOnlyThePointerCopy) {
+  const std::shared_ptr<const PairingGroup> group(
+      group_, [](const PairingGroup*) {});  // borrowed from the suite
+  RandFn rand = TestRand(8);
+  hve::KeyPair kp = hve::Setup(*group_, 16, rand).value();
+  const hve::Ciphertext ct =
+      hve::Encrypt(*group_, kp.pk, std::string(16, '1'), group_->GtOne(),
+                   rand)
+          .value();
+  std::string dir = testing::TempDir() + "/alloc_visit_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  api::LogBackedStore::Options options;
+  options.compact_log_bytes = 0;
+  std::vector<std::unique_ptr<api::CiphertextStore>> stores;
+  stores.push_back(std::make_unique<api::ShardedStore>(1));
+  stores.push_back(api::LogBackedStore::Open(dir, group, options).value());
+  for (auto& store : stores) {
+    int next_user = 0;
+    for (size_t entries : {size_t(16), size_t(64)}) {
+      while (store->size() < entries) store->Put(next_user++, ct);
+      size_t visited = 0;
+      const auto count = [&visited](int, const hve::Ciphertext&) {
+        ++visited;
+      };
+      store->VisitShard(0, count);  // warm-up
+      size_t allocs = 0;
+      {
+        AllocProbe probe;
+        store->VisitShard(0, count);
+        allocs = probe.delta();
+      }
+      EXPECT_EQ(visited, 2 * entries) << store->name();
+      EXPECT_EQ(allocs, 1u) << store->name() << ", " << entries << " entries";
+    }
+  }
+  stores.clear();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(AllocIfmaTest, WarmLaneFlushRoundIsAllocFree) {

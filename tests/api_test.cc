@@ -32,9 +32,9 @@ std::vector<double> TestProbs(size_t n, uint64_t seed) {
 // ---------- Store backends ----------
 
 TEST(StoreTest, MakeStorePicksBackend) {
-  EXPECT_EQ(api::MakeStore(1)->name(), "in_memory");
+  EXPECT_EQ(api::MakeStore(1)->name(), "sharded/1");
   EXPECT_EQ(api::MakeStore(4)->name(), "sharded/4");
-  EXPECT_EQ(api::MakeStore(0)->name(), "in_memory");
+  EXPECT_EQ(api::MakeStore(0)->name(), "sharded/1");
 }
 
 TEST(StoreTest, ShardedStoreBasicOps) {

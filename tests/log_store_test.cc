@@ -791,11 +791,10 @@ TEST_F(LogStoreTest, CompactionNeverHoldsMoreThanOneShardLock) {
 }
 
 // ---------------------------------------------------------------------------
-// Background materialization: the optional post-Open thread must
-// converge to pending == 0 on its own, and the materialized contents
-// must equal an eager open of the same directory.
+// Eager load: Open() materializes every shard of an mmap snapshot up
+// front, and the contents equal what was written.
 
-TEST_F(LogStoreTest, BackgroundMaterializationMatchesEagerLoad) {
+TEST_F(LogStoreTest, EagerSnapshotLoadMatchesWrittenState) {
   std::map<int, std::vector<uint8_t>> expected;
   {
     auto store = Open(4).value();
@@ -806,30 +805,11 @@ TEST_F(LogStoreTest, BackgroundMaterializationMatchesEagerLoad) {
     }
     ASSERT_TRUE(store->Compact().ok());  // mmap snapshot on disk
   }
-  {
-    LogBackedStore::Options options;
-    options.num_shards = 4;
-    options.compact_log_bytes = 0;
-    options.background_materialize = true;
-    auto store = LogBackedStore::Open(dir_, group_, options).value();
-    // No reads, no scans: the background thread alone must retire
-    // every pending shard.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (store->pending_snapshot_entries() > 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    EXPECT_EQ(store->pending_snapshot_entries(), 0u);
-    EXPECT_TRUE(store->io_status().ok());
-    EXPECT_EQ(CollectAll(*store, *group_), expected);
-  }
-  {
-    auto eager = Open(4, 0, LogBackedStore::SnapshotFormat::kMmap,
-                      /*eager_snapshot_load=*/true)
-                     .value();
-    EXPECT_EQ(CollectAll(*eager, *group_), expected);
-  }
+  auto eager = Open(4, 0, LogBackedStore::SnapshotFormat::kMmap,
+                    /*eager_snapshot_load=*/true)
+                   .value();
+  EXPECT_EQ(eager->pending_snapshot_entries(), 0u);
+  EXPECT_EQ(CollectAll(*eager, *group_), expected);
 }
 
 }  // namespace

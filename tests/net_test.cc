@@ -1,8 +1,8 @@
 // Network front-end tests (src/net): FrameDecoder reassembly and
-// poisoning, the epoch-snapshot store wrapper, and loopback end-to-end
-// flows against a live AlertServer — submissions and alerts must be
-// observationally identical to an in-process ServiceProvider twin,
-// including across a server restart over a durable store.
+// poisoning, and loopback end-to-end flows against a live AlertServer —
+// submissions and alerts must be observationally identical to an
+// in-process ServiceProvider twin, including across a server restart
+// over a durable store.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/server.h"
-#include "net/snapshot_store.h"
 #include "prob/sigmoid.h"
 
 namespace sloc {
@@ -519,31 +518,6 @@ TEST_F(NetTest, ConcurrentIngestAlertsCompactionAndRestartRaceCleanly) {
   EXPECT_EQ(report.resident_users, size_t(2 * kUsersPerPhase));
   EXPECT_EQ(report.notified_users, expected.notified_users);
   ASSERT_FALSE(report.notified_users.empty());
-}
-
-// ---------- EpochSnapshotStore ----------
-
-TEST(EpochSnapshotStoreTest, CountsEpochsAndForwardsIdentity) {
-  EpochSnapshotStore store(api::MakeStore(2));
-  EXPECT_EQ(store.name(), "sharded/2");
-  hve::Ciphertext ct;
-  store.Put(1, ct);
-  store.Put(2, ct);
-  store.Put(1, ct);  // replace: size stays, epoch advances
-  EXPECT_EQ(store.size(), 2u);
-  uint64_t total_epochs = 0;
-  for (size_t s = 0; s < store.num_shards(); ++s)
-    total_epochs += store.epoch(s);
-  EXPECT_EQ(total_epochs, 3u);
-  EXPECT_TRUE(store.Erase(2));
-  EXPECT_FALSE(store.Erase(2));
-  EXPECT_EQ(store.size(), 1u);
-
-  size_t visited = 0;
-  for (size_t s = 0; s < store.num_shards(); ++s) {
-    store.VisitShard(s, [&](int, const hve::Ciphertext&) { ++visited; });
-  }
-  EXPECT_EQ(visited, 1u);
 }
 
 }  // namespace
