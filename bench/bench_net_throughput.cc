@@ -13,10 +13,9 @@
 //     live ingest. p50/p99 over the sampled round trips; the first
 //     alert is also reported alone, since on a freshly recovered store
 //     it is the scan that lazily materializes the mmap snapshot;
-//   * recovery wall-time — the same on-disk store opened via the v2
-//     mmap snapshot (index-only, lazy) vs rewritten to and opened via
-//     the legacy v1 format (full read + parse), plus the deferred
-//     materialization cost and process RSS;
+//   * recovery wall-time — the on-disk store opened via its mmap
+//     snapshot (index-only, lazy), plus the deferred materialization
+//     cost and process RSS;
 //   * scale — --resident-users=N pre-populates the store with N
 //     resident ciphertexts before the server starts (the nightly tier
 //     runs N = 1,000,000), so every number above is measured against a
@@ -38,8 +37,10 @@
 //       [--workers=N]         server crypto workers (default 4)
 //       [--scan-threads=N]    intra-scan parallelism (default 2)
 //       [--zone-radius=M]     alert zone radius, meters (default 90)
-//       [--durability=M]      none (default) | fsync (fsync per append)
-//                             | group (group commit, deferred acks) —
+//       [--durability=M]      none (default) | group (group commit,
+//                             256-record window, deferred acks) |
+//                             fsync (group commit, one-record window:
+//                             fsync as soon as anything is pending) —
 //                             with fsync/group the measured updates/sec
 //                             is *acked-durable* throughput
 //       [--json=PATH]
@@ -171,7 +172,7 @@ api::LogBackedStore::Options StoreOptions(const Params& params) {
   options.compact_log_bytes = std::max<size_t>(
       64u << 20, size_t(params.resident_users) * 1024);
   if (params.durability == "fsync") {
-    options.fsync_every_append = true;
+    options.fsync_batch_max = 1;  // sync as soon as anything is pending
   } else if (params.durability == "group") {
     options.fsync_batch_max = 256;
     options.fsync_interval_us = 500;
@@ -271,7 +272,8 @@ double Populate(const Setup& setup, const Params& params,
       << "  [--workers=N]         server crypto workers (> 0)\n"
       << "  [--scan-threads=N]    intra-scan parallelism (> 0)\n"
       << "  [--zone-radius=M]     alert zone radius, meters (> 0)\n"
-      << "  [--durability=M]      none | fsync | group\n"
+      << "  [--durability=M]      none | group (group commit) | fsync\n"
+      << "                        (group commit, one-record window)\n"
       << "  [--json=PATH]         result sink (bench/README.md)\n";
   std::exit(2);
 }
@@ -471,16 +473,15 @@ int main(int argc, char** argv) {
             << first_alert_ms << " ms, p50 " << p50 << " ms, p99 " << p99
             << " ms, " << notified.size() << " notified\n";
 
-  // ---- Phase 3: recovery wall-time, mmap vs legacy ----
+  // ---- Phase 3: recovery wall-time ----
   server->Stop();
   server.reset();
   double mmap_open_ms = 0.0;
   double mmap_materialize_ms = 0.0;
-  double legacy_open_ms = 0.0;
   size_t pending_after_open = 0;
   {
-    // Normalize: fold the phase-1/2 log into a clean v2 snapshot so
-    // both timed opens recover from a snapshot alone.
+    // Normalize: fold the phase-1/2 log into a clean snapshot so the
+    // timed open recovers from a snapshot alone.
     auto store =
         api::LogBackedStore::Open(dir, setup.group, StoreOptions(params))
             .value();
@@ -497,35 +498,12 @@ int main(int argc, char** argv) {
     WallTimer load_timer;
     SLOC_CHECK(store->LoadAllShards().ok());
     mmap_materialize_ms = load_timer.Millis();
-    // Rewrite as legacy v1 for the comparison leg.
-    api::LogBackedStore::Options legacy = StoreOptions(params);
-    legacy.snapshot_format =
-        api::LogBackedStore::SnapshotFormat::kLegacy;
-    store.reset();
-    auto rewriter =
-        api::LogBackedStore::Open(dir, setup.group, legacy).value();
-    SLOC_CHECK(rewriter->LoadAllShards().ok());
-    SLOC_CHECK(rewriter->Compact().ok());
   }
-  {
-    WallTimer open_timer;
-    auto store =
-        api::LogBackedStore::Open(dir, setup.group, StoreOptions(params))
-            .value();
-    legacy_open_ms = open_timer.Millis();
-    SLOC_CHECK(store->pending_snapshot_entries() == 0);  // legacy = eager
-    // Compact back to v2: the legacy -> mmap migration path, end to
-    // end, and the state the restart check recovers from.
-    SLOC_CHECK(store->Compact().ok());
-  }
-  const double recovery_speedup =
-      legacy_open_ms / std::max(mmap_open_ms, 1e-3);
   const double rss_mb = ProcStatusMb("VmRSS");
   const double rss_peak_mb = ProcStatusMb("VmHWM");
   std::cout << "recovery: mmap open " << mmap_open_ms << " ms ("
             << pending_after_open << " entries lazy, materialize "
-            << mmap_materialize_ms << " ms), legacy open " << legacy_open_ms
-            << " ms -> " << recovery_speedup << "x; rss " << rss_mb
+            << mmap_materialize_ms << " ms); rss " << rss_mb
             << " MiB (peak " << rss_peak_mb << " MiB)\n";
 
   // ---- Phase 4: restart + recovery identity check ----
@@ -572,8 +550,6 @@ int main(int argc, char** argv) {
   }
   results.Number("recovery_mmap_open_ms", mmap_open_ms);
   results.Number("recovery_mmap_materialize_ms", mmap_materialize_ms);
-  results.Number("recovery_legacy_open_ms", legacy_open_ms);
-  results.Number("recovery_speedup", recovery_speedup);
   results.Integer("recovery_lazy_entries", uint64_t(pending_after_open));
   results.Number("rss_mb", rss_mb);
   results.Number("rss_peak_mb", rss_peak_mb);

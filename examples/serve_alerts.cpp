@@ -23,10 +23,12 @@
 //                              --serve and the self-test.
 //   --durability=M             store durability for --serve and the
 //                              self-test: "none" (page cache, the
-//                              default), "fsync" (fsync per append), or
-//                              "group" (group commit with deferred
-//                              acks — an ack means the covering fsync
-//                              completed).
+//                              default), "group" (group commit with
+//                              deferred acks — an ack means the
+//                              covering fsync completed), or "fsync"
+//                              (group commit with a one-record window:
+//                              the sync thread fsyncs as soon as
+//                              anything is pending).
 //   --compact-bytes=N          auto-compaction threshold in bytes
 //                              (default 64 MiB; small values make the
 //                              crash harness exercise incremental
@@ -47,8 +49,9 @@
 //                              and parallelize the run.
 //   --check --dir=D --ack-file=F
 //                              open the store directly and verify crash
-//                              consistency: recovery succeeds, every
-//                              blob parses, and every user's stored
+//                              consistency: recovery succeeds,
+//                              LoadAllShards() verifies every blob,
+//                              and every user's stored
 //                              ciphertext is byte-identical to one of
 //                              the sends the ack log permits (>= the
 //                              last acked seq). Exit 0 iff consistent.
@@ -154,7 +157,7 @@ api::LogBackedStore::Options StoreOptions(Durability durability,
     case Durability::kNone:
       break;
     case Durability::kFsync:
-      options.fsync_every_append = true;
+      options.fsync_batch_max = 1;  // sync as soon as anything is pending
       break;
     case Durability::kGroup:
       options.fsync_batch_max = 64;
@@ -363,17 +366,21 @@ int RunCheck(const World& world, const std::string& dir,
     }
   }
 
-  // 2. Recovery must succeed and every blob must verify (eager load
+  // 2. Recovery must succeed and every blob must verify (LoadAllShards
   // runs the all-or-nothing parse).
   api::LogBackedStore::Options options;
   options.num_shards = kNumShards;
-  options.eager_snapshot_load = true;
   auto opened = api::LogBackedStore::Open(dir, world.group, options);
   if (!opened.ok()) {
     std::cerr << "CHECK FAIL: recovery failed: " << opened.status() << "\n";
     return 1;
   }
   auto& store = *opened;
+  const Status loaded = store->LoadAllShards();
+  if (!loaded.ok()) {
+    std::cerr << "CHECK FAIL: recovery failed: " << loaded << "\n";
+    return 1;
+  }
   const Status io = store->io_status();
   if (!io.ok()) {
     std::cerr << "CHECK FAIL: store degraded after recovery: " << io << "\n";

@@ -25,9 +25,7 @@ namespace {
 
 constexpr uint8_t kRecordPut = 1;
 constexpr uint8_t kRecordErase = 2;
-constexpr uint8_t kSnapshotMagicV1[4] = {'S', 'L', 'S', 'S'};
 constexpr uint8_t kSnapshotMagicV2[4] = {'S', 'L', 'S', '2'};
-constexpr uint8_t kSnapshotVersionV1 = 1;
 constexpr uint8_t kSnapshotVersionV2 = 2;
 constexpr uint8_t kManifestMagic[4] = {'S', 'L', 'M', 'F'};
 constexpr uint8_t kManifestVersion = 1;
@@ -218,11 +216,6 @@ Result<std::unique_ptr<LogBackedStore>> LogBackedStore::Open(
   std::unique_ptr<LogBackedStore> store(
       new LogBackedStore(dir, std::move(group), options));
   SLOC_RETURN_IF_ERROR(store->Recover());
-  if (options.eager_snapshot_load) {
-    // Restore the v1 all-or-nothing startup check: every blob parses
-    // and checksums, or Open fails.
-    SLOC_RETURN_IF_ERROR(store->LoadAllShards());
-  }
   {
     MutexLock lock(store->log_mu_);
     const std::string active = store->SegmentPath(store->segments_.back());
@@ -255,39 +248,6 @@ LogBackedStore::~LogBackedStore() {
 
 std::string LogBackedStore::SegmentPath(const std::string& name) const {
   return dir_ + "/" + name;
-}
-
-Status LogBackedStore::RecoverLegacySnapshot(const std::vector<uint8_t>& snap) {
-  auto body = wire::VerifyChecksum(snap);
-  if (!body.ok()) {
-    return Status::DataLoss("snapshot " + SnapshotPath(dir_) +
-                            " failed its checksum: " +
-                            body.status().message());
-  }
-  wire::Reader r(snap, 0, *body);
-  SLOC_ASSIGN_OR_RETURN(uint8_t m0, r.U8());
-  SLOC_ASSIGN_OR_RETURN(uint8_t m1, r.U8());
-  SLOC_ASSIGN_OR_RETURN(uint8_t m2, r.U8());
-  SLOC_ASSIGN_OR_RETURN(uint8_t m3, r.U8());
-  if (m0 != kSnapshotMagicV1[0] || m1 != kSnapshotMagicV1[1] ||
-      m2 != kSnapshotMagicV1[2] || m3 != kSnapshotMagicV1[3]) {
-    return Status::DataLoss("bad snapshot magic");
-  }
-  SLOC_ASSIGN_OR_RETURN(uint8_t version, r.U8());
-  if (version != kSnapshotVersionV1) {
-    return Status::Unimplemented("snapshot version " +
-                                 std::to_string(int(version)));
-  }
-  SLOC_ASSIGN_OR_RETURN(uint64_t count, r.U64());
-  for (uint64_t i = 0; i < count; ++i) {
-    SLOC_ASSIGN_OR_RETURN(int user_id, r.I32());
-    SLOC_ASSIGN_OR_RETURN(wire::ByteView blob, r.BytesView());
-    SLOC_ASSIGN_OR_RETURN(hve::Ciphertext ct,
-                          hve::ParseCiphertext(*group_, blob));
-    ApplyRecovered(user_id,
-                   std::make_shared<const hve::Ciphertext>(std::move(ct)));
-  }
-  return r.ExpectDone();
 }
 
 Status LogBackedStore::RecoverMmapSnapshot(int fd, size_t file_bytes) {
@@ -551,31 +511,32 @@ void LogBackedStore::ApplyRecovered(int user_id, CtPtr ct) {
 }
 
 Status LogBackedStore::Recover() {
-  // 1. Snapshot, if one has been compacted. A corrupt snapshot is not
-  // recoverable (the log only holds mutations since it was taken).
-  // Dispatch on magic: v2 "SLS2" maps the file and defers blob parsing
-  // per shard; v1 "SLSS" (and anything unrecognized) takes the legacy
-  // whole-file read + parse.
-  const int snap_fd = ::open(SnapshotPath(dir_).c_str(), O_RDONLY);
+  // 1. Snapshot, if one has been compacted. A corrupt or unreadable
+  // snapshot is not recoverable (the log only holds mutations since it
+  // was taken), so anything but "SLS2" magic fails Open rather than
+  // falling back to the log alone.
+  const std::string snap_path = SnapshotPath(dir_);
+  const int snap_fd = ::open(snap_path.c_str(), O_RDONLY);
+  if (snap_fd < 0 && errno != ENOENT) return Errno("open " + snap_path);
   if (snap_fd >= 0) {
     struct stat st;
-    if (::fstat(snap_fd, &st) != 0) {
-      const Status err = Errno("fstat " + SnapshotPath(dir_));
-      ::close(snap_fd);
-      return err;
-    }
-    const size_t file_bytes = size_t(st.st_size);
-    uint8_t magic[4] = {0, 0, 0, 0};
-    const bool is_v2 =
-        file_bytes >= 4 && ::pread(snap_fd, magic, 4, 0) == 4 &&
-        std::memcmp(magic, kSnapshotMagicV2, 4) == 0;
     Status snap_st;
-    if (is_v2) {
-      snap_st = RecoverMmapSnapshot(snap_fd, file_bytes);
+    uint8_t magic[4] = {0, 0, 0, 0};
+    if (::fstat(snap_fd, &st) != 0) {
+      snap_st = Errno("fstat " + snap_path);
+    } else if (st.st_size < 4 || ::pread(snap_fd, magic, 4, 0) != 4) {
+      snap_st = Status::DataLoss("snapshot " + snap_path +
+                                 " is too short to carry its magic");
+    } else if (std::memcmp(magic, "SLSS", 4) == 0) {
+      snap_st = Status::DataLoss(
+          "snapshot " + snap_path +
+          " is in the retired v1 \"SLSS\" format; compact the store with "
+          "an older build to migrate it to v2 \"SLS2\"");
+    } else if (std::memcmp(magic, kSnapshotMagicV2, 4) != 0) {
+      snap_st = Status::DataLoss("snapshot " + snap_path +
+                                 " has unknown magic");
     } else {
-      std::vector<uint8_t> snap;
-      snap_st = ReadFile(SnapshotPath(dir_), &snap);
-      if (snap_st.ok()) snap_st = RecoverLegacySnapshot(snap);
+      snap_st = RecoverMmapSnapshot(snap_fd, size_t(st.st_size));
     }
     ::close(snap_fd);
     SLOC_RETURN_IF_ERROR(snap_st);
@@ -784,11 +745,8 @@ bool LogBackedStore::Append(uint8_t kind, int user_id,
     }
     return false;
   }
-  Status st = WriteAll(log_fd_, record.buf().data(), record.buf().size());
-  if (st.ok() && options_.fsync_every_append && !group &&
-      ::fsync(log_fd_) != 0) {
-    st = Errno("fsync " + SegmentPath(segments_.back()));
-  }
+  const Status st =
+      WriteAll(log_fd_, record.buf().data(), record.buf().size());
   if (!st.ok()) {
     if (io_status_.ok()) io_status_ = st;
     if (group) {
@@ -808,7 +766,7 @@ bool LogBackedStore::Append(uint8_t kind, int user_id,
     sync_cv_.NotifyOne();
   } else {
     // Without a sync thread the durability horizon IS the append
-    // horizon (page cache, or the disk under fsync_every_append).
+    // horizon (the page cache).
     durable_seq_.store(seq, std::memory_order_release);
   }
   return options_.compact_log_bytes != 0 &&
@@ -1059,27 +1017,6 @@ void LogBackedStore::AutoCompact() {
 
 namespace {
 
-/// Serializes the collected state in the v1 "SLSS" layout (flat
-/// count-prefixed entries, whole-file checksum).
-std::vector<uint8_t> BuildLegacySnapshot(
-    const std::vector<std::vector<std::pair<int, std::vector<uint8_t>>>>&
-        shards,
-    size_t count) {
-  wire::Writer w;
-  w.Raw(kSnapshotMagicV1, 4);
-  w.U8(kSnapshotVersionV1);
-  w.U64(count);
-  for (const auto& shard : shards) {
-    for (const auto& entry : shard) {
-      w.I32(entry.first);
-      w.Bytes(entry.second);
-    }
-  }
-  std::vector<uint8_t> snap = w.Take();
-  wire::AppendChecksum(&snap);
-  return snap;
-}
-
 /// Serializes the collected state in the v2 "SLS2" layout: 64-byte
 /// header, per-shard index sorted by user id, page-aligned per-shard
 /// blob regions (docs/WIRE.md#snapshot-v2). Entries within each shard
@@ -1253,11 +1190,8 @@ Status LogBackedStore::Compact() {
   // lists the retired segments, so a crash here replays them over the
   // NEW snapshot — idempotent, since the snapshot state already
   // includes them (last record per user wins).
-  const std::vector<uint8_t> snap =
-      options_.snapshot_format == SnapshotFormat::kMmap
-          ? BuildMmapSnapshot(shards, count)
-          : BuildLegacySnapshot(shards, count);
-  SLOC_RETURN_IF_ERROR(WriteFileAtomic(SnapshotPath(dir_), snap));
+  SLOC_RETURN_IF_ERROR(
+      WriteFileAtomic(SnapshotPath(dir_), BuildMmapSnapshot(shards, count)));
   SLOC_RETURN_IF_ERROR(fault("snapshot-written"));
 
   // 4. Commit: shrink the manifest to the active segment, then unlink

@@ -9,10 +9,9 @@
 //
 //   * every Put/Erase appends one length-prefixed, checksummed record
 //     to the active log segment before returning — by the time an
-//     ingest ack is sent the mutation is in the OS page cache, on the
-//     disk itself when Options::fsync_every_append is set, and under
-//     group commit (Options::fsync_batch_max > 0) on the disk by the
-//     time the covering durability notification fires (see
+//     ingest ack is sent the mutation is in the OS page cache, and
+//     under group commit (Options::fsync_batch_max > 0) on the disk by
+//     the time the covering durability notification fires (see
 //     DurabilityWaiter below);
 //   * when the live log grows past Options::compact_log_bytes, the
 //     full resident state is written to <dir>/snapshot.bin (tmp +
@@ -51,49 +50,52 @@
 //   snapshot replay idempotently — last record per user wins, and
 //   per-user order is preserved across segments).
 //
-// Group commit:
+// Group commit (the one fsync mechanism):
 //
 //   With Options::fsync_batch_max > 0 a dedicated sync thread batches
 //   appended records and fsyncs once per window — when the window
 //   fills (fsync_batch_max records) or expires (fsync_interval_us),
-//   whichever comes first. The DurabilityWaiter interface (store.h)
-//   exposes the resulting durability horizon: CurrentTicket() after a
-//   batch of Puts covers them, and NotifyDurable(ticket, fn) runs fn
-//   once the covering fsync has completed. The net/ server uses this
-//   to defer ingest acks until the covered records are on disk, so
-//   the "acked means durable" contract of fsync_every_append survives
-//   at a small fraction of the cost. fsync_every_append is ignored
-//   while group commit is on (the sync thread owns syncing).
+//   whichever comes first. A window of one record (fsync_batch_max =
+//   1) fsyncs as soon as anything is pending; appends that arrive
+//   while it runs wait on the log lock and ride the next fsync
+//   together. Appends never fsync: the sync thread owns syncing and
+//   holds no shard lock. The
+//   DurabilityWaiter interface (store.h) exposes the resulting
+//   durability horizon: CurrentTicket() after a batch of Puts covers
+//   them, and NotifyDurable(ticket, fn) runs fn once the covering
+//   fsync has completed. The net/ server uses this to defer ingest
+//   acks until the covered records are on disk ("acked means
+//   durable"). With fsync_batch_max = 0 the store promises only
+//   page-cache (process-crash) durability.
 //
-// Snapshot formats (full byte-level spec: docs/WIRE.md):
+// Snapshot format (full byte-level spec: docs/WIRE.md):
 //
-//   * v2 "SLS2" (SnapshotFormat::kMmap, the default) — a fixed 64-byte
-//     header, a per-shard index of (user id, offset, length, checksum)
-//     entries sorted by user id, and page-aligned per-shard blob
-//     regions. Open() mmaps the file, verifies only the header and
-//     index checksums, and materializes resident shards *lazily*: the
-//     first scan (or Compact) of a shard faults in and parses just that
-//     shard's pages. Recovery of a million-user store is an index read,
-//     not a full-file parse; ingest against a freshly recovered store
-//     never pays materialization at all (mutations overlay the index).
-//     The mapping is released once every shard has materialized.
-//   * v1 "SLSS" (SnapshotFormat::kLegacy) — flat count-prefixed
-//     entries with a whole-file checksum; reading it means parsing
-//     every blob up front. Still read transparently for migration;
-//     compaction rewrites the store in the configured format, so one
-//     Compact() on a default-options store migrates v1 -> v2.
+//   v2 "SLS2" — a fixed 64-byte header, a per-shard index of (user id,
+//   offset, length, checksum) entries sorted by user id, and
+//   page-aligned per-shard blob regions. Open() mmaps the file,
+//   verifies only the header and index checksums, and materializes
+//   resident shards *lazily*: the first scan (or Compact) of a shard
+//   faults in and parses just that shard's pages. Recovery of a
+//   million-user store is an index read, not a full-file parse;
+//   ingest against a freshly recovered store never pays
+//   materialization at all (mutations overlay the index). The mapping
+//   is released once every shard has materialized. A snapshot.bin
+//   without "SLS2" magic fails Open() with DataLoss — including the
+//   retired v1 "SLSS" format, which a store must be compacted out of
+//   by an older build — and Open() never falls back to replaying the
+//   log alone, which would silently drop every snapshotted user.
 //
 // Record format (little-endian, via common/wire.h):
 //   u32 payload_len | payload | u64 fnv1a64(payload)
 //   payload: u8 kind (1 = put, 2 = erase) | i32 user_id | [ct blob]
 //
-// Lazy-load failure semantics: v2 header/index corruption fails Open()
+// Lazy-load failure semantics: header/index corruption fails Open()
 // with DataLoss up front. A corrupt *blob* is only discovered when its
 // shard materializes — the store then latches DataLoss in io_status()
 // and drops the affected entries rather than serving unverifiable
-// ciphertexts. Operators who want the v1-style all-or-nothing check at
-// startup set Options::eager_snapshot_load (or call LoadAllShards()
-// right after Open and check its Status).
+// ciphertexts. Operators who want an all-or-nothing check at startup
+// call LoadAllShards() right after Open and treat a non-OK Status as a
+// recovery failure.
 //
 // Threading: the CiphertextStore contract (store.h) — every method is
 // thread-safe, each shard has one mutex (Shard::mu, guarding the
@@ -140,39 +142,23 @@ namespace api {
 
 class LogBackedStore : public CiphertextStore, public DurabilityWaiter {
  public:
-  /// On-disk layout Compact() writes. Both are always readable.
-  enum class SnapshotFormat {
-    kMmap,    ///< v2 "SLS2": indexed, page-aligned, lazily recoverable
-    kLegacy,  ///< v1 "SLSS": flat, whole-file parse on recovery
-  };
-
   struct Options {
     size_t num_shards = 1;  ///< resident shards (0 is treated as 1)
     /// Compact (snapshot + retire segments) once the live log holds
     /// this many bytes appended since the last snapshot; 0 disables
     /// auto-compaction (Compact() stays available).
     size_t compact_log_bytes = 64u << 20;
-    /// fsync() the log after every append: survives power loss, not
-    /// just process death, at a large throughput cost. Off by default —
-    /// process-crash durability (the page cache) is the service-level
-    /// guarantee. Ignored while group commit (fsync_batch_max > 0) is
-    /// on; the sync thread owns syncing then.
-    bool fsync_every_append = false;
     /// Group commit: > 0 starts a sync thread that fsyncs once per
     /// window — when this many records are pending or when
     /// fsync_interval_us expires since the first pending record,
-    /// whichever comes first. 0 disables group commit.
+    /// whichever comes first; 1 fsyncs as soon as anything is pending.
+    /// 0 disables fsync: process-crash durability (the page cache) is
+    /// the guarantee then.
     size_t fsync_batch_max = 0;
     /// Maximum time a pending record waits for its covering fsync
     /// under group commit; bounds ack latency when traffic is too
     /// light to fill fsync_batch_max.
     uint64_t fsync_interval_us = 500;
-    /// Format Compact() writes (recovery reads either).
-    SnapshotFormat snapshot_format = SnapshotFormat::kMmap;
-    /// Materialize every shard inside Open() and fail it on any
-    /// corrupt blob, instead of the default lazy per-shard loading.
-    /// Restores the v1 all-or-nothing startup check at v1 cost.
-    bool eager_snapshot_load = false;
   };
 
   /// Opens (creating if absent) the store rooted at directory `dir`,
@@ -244,8 +230,7 @@ class LogBackedStore : public CiphertextStore, public DurabilityWaiter {
   Status LoadAllShards();
 
   /// Snapshot entries not yet materialized into resident memory
-  /// (observability; 0 once every shard has loaded or after any
-  /// legacy-format recovery).
+  /// (observability; 0 once every shard has loaded).
   size_t pending_snapshot_entries() const {
     return pending_entries_.load(std::memory_order_relaxed);
   }
@@ -285,8 +270,7 @@ class LogBackedStore : public CiphertextStore, public DurabilityWaiter {
     mutable Mutex mu;
     std::unordered_map<int, CtPtr> users SLOC_GUARDED_BY(mu);
     /// True once the shard's snapshot entries live in `users`
-    /// (immediately true for shards with no snapshot entries and after
-    /// any legacy recovery).
+    /// (immediately true for shards with no snapshot entries).
     bool loaded SLOC_GUARDED_BY(mu) = true;
     /// Users whose authoritative state is `users` (log replay or
     /// post-open mutation): their snapshot index entry, if any, is
@@ -329,10 +313,6 @@ class LogBackedStore : public CiphertextStore, public DurabilityWaiter {
   /// Parses + validates a v2 snapshot: maps the file, checks header and
   /// index checksums/bounds, and fills snap_. Blobs are not touched.
   Status RecoverMmapSnapshot(int fd, size_t file_bytes);
-
-  /// Reads + parses a whole v1 snapshot into the shards (the legacy
-  /// path).
-  Status RecoverLegacySnapshot(const std::vector<uint8_t>& snap);
 
   /// Materializes shard `index` from the mapped snapshot; no-op when
   /// already loaded. Corrupt blobs latch DataLoss and are dropped (see

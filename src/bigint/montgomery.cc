@@ -506,10 +506,4 @@ Montgomery::Elem Montgomery::Pow(const Elem& base, const BigInt& exp) const {
   return result;
 }
 
-Result<Montgomery::Elem> Montgomery::Inverse(const Elem& a) const {
-  BigInt plain = FromMont(a);
-  SLOC_ASSIGN_OR_RETURN(BigInt inv, BigInt::ModInverse(plain, modulus_));
-  return ToMont(inv);
-}
-
 }  // namespace sloc

@@ -154,9 +154,6 @@ class Montgomery {
   /// base^exp mod N (exp plain, non-negative), result in Montgomery form.
   Elem Pow(const Elem& base, const BigInt& exp) const;
 
-  /// Inverse in the multiplicative group. Error when not invertible.
-  Result<Elem> Inverse(const Elem& a) const;
-
  private:
   Montgomery(BigInt modulus, size_t k, MulKernel kernel);
 

@@ -303,7 +303,7 @@ Fp2Elem FinalExponentiation(const Fp2& fp2, const Fp2Elem& f,
 /// field arithmetic is exact — but the conj(f)/f unitarization shares
 /// ONE Fp2 inversion across all entries via Montgomery's simultaneous
 /// inversion (prefix products, 3 extra Fp2 muls per entry), instead of
-/// one Fp inversion through the extended gcd per entry, and the fixed
+/// one Fp inversion (a Fermat power a^(p-2)) per entry, and the fixed
 /// cofactor power runs as one Fp2::BatchPowUnitary ladder whose wNAF
 /// recoding is shared across the batch. Precondition: every entry != 0.
 void BatchFinalExponentiation(const Fp2& fp2, const BigInt& cofactor,

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -20,6 +21,7 @@
 
 #include "alert/protocol.h"
 #include "api/log_store.h"
+#include "common/wire.h"
 #include "hve/serialize.h"
 #include "prob/sigmoid.h"
 
@@ -65,16 +67,11 @@ class LogStoreTest : public ::testing::Test {
     return hve::ParseCiphertext(*group_, BlobFor(cell)).value();
   }
 
-  Result<std::unique_ptr<LogBackedStore>> Open(
-      size_t num_shards = 2, size_t compact_log_bytes = 0,
-      LogBackedStore::SnapshotFormat format =
-          LogBackedStore::SnapshotFormat::kMmap,
-      bool eager_snapshot_load = false) {
+  Result<std::unique_ptr<LogBackedStore>> Open(size_t num_shards = 2,
+                                               size_t compact_log_bytes = 0) {
     LogBackedStore::Options options;
     options.num_shards = num_shards;
     options.compact_log_bytes = compact_log_bytes;
-    options.snapshot_format = format;
-    options.eager_snapshot_load = eager_snapshot_load;
     return LogBackedStore::Open(dir_, group_, options);
   }
 
@@ -282,20 +279,55 @@ TEST_F(LogStoreTest, AutoCompactionKicksIn) {
   EXPECT_EQ(reopened->size(), 2u);
 }
 
-TEST_F(LogStoreTest, CorruptLegacySnapshotRejected) {
+TEST_F(LogStoreTest, RetiredV1SnapshotRejected) {
+  // A well-formed snapshot in the retired v1 "SLSS" layout (magic,
+  // version 1, count, (i32 user, bytes blob) entries, whole-file
+  // checksum) beside a live log. Open must refuse it by name rather
+  // than recover from the log alone, which would drop user 1.
   {
-    auto store =
-        Open(2, 0, LogBackedStore::SnapshotFormat::kLegacy).value();
-    store->Put(1, CtFor(2));
-    ASSERT_TRUE(store->Compact().ok());
+    auto store = Open().value();
+    store->Put(2, CtFor(3));
   }
-  ASSERT_EQ(SnapshotMagic(), "SLSS");
-  std::vector<uint8_t> snap = Slurp(SnapshotPath());
-  snap[snap.size() / 2] ^= 0x55;
+  wire::Writer w;
+  w.Raw(reinterpret_cast<const uint8_t*>("SLSS"), 4);
+  w.U8(1);
+  w.U64(1);
+  w.I32(1);
+  w.Bytes(BlobFor(2));
+  std::vector<uint8_t> snap = w.Take();
+  wire::AppendChecksum(&snap);
   Dump(SnapshotPath(), snap);
   auto reopened = Open();
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(reopened.status().message().find("v1"), std::string::npos)
+      << reopened.status().message();
+}
+
+TEST_F(LogStoreTest, UnknownSnapshotMagicRejected) {
+  {
+    auto store = Open().value();
+    store->Put(1, CtFor(2));
+    ASSERT_TRUE(store->Compact().ok());
+  }
+  std::vector<uint8_t> snap = Slurp(SnapshotPath());
+  std::memcpy(snap.data(), "SLSX", 4);
+  Dump(SnapshotPath(), snap);
+  auto reopened = Open();
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss);
+}
+
+TEST_F(LogStoreTest, UnopenableSnapshotFailsOpen) {
+  // A snapshot.bin that exists but cannot be opened (here a symlink
+  // loop) must fail Open, not read as "no snapshot yet" and recover
+  // from the log alone.
+  {
+    auto store = Open().value();
+    store->Put(1, CtFor(2));
+  }
+  ASSERT_EQ(::symlink("snapshot.bin", SnapshotPath().c_str()), 0);
+  EXPECT_FALSE(Open().ok());
 }
 
 TEST_F(LogStoreTest, TruncatedMmapHeaderRejected) {
@@ -355,11 +387,11 @@ TEST_F(LogStoreTest, CorruptBlobFailsEagerOpenButDefersUnderLazy) {
   snap.back() ^= 0x55;
   Dump(SnapshotPath(), snap);
 
-  // Eager open keeps the v1 all-or-nothing contract.
-  auto eager = Open(2, 0, LogBackedStore::SnapshotFormat::kMmap,
-                    /*eager_snapshot_load=*/true);
-  ASSERT_FALSE(eager.ok());
-  EXPECT_EQ(eager.status().code(), StatusCode::kDataLoss);
+  // Open + LoadAllShards is the all-or-nothing startup check.
+  {
+    auto eager = Open().value();
+    EXPECT_EQ(eager->LoadAllShards().code(), StatusCode::kDataLoss);
+  }
 
   // Lazy open succeeds — the index still answers Contains — and the
   // corruption surfaces as a latched DataLoss plus a dropped entry when
@@ -373,36 +405,6 @@ TEST_F(LogStoreTest, CorruptBlobFailsEagerOpenButDefersUnderLazy) {
   EXPECT_EQ(load.code(), StatusCode::kDataLoss);
   EXPECT_EQ(lazy->io_status().code(), StatusCode::kDataLoss);
   EXPECT_EQ(lazy->size(), 1u);  // the corrupt entry was dropped, not served
-}
-
-TEST_F(LogStoreTest, LegacySnapshotMigratesToMmapOnCompaction) {
-  // A store compacted under the legacy format reopens transparently and
-  // the next (default-options) compaction rewrites it as v2 — the
-  // upgrade path is one Compact() away.
-  {
-    auto store =
-        Open(2, 0, LogBackedStore::SnapshotFormat::kLegacy).value();
-    store->Put(1, CtFor(2));
-    store->Put(2, CtFor(3));
-    store->Put(3, CtFor(5));
-    ASSERT_TRUE(store->Compact().ok());
-  }
-  ASSERT_EQ(SnapshotMagic(), "SLSS");
-  {
-    auto store = Open().value();
-    EXPECT_EQ(store->size(), 3u);
-    EXPECT_EQ(store->pending_snapshot_entries(), 0u);  // legacy = eager
-    ASSERT_TRUE(store->Compact().ok());
-  }
-  EXPECT_EQ(SnapshotMagic(), "SLS2");
-  auto reopened = Open().value();
-  EXPECT_EQ(reopened->size(), 3u);
-  EXPECT_GT(reopened->pending_snapshot_entries(), 0u);  // now lazy
-  EXPECT_TRUE(reopened->Contains(1));
-  EXPECT_TRUE(reopened->Contains(2));
-  EXPECT_TRUE(reopened->Contains(3));
-  EXPECT_TRUE(reopened->LoadAllShards().ok());
-  EXPECT_EQ(reopened->size(), 3u);
 }
 
 TEST_F(LogStoreTest, LazyRecoveryMatchesEagerRecovery) {
@@ -430,9 +432,8 @@ TEST_F(LogStoreTest, LazyRecoveryMatchesEagerRecovery) {
     std::sort(state.begin(), state.end());
     return state;
   };
-  auto eager = Open(4, 0, LogBackedStore::SnapshotFormat::kMmap,
-                    /*eager_snapshot_load=*/true)
-                   .value();
+  auto eager = Open(4).value();
+  ASSERT_TRUE(eager->LoadAllShards().ok());
   EXPECT_EQ(eager->pending_snapshot_entries(), 0u);
   auto lazy = Open(4).value();
   EXPECT_GT(lazy->pending_snapshot_entries(), 0u);
@@ -645,24 +646,47 @@ TEST_F(LogStoreTest, GroupCommitAckNeverPrecedesCoveringFsync) {
 }
 
 TEST_F(LogStoreTest, GroupCommitWindowExpiryAdvancesWithoutWaiters) {
-  LogBackedStore::Options options;
-  options.num_shards = 2;
-  options.compact_log_bytes = 0;
-  options.fsync_batch_max = 1u << 20;  // only the timer can close it
-  options.fsync_interval_us = 1000;
-  auto store = LogBackedStore::Open(dir_, group_, options).value();
+  // No WaitDurable nudge (NotifyDurable does not close a window): the
+  // sync thread alone must make the puts durable. With a huge batch
+  // only the interval can close the window; with a window of one
+  // record (the --durability=fsync preset) the sync must come at once,
+  // long before its 10 s interval.
+  struct Case {
+    const char* name;
+    size_t batch;
+    uint64_t interval_us;
+    std::chrono::seconds bound;
+  };
+  for (const Case& c : {Case{"timer", 1u << 20, 1000, std::chrono::seconds(10)},
+                        Case{"window-of-one", 1, 10'000'000,
+                             std::chrono::seconds(2)}}) {
+    SCOPED_TRACE(c.name);
+    LogBackedStore::Options options;
+    options.num_shards = 2;
+    options.compact_log_bytes = 0;
+    options.fsync_batch_max = c.batch;
+    options.fsync_interval_us = c.interval_us;
+    auto store =
+        LogBackedStore::Open(dir_ + "/" + c.name, group_, options).value();
 
-  store->Put(1, CtFor(3));
-  store->Put(2, CtFor(5));
-  const uint64_t ticket = store->CurrentTicket();
-  // No WaitDurable nudge: the interval alone must close the window.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (store->durable_ticket() < ticket &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    store->Put(1, CtFor(3));
+    store->Put(2, CtFor(5));
+    const uint64_t ticket = store->CurrentTicket();
+    std::atomic<bool> fired{false};
+    std::atomic<bool> fired_ok{false};
+    store->NotifyDurable(ticket, [&](Status st) {
+      fired_ok.store(st.ok());
+      fired.store(true);
+    });
+    const auto deadline = std::chrono::steady_clock::now() + c.bound;
+    while ((store->durable_ticket() < ticket || !fired.load()) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GE(store->durable_ticket(), ticket);
+    EXPECT_TRUE(fired.load());
+    EXPECT_TRUE(fired_ok.load());
   }
-  EXPECT_GE(store->durable_ticket(), ticket);
 }
 
 TEST_F(LogStoreTest, GroupCommitDrainFlushesEveryNotification) {
@@ -742,10 +766,11 @@ TEST_F(LogStoreTest, CompactionCrashPointsRecoverEveryWrite) {
       EXPECT_TRUE(store->io_status().ok());
     }
     {
-      // Recovery over the stitched manifest: every write — including
-      // the replacement and the post-abort one — byte-identical.
-      options.eager_snapshot_load = true;
+      // Recovery over the stitched manifest: every blob verifies, and
+      // every write — including the replacement and the post-abort one
+      // — is byte-identical.
       auto store = LogBackedStore::Open(dir, group_, options).value();
+      ASSERT_TRUE(store->LoadAllShards().ok());
       EXPECT_EQ(CollectAll(*store, *group_), expected);
       // And a clean compaction from the stitched state still works.
       ASSERT_TRUE(store->Compact().ok());
@@ -791,8 +816,8 @@ TEST_F(LogStoreTest, CompactionNeverHoldsMoreThanOneShardLock) {
 }
 
 // ---------------------------------------------------------------------------
-// Eager load: Open() materializes every shard of an mmap snapshot up
-// front, and the contents equal what was written.
+// Eager load: Open() then LoadAllShards() materializes every shard of
+// an mmap snapshot up front, and the contents equal what was written.
 
 TEST_F(LogStoreTest, EagerSnapshotLoadMatchesWrittenState) {
   std::map<int, std::vector<uint8_t>> expected;
@@ -805,9 +830,8 @@ TEST_F(LogStoreTest, EagerSnapshotLoadMatchesWrittenState) {
     }
     ASSERT_TRUE(store->Compact().ok());  // mmap snapshot on disk
   }
-  auto eager = Open(4, 0, LogBackedStore::SnapshotFormat::kMmap,
-                    /*eager_snapshot_load=*/true)
-                   .value();
+  auto eager = Open(4).value();
+  ASSERT_TRUE(eager->LoadAllShards().ok());
   EXPECT_EQ(eager->pending_snapshot_entries(), 0u);
   EXPECT_EQ(CollectAll(*eager, *group_), expected);
 }

@@ -120,25 +120,5 @@ TEST(MontgomeryTest, PowZeroExponentIsOne) {
   EXPECT_TRUE(ctx.FromMont(r).IsOne());
 }
 
-TEST(MontgomeryTest, InverseRoundTrip) {
-  auto p = BigInt::FromDecimal("170141183460469231731687303715884105727");
-  auto ctx = Montgomery::Create(*p).value();
-  RandFn rand = TestRand(10);
-  for (int i = 0; i < 10; ++i) {
-    BigInt a = BigInt::RandomBelow(*p - BigInt(1), rand) + BigInt(1);
-    auto ea = ctx.ToMont(a);
-    auto inv = ctx.Inverse(ea);
-    ASSERT_TRUE(inv.ok());
-    Montgomery::Elem prod;
-    ctx.Mul(ea, *inv, &prod);
-    EXPECT_TRUE(ctx.FromMont(prod).IsOne());
-  }
-}
-
-TEST(MontgomeryTest, InverseOfZeroFails) {
-  auto ctx = Montgomery::Create(BigInt(97)).value();
-  EXPECT_FALSE(ctx.Inverse(ctx.Zero()).ok());
-}
-
 }  // namespace
 }  // namespace sloc

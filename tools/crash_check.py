@@ -27,6 +27,12 @@ Usage:
       [--iterations 5] [--durability group,fsync] [--seed 1234] \
       [--compact-bytes 200000] [--min-kill-s 0.5] [--max-kill-s 2.0]
 
+Durability modes are serve_alerts' --durability values: "group" (group
+commit, 64-record window) and "fsync" (group commit with a one-record
+window, so the sync thread fsyncs as soon as anything is pending). In
+both an ack means the covering fsync completed. "none" acks at the
+page cache, which a kill -9 does not lose either.
+
 Exit 0 iff every iteration of every mode passes the check.
 """
 
@@ -129,7 +135,9 @@ def main():
                         help="path to the serve_alerts binary")
     parser.add_argument("--iterations", type=int, default=5)
     parser.add_argument("--durability", default="group,fsync",
-                        help="comma-separated modes to test")
+                        help="comma-separated serve_alerts --durability "
+                             "modes to test: none, group, fsync "
+                             "(group commit, one-record window)")
     parser.add_argument("--compact-bytes", type=int, default=200000,
                         help="auto-compaction threshold (low = frequent "
                              "rotations, so kills hit compaction paths)")
