@@ -52,6 +52,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -387,6 +388,15 @@ int main(int argc, char** argv) {
   char dir_template[] = "/tmp/bench_net_XXXXXX";
   SLOC_CHECK(::mkdtemp(dir_template) != nullptr);
   const std::string dir = dir_template;
+  // Removes the store at exit. Declared before every server and store
+  // over it, so they are gone (and their files closed) first.
+  struct RemoveAtExit {
+    std::string dir;
+    ~RemoveAtExit() {
+      std::error_code ignored;
+      std::filesystem::remove_all(dir, ignored);
+    }
+  } remove_store{dir};
 
   // ---- Phase 0 (scale tier): populate + compact to a v2 snapshot ----
   double populate_wall_s = 0.0;

@@ -64,6 +64,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -389,8 +390,8 @@ int RunCheck(const World& world, const std::string& dir,
 
   std::map<int, std::vector<uint8_t>> stored;
   for (size_t shard = 0; shard < store->num_shards(); ++shard) {
-    store->VisitShard(shard, [&](int user_id, const hve::Ciphertext& ct) {
-      stored[user_id] = hve::SerializeCiphertext(*world.group, ct);
+    store->VisitShard(shard, [&](int user_id, const api::CtPtr& ct) {
+      stored[user_id] = hve::SerializeCiphertext(*world.group, *ct);
     });
   }
 
@@ -441,6 +442,15 @@ int RunSelfTest(const World& world, unsigned io_threads,
   char dir_template[] = "/tmp/serve_alerts_XXXXXX";
   SLOC_CHECK(::mkdtemp(dir_template) != nullptr);
   const std::string dir = dir_template;
+  // Removes the store on every return. Declared before the servers over
+  // it, so they are gone (and their files closed) first.
+  struct RemoveAtExit {
+    std::string dir;
+    ~RemoveAtExit() {
+      std::error_code ignored;
+      std::filesystem::remove_all(dir, ignored);
+    }
+  } remove_store{dir};
 
   auto server =
       StartServer(world, dir, 0, io_threads, durability, compact_bytes)

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
+#include <limits>
 #include <optional>
+#include <thread>
 
 #include "common/bitstring.h"
 #include "common/check.h"
@@ -47,10 +50,10 @@ api::OutcomeReport ReportFromOutcome(
   return report;
 }
 
-/// Flush width for batch_flush_evals = 0 (auto): grow the batch-
-/// inversion span as the slim views get slimmer. `columns` is the
-/// number of ciphertext column pairs the token set reads (the
-/// EvalLayout's union of non-star positions).
+/// Views per worker for batch_flush_evals = 0 (auto): hold more of
+/// them as the slim views get slimmer. `columns` is the number of
+/// ciphertext column pairs the token set reads (the EvalLayout's union
+/// of non-star positions).
 size_t AutoFlushWidth(size_t columns) {
   // Field elements per buffered entry: the deferred-comparison target
   // (2, C' folded with marker^-1) + the c0 coordinate pair (2) + 4 per
@@ -261,51 +264,6 @@ Result<ServiceProvider::SubmitReport> ServiceProvider::SubmitBatchFrame(
   return SubmitBatch(uploads);
 }
 
-ServiceProvider::PrecompileResult ServiceProvider::PrecompileTokens(
-    const std::vector<hve::Token>& tokens,
-    const std::vector<std::vector<uint8_t>>& blobs) const {
-  const size_t n = tokens.size();
-  PrecompileResult result;
-  std::vector<std::shared_ptr<const hve::PrecompiledToken>>& out =
-      result.tables;
-  out.resize(n);
-  // Serve what the LRU retained from earlier alerts; duplicate blobs
-  // within one bundle compile once and share the table.
-  std::vector<size_t> misses;
-  misses.reserve(n);
-  std::map<std::vector<uint8_t>, size_t> first_of;
-  std::vector<std::pair<size_t, size_t>> aliases;  // (dup, original)
-  for (size_t i = 0; i < n; ++i) {
-    auto [it, inserted] = first_of.emplace(blobs[i], i);
-    if (!inserted) {
-      aliases.emplace_back(i, it->second);
-      continue;
-    }
-    out[i] = token_cache_.Get(blobs[i]);
-    if (out[i] == nullptr) misses.push_back(i);
-  }
-  // Compile the misses across the worker pool at chain granularity:
-  // every Miller chain is independent, so even a one-token bundle keeps
-  // all workers busy.
-  std::vector<const hve::Token*> miss_tokens;
-  miss_tokens.reserve(misses.size());
-  for (size_t i : misses) miss_tokens.push_back(&tokens[i]);
-  std::vector<hve::PrecompiledToken> compiled =
-      hve::PrecompileTokens(*group_, miss_tokens, options_.num_threads);
-  for (size_t m = 0; m < misses.size(); ++m) {
-    const size_t i = misses[m];
-    out[i] = std::make_shared<const hve::PrecompiledToken>(
-        std::move(compiled[m]));
-    token_cache_.Put(blobs[i], out[i]);
-  }
-  for (const auto& [dup, original] : aliases) out[dup] = out[original];
-  // Per-alert cache traffic (duplicates never consult the LRU): unique
-  // tokens served from retained tables vs compiled fresh.
-  result.cache_misses = misses.size();
-  result.cache_hits = first_of.size() - misses.size();
-  return result;
-}
-
 Result<ServiceProvider::AlertOutcome> ServiceProvider::ProcessAlert(
     const std::vector<std::vector<uint8_t>>& token_blobs) const {
   SLOC_RETURN_IF_ERROR(config_status_);
@@ -319,31 +277,18 @@ Result<ServiceProvider::AlertOutcome> ServiceProvider::ProcessAlert(
     tokens.push_back(std::move(tk));
   }
   out.stats.tokens = tokens.size();
-
-  // The batched engine's token side is fixed for the whole scan: run
-  // each token's Miller chains once up front (in parallel, LRU-cached
-  // across alerts) and share the line tables across every
-  // user/shard/worker (read-only from here on), evaluated against the
-  // slim layout of the union of the bundle's non-star positions.
-  const bool batched = options_.engine == QueryEngine::kBatched;
-  std::vector<std::shared_ptr<const hve::PrecompiledToken>> precompiled;
-  hve::EvalLayout layout;
-  size_t flush_cts = std::max<size_t>(1, options_.batch_flush_evals);
-  if (batched) {
-    PrecompileResult compiled = PrecompileTokens(tokens, token_blobs);
-    precompiled = std::move(compiled.tables);
-    out.stats.token_cache_hits = compiled.cache_hits;
-    out.stats.token_cache_misses = compiled.cache_misses;
-    std::vector<const hve::PrecompiledToken*> token_ptrs;
-    token_ptrs.reserve(precompiled.size());
-    for (const auto& table : precompiled) token_ptrs.push_back(table.get());
-    layout = hve::MakeEvalLayout(
-        tokens.empty() ? 0 : tokens.front().pattern.size(), token_ptrs);
-    if (options_.batch_flush_evals == 0) {
-      flush_cts = AutoFlushWidth(layout.positions.size());
-    }
+  if (options_.engine == QueryEngine::kBatched) {
+    SLOC_RETURN_IF_ERROR(ScanBatched(tokens, token_blobs, &out));
+  } else {
+    SLOC_RETURN_IF_ERROR(ScanReference(tokens, &out));
   }
+  out.stats.wall_seconds = timer.Seconds();
+  std::sort(out.notified_users.begin(), out.notified_users.end());
+  return out;
+}
 
+Status ServiceProvider::ScanReference(const std::vector<hve::Token>& tokens,
+                                      AlertOutcome* out) const {
   // Per-worker partial results; merged below. Pairings are accounted
   // analytically (each executed query costs exactly QueryPairingCost),
   // which matches the group counters and is deterministic under
@@ -357,29 +302,21 @@ Result<ServiceProvider::AlertOutcome> ServiceProvider::ProcessAlert(
     Status status;
   };
   const size_t num_shards = store_->num_shards();
-  const size_t num_workers =
-      ClampWorkers(options_.num_threads, num_shards);
+  const size_t num_workers = ClampWorkers(options_.num_threads, num_shards);
   std::vector<ShardScan> partials(num_workers);
   // Once any worker fails, the whole alert fails — every worker stops
   // scanning instead of burning pairings on a result that gets thrown
   // away.
   std::atomic<bool> abort{false};
-
-  // The reference scan evaluates and compares inline; the batched
-  // engine defers final exponentiation so a whole flush of Miller
-  // ratios shares one Fp2 inversion (and each ciphertext shares one Gt
-  // mul against the cached marker^-1). Both charge MatchStats.pairings
-  // the same deterministic scan-order cost.
-  auto scan_shards = [&](size_t worker) {
+  RunWorkers(num_workers, [&](size_t worker) {
     ShardScan& scan = partials[worker];
     for (size_t shard = worker; shard < num_shards; shard += num_workers) {
       if (abort.load(std::memory_order_relaxed)) break;
-      store_->VisitShard(shard, [&](int user_id, const hve::Ciphertext& ct) {
+      store_->VisitShard(shard, [&](int user_id, const api::CtPtr& ct) {
         if (abort.load(std::memory_order_relaxed)) return;
         ++scan.scanned;
-        for (size_t k = 0; k < tokens.size(); ++k) {
-          const hve::Token& tk = tokens[k];
-          Result<Fp2Elem> recovered = hve::Query(*group_, tk, ct);
+        for (const hve::Token& tk : tokens) {
+          Result<Fp2Elem> recovered = hve::Query(*group_, tk, *ct);
           if (!recovered.ok()) {
             scan.status = recovered.status();
             abort.store(true, std::memory_order_relaxed);
@@ -396,131 +333,322 @@ Result<ServiceProvider::AlertOutcome> ServiceProvider::ProcessAlert(
         }
       });
     }
-  };
-
-  auto scan_shards_batched = [&](size_t worker) {
-    ShardScan& scan = partials[worker];
-    // Token-major batching: buffer ciphertexts, then per token round
-    // evaluate that token's Miller ratio over every still-unmatched
-    // buffered ciphertext and share ONE Fp2 inversion (and one
-    // shared-recoding cofactor ladder) across the round. A ciphertext
-    // leaves the buffer at its first match, so exactly the same queries
-    // run as in the early-exit reference scan — only the per-query
-    // inversions collapse (~buffer-width ratios per inversion) and the
-    // marker comparison amortizes to one Gt mul per ciphertext against
-    // the cached marker^-1.
-    // The buffer stores slim EvalViews — C' plus the pre-distorted
-    // coordinates of only the columns the token set reads — instead of
-    // pinning full Ciphertexts in the store: ~2x smaller for sparse
-    // token sets, which is what lets the auto-tuned flush width grow.
-    struct BufferedCt {
-      int user_id;
-      hve::EvalView view;
-      Fp2Elem expected;  // C' * marker^-1; match iff ratio equals this
-    };
-    // The buffer is a fixed slab of `flush_cts` slots plus a fill count:
-    // slots are refilled in place (MakeEvalView reuses each view's
-    // coordinate buffers), so after the first flush a worker's whole
-    // steady-state round — view extraction, Miller walks, batch final
-    // exponentiation — runs without heap allocation.
-    std::vector<BufferedCt> buffer(flush_cts);
-    size_t buffered = 0;
-    std::vector<Fp2Elem> millers;
-    millers.reserve(flush_cts);
-    std::vector<size_t> alive, next_alive;
-    alive.reserve(flush_cts);
-    next_alive.reserve(flush_cts);
-    std::vector<const hve::EvalView*> alive_views;
-    alive_views.reserve(flush_cts);
-    hve::QueryScratch scratch;
-
-    auto flush = [&]() {
-      if (buffered == 0) return;
-      alive.resize(buffered);
-      for (size_t i = 0; i < buffered; ++i) alive[i] = i;
-      for (size_t k = 0; k < tokens.size() && !alive.empty(); ++k) {
-        // One call per round: on an IFMA group the alive views walk
-        // eight lanes at a time.
-        alive_views.clear();
-        for (size_t idx : alive) alive_views.push_back(&buffer[idx].view);
-        Status round = hve::QueryMillerPrecompiledViews(
-            *group_, *precompiled[k], layout, alive_views, &millers,
-            &scratch);
-        if (!round.ok()) {
-          scan.status = round;
-          abort.store(true, std::memory_order_relaxed);
-          buffered = 0;
-          return;
-        }
-        BatchFinalExponentiation(group_->fp2(), group_->params().cofactor,
-                                 &millers, &scratch.pairing);
-        next_alive.clear();
-        const size_t cost = hve::QueryPairingCost(tokens[k]);
-        for (size_t pos = 0; pos < alive.size(); ++pos) {
-          const size_t idx = alive[pos];
-          scan.pairings += cost;
-          ++scan.queries;
-          if (group_->GtEqual(millers[pos], buffer[idx].expected)) {
-            scan.notified.push_back(buffer[idx].user_id);
-            ++scan.matches;
-          } else {
-            next_alive.push_back(idx);
-          }
-        }
-        std::swap(alive, next_alive);
-      }
-      buffered = 0;
-    };
-
-    for (size_t shard = worker; shard < num_shards; shard += num_workers) {
-      if (abort.load(std::memory_order_relaxed)) break;
-      store_->VisitShard(shard, [&](int user_id, const hve::Ciphertext& ct) {
-        if (abort.load(std::memory_order_relaxed)) return;
-        ++scan.scanned;
-        // No tokens: nothing to evaluate (and no width to validate
-        // against), matching the reference engine's empty-bundle scan.
-        if (tokens.empty()) return;
-        BufferedCt& slot = buffer[buffered];
-        Status view_status =
-            hve::MakeEvalView(*group_, layout, ct, &slot.view);
-        if (!view_status.ok()) {
-          scan.status = view_status;
-          abort.store(true, std::memory_order_relaxed);
-          return;
-        }
-        slot.user_id = user_id;
-        slot.expected = group_->GtMul(ct.c_prime, marker_inv_);
-        if (++buffered >= flush_cts) flush();
-      });
-    }
-    if (!abort.load(std::memory_order_relaxed)) flush();
-  };
-
-  RunWorkers(num_workers, [&](size_t w) {
-    if (batched) {
-      scan_shards_batched(w);
-    } else {
-      scan_shards(w);
-    }
   });
-
-  size_t total_notified = 0;
   for (const ShardScan& scan : partials) {
     SLOC_RETURN_IF_ERROR(scan.status);
-    total_notified += scan.notified.size();
   }
-  out.notified_users.reserve(total_notified);
   for (const ShardScan& scan : partials) {
-    out.notified_users.insert(out.notified_users.end(),
-                              scan.notified.begin(), scan.notified.end());
-    out.stats.ciphertexts_scanned += scan.scanned;
-    out.stats.matches += scan.matches;
-    out.stats.pairings += scan.pairings;
-    out.stats.queries += scan.queries;
+    out->notified_users.insert(out->notified_users.end(),
+                               scan.notified.begin(), scan.notified.end());
+    out->stats.ciphertexts_scanned += scan.scanned;
+    out->stats.matches += scan.matches;
+    out->stats.pairings += scan.pairings;
+    out->stats.queries += scan.queries;
   }
-  out.stats.wall_seconds = timer.Seconds();
-  std::sort(out.notified_users.begin(), out.notified_users.end());
-  return out;
+  return Status::Ok();
+}
+
+namespace {
+
+/// Residents per view-building claim.
+constexpr size_t kViewChunk = kMillerLanes;
+
+/// One ciphertext of the scan as its shard held it.
+using Entry = std::pair<int, api::CtPtr>;
+
+/// One ciphertext of the current wave: its slim view and match target.
+struct WaveSlot {
+  int user_id = 0;
+  hve::EvalView view;
+  Fp2Elem expected;  // C' * marker^-1; match iff the ratio equals this
+};
+
+/// A team worker's buffers, reused across the alert's rounds and waves:
+/// after the first round a worker's round allocates nothing.
+struct TeamWorker {
+  hve::QueryScratch scratch;
+  std::vector<const hve::EvalView*> lane_views;  // one claimed lane group
+  std::vector<Fp2Elem> lane_ratios;
+  std::vector<uint32_t> claimed;    // wave slots walked this round
+  std::vector<Fp2Elem> ratios;      // their Miller ratios, in claim order
+  std::vector<uint32_t> survivors;  // claimed slots that did not match
+  std::vector<int> notified;
+  size_t pairings = 0;
+  size_t queries = 0;
+  size_t matches = 0;
+};
+
+}  // namespace
+
+Status ServiceProvider::ScanBatched(
+    const std::vector<hve::Token>& tokens,
+    const std::vector<std::vector<uint8_t>>& blobs, AlertOutcome* out) const {
+  // The token side is fixed for the whole scan: each token's Miller
+  // chains run once into line tables shared read-only by every worker.
+  // Serve what the LRU retained from earlier alerts; duplicate blobs
+  // within one bundle compile once and share the table.
+  const size_t num_tokens = tokens.size();
+  std::vector<std::shared_ptr<const hve::PrecompiledToken>> tables(num_tokens);
+  std::vector<size_t> misses;
+  std::map<std::vector<uint8_t>, size_t> first_of;
+  std::vector<std::pair<size_t, size_t>> aliases;  // (dup, original)
+  for (size_t i = 0; i < num_tokens; ++i) {
+    auto [it, inserted] = first_of.emplace(blobs[i], i);
+    if (!inserted) {
+      aliases.emplace_back(i, it->second);
+      continue;
+    }
+    tables[i] = token_cache_.Get(blobs[i]);
+    if (tables[i] == nullptr) misses.push_back(i);
+  }
+  // Per-alert cache traffic (duplicates never consult the LRU): unique
+  // tokens served from retained tables vs compiled fresh.
+  out->stats.token_cache_misses = misses.size();
+  out->stats.token_cache_hits = first_of.size() - misses.size();
+  std::vector<const hve::Token*> miss_tokens;
+  miss_tokens.reserve(misses.size());
+  for (size_t i : misses) miss_tokens.push_back(&tokens[i]);
+  hve::TokenCompilation compilation(*group_, miss_tokens,
+                                    options_.num_threads);
+
+  // The slim views read only the union of the bundle's non-star
+  // columns. That union depends on the patterns alone, so views are
+  // built while the tables compile.
+  const hve::EvalLayout layout = hve::MakeEvalLayout(
+      tokens.empty() ? 0 : tokens.front().pattern.size(), tokens);
+  const size_t flush = options_.batch_flush_evals == 0
+                           ? AutoFlushWidth(layout.positions.size())
+                           : options_.batch_flush_evals;
+  const size_t num_shards = store_->num_shards();
+  const size_t compile_groups = compilation.groups();
+  const size_t workers = ClampWorkers(
+      options_.num_threads,
+      num_shards + compile_groups +
+          (store_->size() + kMillerLanes - 1) / kMillerLanes);
+  // Views live in waves of at most `flush` per worker, the same memory
+  // budget as a worker's flush buffer (saturating: `flush` may be any
+  // caller-set width).
+  const size_t wave_capacity =
+      flush <= std::numeric_limits<size_t>::max() / workers
+          ? workers * flush
+          : std::numeric_limits<size_t>::max();
+
+  // One team runs the whole alert. Phase one claims, in this order,
+  // every shard's snapshot, the missing tables' compile groups and the
+  // first wave's view chunks. Then each token round claims lane groups
+  // of eight views from one alive list spanning the whole store, so the
+  // work splits evenly however the shards fall; each worker batch-
+  // finalises the ratios it walked. Barriers separate the rounds, and
+  // their serial steps (run by the last worker to arrive) merge the
+  // survivors and move on to the next wave.
+  TeamBarrier team(workers);
+  // lock-note: failure_mu guards failure until RunWorkers returns; both
+  // are locals captured by the workers' lambdas.
+  Mutex failure_mu;
+  Status failure;
+  auto fail = [&](const Status& st) {
+    {
+      MutexLock lock(failure_mu);
+      if (failure.ok()) failure = st;
+    }
+    team.Abort();
+  };
+
+  std::atomic<size_t> next_task{0};
+  std::vector<std::vector<Entry>> shard_entries(num_shards);
+  std::atomic<size_t> snapshots_left{num_shards};
+  std::atomic<bool> entries_ready{false};
+  // Written by the last snapshot before entries_ready is set, or by a
+  // barrier step; read by every worker after that.
+  std::vector<Entry> entries;
+  size_t viewable = 0;  // entries that get views: none for an empty bundle
+  std::vector<WaveSlot> slab;
+  size_t wave_begin = 0;  // the slab holds views of entries
+  size_t wave_end = 0;    // [wave_begin, wave_end)
+  std::vector<uint32_t> alive;  // slab slots not matched yet
+  std::atomic<size_t> next_chunk{0};
+  std::atomic<size_t> next_group{0};
+  std::vector<TeamWorker> crew(workers);
+
+  auto snapshot = [&](size_t shard) {
+    std::vector<Entry>& mine = shard_entries[shard];
+    store_->VisitShard(shard, [&mine](int user_id, const api::CtPtr& ct) {
+      mine.emplace_back(user_id, ct);
+    });
+    if (snapshots_left.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+    // The last snapshot lays out the scan.
+    size_t total = 0;
+    for (const std::vector<Entry>& shard_list : shard_entries) {
+      total += shard_list.size();
+    }
+    entries.reserve(total);
+    for (std::vector<Entry>& shard_list : shard_entries) {
+      std::move(shard_list.begin(), shard_list.end(),
+                std::back_inserter(entries));
+    }
+    viewable = tokens.empty() ? 0 : entries.size();
+    wave_end = std::min(viewable, wave_capacity);
+    slab.resize(wave_end);
+    entries_ready.store(true, std::memory_order_release);
+  };
+  // Builds the views of one chunk of the current wave; false past the
+  // wave's end or on failure.
+  auto build_views = [&](size_t chunk) {
+    const size_t begin = wave_begin + chunk * kViewChunk;
+    if (begin >= wave_end) return false;
+    for (size_t i = begin; i < std::min(wave_end, begin + kViewChunk); ++i) {
+      WaveSlot& slot = slab[i - wave_begin];
+      const auto& [user_id, ct] = entries[i];
+      const Status st = hve::MakeEvalView(*group_, layout, *ct, &slot.view);
+      if (!st.ok()) {
+        fail(st);
+        return false;
+      }
+      slot.user_id = user_id;
+      slot.expected = group_->GtMul(ct->c_prime, marker_inv_);
+    }
+    return true;
+  };
+  auto start_wave = [&] {
+    alive.resize(wave_end - wave_begin);
+    for (size_t i = 0; i < alive.size(); ++i) alive[i] = uint32_t(i);
+    next_group.store(0, std::memory_order_relaxed);
+  };
+  auto publish_tables = [&] {
+    std::vector<hve::PrecompiledToken> compiled = compilation.Finish();
+    for (size_t m = 0; m < misses.size(); ++m) {
+      tables[misses[m]] = std::make_shared<const hve::PrecompiledToken>(
+          std::move(compiled[m]));
+    }
+    for (const auto& [dup, original] : aliases) {
+      tables[dup] = tables[original];
+    }
+    start_wave();
+  };
+  // One worker's share of token round k. A worker claims at most its
+  // even share of the round's lane groups, so the first worker to wake
+  // cannot take a group a later one would have walked in parallel; the
+  // shares add up to every group, so all of them are claimed.
+  auto run_round = [&](TeamWorker& me, size_t k) {
+    me.claimed.clear();
+    me.ratios.clear();
+    const size_t groups = (alive.size() + kMillerLanes - 1) / kMillerLanes;
+    const size_t share = (groups + workers - 1) / workers;
+    for (size_t mine = 0; mine < share; ++mine) {
+      const size_t g = next_group.fetch_add(1, std::memory_order_relaxed);
+      if (g >= groups) break;
+      if (team.aborted()) return false;
+      const size_t begin = g * kMillerLanes;
+      me.lane_views.clear();
+      for (size_t pos = begin;
+           pos < std::min(alive.size(), begin + kMillerLanes); ++pos) {
+        me.claimed.push_back(alive[pos]);
+        me.lane_views.push_back(&slab[alive[pos]].view);
+      }
+      const Status st = hve::QueryMillerPrecompiledViews(
+          *group_, *tables[k], layout, me.lane_views, &me.lane_ratios,
+          &me.scratch);
+      if (!st.ok()) {
+        fail(st);
+        return false;
+      }
+      me.ratios.insert(me.ratios.end(), me.lane_ratios.begin(),
+                       me.lane_ratios.end());
+    }
+    // One Fp2 inversion for everything this worker walked; the marker
+    // comparison is one Gt equality against the precomputed target.
+    BatchFinalExponentiation(group_->fp2(), group_->params().cofactor,
+                             &me.ratios, &me.scratch.pairing);
+    const size_t cost = hve::QueryPairingCost(tokens[k]);
+    for (size_t i = 0; i < me.claimed.size(); ++i) {
+      const WaveSlot& slot = slab[me.claimed[i]];
+      me.pairings += cost;
+      ++me.queries;
+      if (group_->GtEqual(me.ratios[i], slot.expected)) {
+        me.notified.push_back(slot.user_id);
+        ++me.matches;
+      } else {
+        me.survivors.push_back(me.claimed[i]);
+      }
+    }
+    return true;
+  };
+  auto merge_survivors = [&] {
+    alive.clear();
+    for (TeamWorker& mate : crew) {
+      alive.insert(alive.end(), mate.survivors.begin(), mate.survivors.end());
+      mate.survivors.clear();
+    }
+    std::sort(alive.begin(), alive.end());
+    next_group.store(0, std::memory_order_relaxed);
+  };
+  auto next_wave = [&] {
+    wave_begin = wave_end;
+    wave_end = std::min(viewable, wave_begin + wave_capacity);
+    next_chunk.store(0, std::memory_order_relaxed);
+  };
+
+  auto work = [&](size_t w) {
+    TeamWorker& me = crew[w];
+    {
+      MillerCompileScratch compile_scratch;
+      for (;;) {
+        if (team.aborted()) return;
+        const size_t task = next_task.fetch_add(1, std::memory_order_relaxed);
+        if (task < num_shards) {
+          snapshot(task);
+        } else if (task < num_shards + compile_groups) {
+          compilation.Compile(task - num_shards, &compile_scratch);
+        } else {
+          // Snapshots are claimed first and take microseconds.
+          while (!entries_ready.load(std::memory_order_acquire)) {
+            if (team.aborted()) return;
+            std::this_thread::yield();
+          }
+          if (!build_views(task - num_shards - compile_groups)) break;
+        }
+      }
+    }
+    if (!team.ArriveAndWait(publish_tables)) return;
+    const size_t wave_slots = slab.size();
+    me.claimed.reserve(wave_slots);
+    me.ratios.reserve(wave_slots);
+    me.survivors.reserve(wave_slots);
+    for (;;) {
+      for (size_t k = 0; k < num_tokens && !alive.empty(); ++k) {
+        if (!run_round(me, k)) return;
+        if (!team.ArriveAndWait(merge_survivors)) return;
+      }
+      if (!team.ArriveAndWait(next_wave)) return;
+      if (wave_begin >= viewable) return;
+      while (build_views(next_chunk.fetch_add(1, std::memory_order_relaxed))) {
+      }
+      if (!team.ArriveAndWait(start_wave)) return;
+    }
+  };
+  RunWorkers(workers, [&](size_t w) {
+    try {
+      work(w);
+    } catch (...) {
+      team.Abort();
+      throw;
+    }
+  });
+  {
+    MutexLock lock(failure_mu);
+    SLOC_RETURN_IF_ERROR(failure);
+  }
+
+  for (size_t i : misses) token_cache_.Put(blobs[i], tables[i]);
+  out->stats.ciphertexts_scanned = entries.size();
+  for (const TeamWorker& mate : crew) {
+    out->notified_users.insert(out->notified_users.end(),
+                               mate.notified.begin(), mate.notified.end());
+    out->stats.matches += mate.matches;
+    out->stats.pairings += mate.pairings;
+    out->stats.queries += mate.queries;
+  }
+  return Status::Ok();
 }
 
 Result<std::vector<uint8_t>> ServiceProvider::ProcessAlertBundle(

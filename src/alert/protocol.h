@@ -182,22 +182,23 @@ class ServiceProvider {
   /// Tuning knobs. Defaults reproduce the sequential scan order with
   /// the fastest query engine.
   struct Options {
-    size_t num_shards = 1;    ///< store partitions (parallelism ceiling)
+    size_t num_shards = 1;    ///< store partitions
     unsigned num_threads = 1; ///< worker threads for batch ops / matching
     QueryEngine engine = QueryEngine::kBatched;
     /// Precompiled-token tables retained across alerts (LRU entries);
     /// 0 disables retention. Tables are O(order_bits * (2s+1)) field
-    /// elements each, so this bounds provider memory; evicted tokens
+    /// elements each, so this bounds provider memory; a table is
+    /// retained from its blob's second sighting on, and evicted tokens
     /// are recompiled on their next appearance (results unchanged).
     size_t token_cache_capacity = 64;
-    /// Ciphertexts buffered per worker before a batched final-exp
-    /// flush: each token round over a full buffer shares one Fp2
-    /// inversion, so this is the batch-inversion width of the kBatched
-    /// engine. 0 (the default) auto-tunes per alert from token
-    /// sparsity: the slim evaluation views store only the columns the
-    /// token set reads, so sparser tokens buffer more ciphertexts
-    /// within the same memory budget. Match results are bit-identical
-    /// at every width.
+    /// Evaluation views held per worker by the kBatched engine: a scan
+    /// holds at most num_threads times this many at once, and a larger
+    /// store is scanned in waves of that size. Each worker shares one
+    /// Fp2 inversion across everything it walks in a token round. 0
+    /// (the default) auto-tunes per alert from token sparsity: the slim
+    /// views store only the columns the token set reads, so sparser
+    /// tokens fit more ciphertexts in the same memory budget. Match
+    /// results are bit-identical at every width.
     size_t batch_flush_evals = 0;
   };
 
@@ -272,8 +273,9 @@ class ServiceProvider {
 
   /// Evaluates every token against every stored ciphertext and returns
   /// the users to notify. Token blobs are validated before use. The scan
-  /// fans out one worker thread per group of store shards; results are
-  /// merged and are bit-identical to the sequential path.
+  /// fans out over the worker threads (see ScanBatched and
+  /// ScanReference); results are merged and are bit-identical to the
+  /// sequential path.
   Result<AlertOutcome> ProcessAlert(
       const std::vector<std::vector<uint8_t>>& token_blobs) const;
 
@@ -283,18 +285,19 @@ class ServiceProvider {
       const std::vector<uint8_t>& bundle_frame) const;
 
  private:
-  struct PrecompileResult {
-    std::vector<std::shared_ptr<const hve::PrecompiledToken>> tables;
-    size_t cache_hits = 0;    ///< unique tokens served from the LRU
-    size_t cache_misses = 0;  ///< unique tokens compiled this alert
-  };
+  /// The reference engine's scan: hve::Query per (token, ciphertext),
+  /// min(num_threads, num_shards) workers striped over the shards.
+  Status ScanReference(const std::vector<hve::Token>& tokens,
+                       AlertOutcome* out) const;
 
-  /// Compiles (or fetches from the LRU cache) the line tables for every
-  /// token, spreading the cache misses' Miller chains across the worker
-  /// pool (hve::PrecompileTokens).
-  PrecompileResult PrecompileTokens(
-      const std::vector<hve::Token>& tokens,
-      const std::vector<std::vector<uint8_t>>& blobs) const;
+  /// The batched engine's scan: precompiled line tables (LRU-cached
+  /// from a blob's second sighting on), deferred final
+  /// exponentiation, and one team of num_threads workers that compiles
+  /// the missing tables, snapshots the shards and walks eight-view lane
+  /// groups claimed from one alive list per token round.
+  Status ScanBatched(const std::vector<hve::Token>& tokens,
+                     const std::vector<std::vector<uint8_t>>& blobs,
+                     AlertOutcome* out) const;
 
   std::shared_ptr<const PairingGroup> group_;
   Fp2Elem marker_;

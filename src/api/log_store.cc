@@ -837,7 +837,7 @@ size_t LogBackedStore::size() const {
 
 void LogBackedStore::VisitShard(
     size_t index,
-    const std::function<void(int, const hve::Ciphertext&)>& fn) const {
+    const std::function<void(int, const CtPtr&)>& fn) const {
   SLOC_CHECK(index < num_shards_) << "shard index out of range";
   Shard& shard = shards_[index];
   std::vector<std::pair<int, CtPtr>> entries;
@@ -846,7 +846,7 @@ void LogBackedStore::VisitShard(
     EnsureShardLoadedLocked(index, shard);  // failure latched in io_status_
     entries.assign(shard.users.begin(), shard.users.end());
   }
-  for (const auto& [user_id, ct] : entries) fn(user_id, *ct);
+  for (const auto& [user_id, ct] : entries) fn(user_id, ct);
 }
 
 // ---------------------------------------------------------------------------
@@ -901,19 +901,37 @@ void LogBackedStore::DrainNotifications() {
 }
 
 Status LogBackedStore::SyncNow(uint64_t* covered) {
-  MutexLock lock(log_mu_);
-  // Appends also hold log_mu_, so the sequence read here is exactly
-  // what is in the file when the fsync below runs.
-  *covered = append_seq_.load(std::memory_order_relaxed);
-  if (log_fd_ < 0) {
-    return Status::FailedPrecondition("log file is closed");
+  int fd = -1;
+  std::string path;
+  {
+    MutexLock lock(log_mu_);
+    // Appends also hold log_mu_, so every record the sequence read here
+    // counts is in the file behind the fd duplicated with it.
+    *covered = append_seq_.load(std::memory_order_relaxed);
+    if (log_fd_ < 0) {
+      return Status::FailedPrecondition("log file is closed");
+    }
+    path = SegmentPath(segments_.back());
+    fd = ::dup(log_fd_);
+    if (fd < 0) {
+      const Status st = Errno("dup " + path);
+      if (io_status_.ok()) io_status_ = st;
+      return st;
+    }
   }
-  if (::fsync(log_fd_) != 0) {
-    const Status st = Errno("fsync " + SegmentPath(segments_.back()));
+  // The fsync runs without log_mu_, so appends (and the shard locks
+  // their callers hold) do not wait for the disk. The duplicate keeps
+  // the segment open if a rotation retires it meanwhile; RotateLog
+  // fsyncs a segment before retiring it, so `covered` stays a lower
+  // bound of what is durable either way.
+  const bool synced = ::fsync(fd) == 0;
+  const Status st = synced ? Status::Ok() : Errno("fsync " + path);
+  ::close(fd);
+  if (!synced) {
+    MutexLock lock(log_mu_);
     if (io_status_.ok()) io_status_ = st;
-    return st;
   }
-  return Status::Ok();
+  return st;
 }
 
 void LogBackedStore::CompleteSync(uint64_t covered, Status st) {

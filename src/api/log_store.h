@@ -192,7 +192,7 @@ class LogBackedStore : public CiphertextStore, public DurabilityWaiter {
   /// Materializes the shard first when it is lazily pending (under its
   /// lock), then visits a pointer copy as the base contract says.
   void VisitShard(size_t shard,
-                  const std::function<void(int, const hve::Ciphertext&)>& fn)
+                  const std::function<void(int, const CtPtr&)>& fn)
       const override;
 
   // DurabilityWaiter. With group commit off these degenerate to the
@@ -355,8 +355,10 @@ class LogBackedStore : public CiphertextStore, public DurabilityWaiter {
   /// sync_status_ read (a lambda body would be analyzed lock-free).
   bool SyncPendingLocked() const SLOC_REQUIRES(sync_mu_);
 
-  /// fsyncs the log fd and reports the ticket the sync covers. Takes
-  /// log_mu_; the caller must have dropped sync_mu_ first (lock order).
+  /// fsyncs the log and reports the ticket the sync covers. Holds
+  /// log_mu_ only to read the ticket and duplicate the fd, not across
+  /// the fsync; the caller must have dropped sync_mu_ first (lock
+  /// order).
   Status SyncNow(uint64_t* covered) SLOC_EXCLUDES(log_mu_, sync_mu_);
 
   /// Marks everything up to `covered` durable with outcome `st` and

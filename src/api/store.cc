@@ -58,7 +58,7 @@ size_t ShardedStore::size() const {
 
 void ShardedStore::VisitShard(
     size_t index,
-    const std::function<void(int, const hve::Ciphertext&)>& fn) const {
+    const std::function<void(int, const CtPtr&)>& fn) const {
   SLOC_CHECK(index < num_shards_) << "shard index out of range";
   const Shard& shard = shards_[index];
   std::vector<std::pair<int, CtPtr>> entries;
@@ -66,7 +66,7 @@ void ShardedStore::VisitShard(
     MutexLock lock(shard.mu);
     entries.assign(shard.users.begin(), shard.users.end());
   }
-  for (const auto& [user_id, ct] : entries) fn(user_id, *ct);
+  for (const auto& [user_id, ct] : entries) fn(user_id, ct);
 }
 
 std::unique_ptr<CiphertextStore> MakeStore(size_t num_shards) {

@@ -70,7 +70,9 @@ using CtPtr = std::shared_ptr<const hve::Ciphertext>;
 /// and only then runs the visitor over the copy: writers never wait on
 /// a scan, a scan sees each shard as it was at one instant, and the
 /// visitor may call any method of the store, including writes to the
-/// shard it is visiting.
+/// shard it is visiting. The visitor receives the stored CtPtr, so a
+/// scan may keep a ciphertext past the visit (a multi-shard scan holds
+/// every shard's pointers at once) without copying it.
 class CiphertextStore {
  public:
   virtual ~CiphertextStore() = default;
@@ -98,12 +100,11 @@ class CiphertextStore {
 
   /// Invokes `fn(user_id, ciphertext)` for every entry shard `shard`
   /// held when the call copied it (iteration order unspecified), with
-  /// no store lock held. Precondition: shard < num_shards(). Each
-  /// ciphertext reference stays valid until `fn` returns, whatever the
-  /// visitor or other threads write meanwhile.
+  /// no store lock held. Precondition: shard < num_shards(). The
+  /// pointer is never null; a copy of it keeps the ciphertext alive
+  /// whatever the visitor or other threads write meanwhile.
   virtual void VisitShard(
-      size_t shard,
-      const std::function<void(int, const hve::Ciphertext&)>& fn) const = 0;
+      size_t shard, const std::function<void(int, const CtPtr&)>& fn) const = 0;
 };
 
 /// Hash-partitioned in-memory backend: users are spread across
@@ -122,7 +123,7 @@ class ShardedStore : public CiphertextStore {
   size_t size() const override;
   size_t num_shards() const override { return num_shards_; }
   void VisitShard(size_t shard,
-                  const std::function<void(int, const hve::Ciphertext&)>& fn)
+                  const std::function<void(int, const CtPtr&)>& fn)
       const override;
 
  private:

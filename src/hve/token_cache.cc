@@ -1,5 +1,7 @@
 #include "hve/token_cache.h"
 
+#include "common/wire.h"
+
 namespace sloc {
 namespace hve {
 
@@ -21,11 +23,20 @@ void TokenTableCache::Put(const std::vector<uint8_t>& blob,
                           std::shared_ptr<const PrecompiledToken> table) {
   if (capacity_ == 0) return;
   std::string key(blob.begin(), blob.end());
+  const uint64_t hash = wire::Fnv1a(blob.data(), blob.size());
   MutexLock lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
     it->second->second = std::move(table);
     lru_.splice(lru_.begin(), lru_, it->second);
+    return;
+  }
+  if (sighted_.insert(hash).second) {
+    sighting_order_.push_back(hash);
+    if (sighting_order_.size() > kSightingsPerEntry * capacity_) {
+      sighted_.erase(sighting_order_.front());
+      sighting_order_.pop_front();
+    }
     return;
   }
   lru_.emplace_front(key, std::move(table));
@@ -39,6 +50,11 @@ void TokenTableCache::Put(const std::vector<uint8_t>& blob,
 size_t TokenTableCache::size() const {
   MutexLock lock(mu_);
   return lru_.size();
+}
+
+size_t TokenTableCache::sightings() const {
+  MutexLock lock(mu_);
+  return sighting_order_.size();
 }
 
 uint64_t TokenTableCache::hits() const {

@@ -8,15 +8,24 @@
 // next alert that carries them, so eviction can never change match
 // results. Keys are the serialized token blobs (tokens are randomized
 // per issuance, so equal blobs really are the same token).
+//
+// A table enters the LRU only at its blob's second sighting. Most
+// alerts are issued fresh and their tokens are never seen again, so
+// retaining every table on first sight would fill the LRU with tables
+// that are never hit. A FIFO of 64-bit blob hashes remembers first
+// sightings instead. A hash collision can only admit a table early:
+// the LRU itself stays keyed by the full blob.
 
 #ifndef SLOC_HVE_TOKEN_CACHE_H_
 #define SLOC_HVE_TOKEN_CACHE_H_
 
 #include <cstdint>
+#include <deque>
 #include <list>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -27,9 +36,13 @@ namespace sloc {
 namespace hve {
 
 /// Thread-safe LRU map from serialized token blob to its compiled line
-/// tables. Capacity 0 disables retention entirely (every Get misses).
+/// tables, admitting a table at its blob's second sighting. Capacity 0
+/// disables retention entirely (every Get misses).
 class TokenTableCache {
  public:
+  /// First sightings remembered per LRU entry.
+  static constexpr size_t kSightingsPerEntry = 4;
+
   explicit TokenTableCache(size_t capacity) : capacity_(capacity) {}
 
   /// The cached table for this blob, or null on miss. A hit refreshes
@@ -37,13 +50,18 @@ class TokenTableCache {
   std::shared_ptr<const PrecompiledToken> Get(
       const std::vector<uint8_t>& blob);
 
-  /// Inserts (or refreshes) the table for this blob, evicting
-  /// least-recently-used entries beyond the capacity.
+  /// Offers the table for this blob. A blob not seen before is only
+  /// remembered (its hash joins the sightings FIFO, which keeps the
+  /// last kSightingsPerEntry * capacity of them); a blob seen before is
+  /// inserted (or refreshed), evicting least-recently-used entries
+  /// beyond the capacity.
   void Put(const std::vector<uint8_t>& blob,
            std::shared_ptr<const PrecompiledToken> table);
 
   size_t capacity() const { return capacity_; }
   size_t size() const;
+  /// First sightings currently remembered.
+  size_t sightings() const;
   /// Cumulative lookup counters (cache observability; table-served
   /// pairings additionally show up in the group's precomp_pairings).
   uint64_t hits() const;
@@ -61,6 +79,10 @@ class TokenTableCache {
   std::list<Entry> lru_ SLOC_GUARDED_BY(mu_);
   std::unordered_map<std::string, std::list<Entry>::iterator> index_
       SLOC_GUARDED_BY(mu_);
+  // Blob hashes in first-sighting order (front = oldest), and the same
+  // hashes as a set for lookup.
+  std::deque<uint64_t> sighting_order_ SLOC_GUARDED_BY(mu_);
+  std::unordered_set<uint64_t> sighted_ SLOC_GUARDED_BY(mu_);
 };
 
 }  // namespace hve

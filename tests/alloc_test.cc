@@ -8,7 +8,10 @@
 //   - Curve::ScalarMul's wNAF loop (thread-local digit scratch),
 //   - one full batched flush round: EvalView refill, precompiled
 //     Miller walks, batch final exponentiation, marker comparison —
-//     on the scalar walk and on the eight-lane IFMA walk.
+//     on the scalar walk and on the eight-lane IFMA walk;
+//   - a team worker's token round, which claims lane groups of eight
+//     views from an alive list: nothing per lane group, whether the
+//     group walks the lanes or falls back to the scalar walk.
 // The HVE blob codec is held to exact counts instead: a warm
 // ParseCiphertext allocates only the result's c1/c2 storage, whatever
 // the width, and a warm SerializeCiphertext only its output buffer.
@@ -24,6 +27,7 @@
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -415,7 +419,7 @@ TEST_F(AllocSteadyStateTest, VisitShardAllocatesOnlyThePointerCopy) {
     for (size_t entries : {size_t(16), size_t(64)}) {
       while (store->size() < entries) store->Put(next_user++, ct);
       size_t visited = 0;
-      const auto count = [&visited](int, const hve::Ciphertext&) {
+      const auto count = [&visited](int, const api::CtPtr&) {
         ++visited;
       };
       store->VisitShard(0, count);  // warm-up
@@ -496,6 +500,93 @@ TEST(AllocIfmaTest, WarmLaneFlushRoundIsAllocFree) {
   round();
   ASSERT_TRUE(round_ok);
   EXPECT_EQ(probe.delta(), 0u) << "warm IFMA flush round must not allocate";
+}
+
+TEST(AllocIfmaTest, WarmTeamRoundAllocatesNothingPerLaneGroup) {
+  if (!miller_ifma::Available()) GTEST_SKIP() << "no AVX-512 IFMA walk";
+  PairingParamSpec spec;
+  spec.p_prime_bits = 100;
+  spec.q_prime_bits = 100;
+  spec.seed = 79;
+  PairingGroup group = PairingGroup::Generate(spec).value();
+  ASSERT_EQ(group.miller_plan().walk(), MillerWalk::kIfma8);
+  constexpr size_t kWidth = 6;
+  constexpr size_t kCts = 27;  // three full lane groups and a partial one
+  RandFn rand = TestRand(9);
+  hve::KeyPair kp = hve::Setup(group, kWidth, rand).value();
+  std::vector<hve::Ciphertext> cts;
+  for (size_t i = 0; i < kCts; ++i) {
+    cts.push_back(hve::Encrypt(group, kp.pk, i % 3 ? "101100" : "010011",
+                               group.GtOne(), rand)
+                      .value());
+  }
+  // An identity point in a column the token reads sends the second lane
+  // group to the scalar walk.
+  cts[10].c0 = group.curve().Infinity();
+  hve::Token token = hve::GenToken(group, kp.sk, "1*11*0", rand).value();
+  hve::PrecompiledToken compiled = hve::PrecompileToken(group, token);
+  hve::EvalLayout layout = hve::MakeEvalLayout(kWidth, {&compiled});
+  std::vector<hve::EvalView> views(kCts);
+  std::vector<Fp2Elem> expected(kCts);
+  for (size_t i = 0; i < kCts; ++i) {
+    ASSERT_TRUE(hve::MakeEvalView(group, layout, cts[i], &views[i]).ok());
+    expected[i] = cts[i].c_prime;
+  }
+
+  // A team worker's buffers, reserved for the wave as the engine does.
+  hve::QueryScratch scratch;
+  std::vector<const hve::EvalView*> lane_views;
+  std::vector<Fp2Elem> lane_ratios;
+  std::vector<uint32_t> claimed, survivors;
+  std::vector<Fp2Elem> ratios;
+  claimed.reserve(kCts);
+  ratios.reserve(kCts);
+  survivors.reserve(kCts);
+  std::vector<uint32_t> alive(kCts);
+  for (size_t i = 0; i < kCts; ++i) alive[i] = uint32_t(i);
+
+  bool round_ok = true;
+  // The worker claims `groups` lane groups of the alive list.
+  auto round = [&](size_t groups) {
+    claimed.clear();
+    ratios.clear();
+    survivors.clear();
+    for (size_t g = 0; g < groups; ++g) {
+      const size_t begin = g * kMillerLanes;
+      lane_views.clear();
+      for (size_t pos = begin;
+           pos < std::min(alive.size(), begin + kMillerLanes); ++pos) {
+        claimed.push_back(alive[pos]);
+        lane_views.push_back(&views[alive[pos]]);
+      }
+      if (!hve::QueryMillerPrecompiledViews(group, compiled, layout,
+                                            lane_views, &lane_ratios,
+                                            &scratch)
+               .ok()) {
+        round_ok = false;
+        return;
+      }
+      ratios.insert(ratios.end(), lane_ratios.begin(), lane_ratios.end());
+    }
+    BatchFinalExponentiation(group.fp2(), group.params().cofactor, &ratios,
+                             &scratch.pairing);
+    for (size_t i = 0; i < claimed.size(); ++i) {
+      if (!group.GtEqual(ratios[i], expected[claimed[i]])) {
+        survivors.push_back(claimed[i]);
+      }
+    }
+  };
+
+  const size_t all_groups = (kCts + kMillerLanes - 1) / kMillerLanes;
+  round(all_groups);  // warm-up: sizes every buffer to its high-water mark
+  ASSERT_TRUE(round_ok);
+  for (size_t groups : {size_t(1), size_t(2), all_groups}) {
+    AllocProbe probe;
+    round(groups);
+    const size_t allocs = probe.delta();
+    ASSERT_TRUE(round_ok);
+    EXPECT_EQ(allocs, 0u) << groups << " lane groups";
+  }
 }
 
 }  // namespace

@@ -59,7 +59,7 @@ TEST(StoreTest, ShardsPartitionTheUserSet) {
   size_t nonempty_shards = 0;
   for (size_t s = 0; s < store.num_shards(); ++s) {
     size_t in_shard = 0;
-    store.VisitShard(s, [&](int user_id, const hve::Ciphertext&) {
+    store.VisitShard(s, [&](int user_id, const api::CtPtr&) {
       EXPECT_EQ(store.ShardOf(user_id), s);
       EXPECT_TRUE(seen.insert(user_id).second) << "user in two shards";
       ++in_shard;

@@ -3,15 +3,17 @@
 // per-query reference engine — same notified users, same deterministic
 // MatchStats — across shardings, worker counts, and flush widths; and
 // the provider's precompiled-token LRU cache must preserve match results
-// under eviction.
+// under eviction and admit a token's tables at its second sighting.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "alert/protocol.h"
+#include "hve/serialize.h"
 #include "pairing/miller_ifma.h"
 #include "prob/sigmoid.h"
 
@@ -131,23 +133,27 @@ TEST_F(BatchEngineTest, StatsSurfaceQueriesAndCacheTraffic) {
   // First sight of this bundle: every unique token compiles fresh.
   EXPECT_EQ(first.stats.token_cache_hits, 0u);
   EXPECT_EQ(first.stats.token_cache_misses, tokens_.size());
-  // Re-issuing the same bundle is served entirely from the LRU.
+  // The second sighting compiles again, and admits the tables.
   auto second = batched->ProcessAlert(tokens_).value();
-  EXPECT_EQ(second.stats.token_cache_hits, tokens_.size());
-  EXPECT_EQ(second.stats.token_cache_misses, 0u);
+  EXPECT_EQ(second.stats.token_cache_hits, 0u);
+  EXPECT_EQ(second.stats.token_cache_misses, tokens_.size());
+  // From the third on, the bundle is served entirely from the LRU.
+  auto third = batched->ProcessAlert(tokens_).value();
+  EXPECT_EQ(third.stats.token_cache_hits, tokens_.size());
+  EXPECT_EQ(third.stats.token_cache_misses, 0u);
 
   // The counters survive the wire round trip of the outcome envelope.
   api::OutcomeReport report;
   report.alert_id = 9;
-  report.queries = second.stats.queries;
-  report.token_cache_hits = second.stats.token_cache_hits;
-  report.token_cache_misses = second.stats.token_cache_misses;
+  report.queries = third.stats.queries;
+  report.token_cache_hits = third.stats.token_cache_hits;
+  report.token_cache_misses = third.stats.token_cache_misses;
   auto decoded =
       api::DecodeOutcomeReport(api::EncodeOutcomeReport(report).value())
           .value();
-  EXPECT_EQ(decoded.queries, second.stats.queries);
-  EXPECT_EQ(decoded.token_cache_hits, second.stats.token_cache_hits);
-  EXPECT_EQ(decoded.token_cache_misses, second.stats.token_cache_misses);
+  EXPECT_EQ(decoded.queries, third.stats.queries);
+  EXPECT_EQ(decoded.token_cache_hits, third.stats.token_cache_hits);
+  EXPECT_EQ(decoded.token_cache_misses, third.stats.token_cache_misses);
 }
 
 TEST_F(BatchEngineTest, TokenCacheEvictionPreservesMatchResults) {
@@ -156,21 +162,25 @@ TEST_F(BatchEngineTest, TokenCacheEvictionPreservesMatchResults) {
   auto reference = MakeProvider(options);
   auto expected = reference->ProcessAlert(tokens_).value();
 
-  // Capacity 1 with several tokens: every alert evicts all but one
-  // table, so most lookups recompile — results must not change.
+  // Capacity 1 with several tokens: once admitted, every alert evicts
+  // all but one table, so most lookups recompile — results must not
+  // change.
   options.engine = ServiceProvider::QueryEngine::kBatched;
   options.token_cache_capacity = 1;
   auto evicting = MakeProvider(options);
-  for (int round = 0; round < 2; ++round) {
+  ASSERT_LE(tokens_.size(), hve::TokenTableCache::kSightingsPerEntry)
+      << "every first sighting must stay remembered";
+  for (int round = 0; round < 3; ++round) {
     auto outcome = evicting->ProcessAlert(tokens_).value();
     EXPECT_EQ(outcome.notified_users, expected.notified_users)
         << "round " << round;
   }
   EXPECT_EQ(evicting->token_cache().size(), 1u);
-  // Only the last-inserted table survives an alert, so the second run
-  // hits exactly once and recompiles everything else.
+  // The first run only remembers the tokens and the second admits them
+  // in turn. Only the last-admitted table survives an alert, so the
+  // third run hits exactly once and recompiles everything else.
   EXPECT_EQ(evicting->token_cache().hits(), 1u);
-  EXPECT_EQ(evicting->token_cache().misses(), 2 * tokens_.size() - 1);
+  EXPECT_EQ(evicting->token_cache().misses(), 3 * tokens_.size() - 1);
 }
 
 TEST_F(BatchEngineTest, TokenCacheServesRepeatedBundles) {
@@ -179,11 +189,15 @@ TEST_F(BatchEngineTest, TokenCacheServesRepeatedBundles) {
   options.token_cache_capacity = 64;
   auto sp = MakeProvider(options);
   auto first = sp->ProcessAlert(tokens_).value();
-  EXPECT_EQ(sp->token_cache().size(), tokens_.size());
+  EXPECT_EQ(sp->token_cache().size(), 0u);
   EXPECT_EQ(sp->token_cache().misses(), tokens_.size());
   auto second = sp->ProcessAlert(tokens_).value();
+  EXPECT_EQ(sp->token_cache().size(), tokens_.size());
+  EXPECT_EQ(sp->token_cache().misses(), 2 * tokens_.size());
+  auto third = sp->ProcessAlert(tokens_).value();
   EXPECT_EQ(sp->token_cache().hits(), tokens_.size());
   EXPECT_EQ(first.notified_users, second.notified_users);
+  EXPECT_EQ(first.notified_users, third.notified_users);
 }
 
 TEST_F(BatchEngineTest, DuplicateTokensInBundleCompileOnce) {
@@ -200,9 +214,14 @@ TEST_F(BatchEngineTest, DuplicateTokensInBundleCompileOnce) {
   auto outcome = batched->ProcessAlert(doubled).value();
   EXPECT_EQ(outcome.notified_users, expected.notified_users);
   EXPECT_EQ(outcome.stats.pairings, expected.stats.pairings);
-  // The duplicate half of the bundle shares tables with the first half.
-  EXPECT_EQ(batched->token_cache().size(), tokens_.size());
+  // The duplicate half of the bundle shares tables with the first half:
+  // each unique token compiles once, and a duplicate within one bundle
+  // is not a second sighting.
+  EXPECT_EQ(batched->token_cache().size(), 0u);
   EXPECT_EQ(batched->token_cache().misses(), tokens_.size());
+  ASSERT_TRUE(batched->ProcessAlert(doubled).ok());
+  EXPECT_EQ(batched->token_cache().size(), tokens_.size());
+  EXPECT_EQ(batched->token_cache().misses(), 2 * tokens_.size());
 }
 
 TEST_F(BatchEngineTest, TokenCacheCapacityZeroDisablesRetention) {
@@ -334,6 +353,244 @@ TEST_P(BatchEngineWalkTest, FreshBundlesOfOneNineAndElevenTokens) {
       EXPECT_EQ(outcome.stats.non_star_bits, expected.stats.non_star_bits);
     }
   }
+}
+
+// The team scan against the reference engine over the shapes that move
+// its claiming: shard counts that split the residents unevenly, thread
+// counts below, at and above the shard count, resident counts that are
+// not multiples of eight, bundles of 1 to 11 tokens, and flush budgets
+// small enough that the store is scanned in several waves. Two extra
+// residents carry an identity point in a column every token reads (C_0,
+// and C_i,1 of one bundle position), which sends their lane groups to
+// the scalar walk.
+class TeamScanTest : public BatchEngineWalkTest {
+ protected:
+  void SetUp() override {
+    BatchEngineWalkTest::SetUp();
+    for (int cell = 0; cell < 16 && pool_.size() < 11; ++cell) {
+      std::vector<std::vector<uint8_t>> blobs = ta_->IssueAlert({cell}).value();
+      for (std::vector<uint8_t>& blob : blobs) pool_.push_back(std::move(blob));
+    }
+    ASSERT_GE(pool_.size(), 11u);
+    for (const api::LocationUpload& up : uploads_) {
+      cts_.push_back(hve::ParseCiphertext(*group_, up.ciphertext).value());
+    }
+    const hve::Token first = hve::ParseToken(*group_, pool_[0]).value();
+    const size_t column = first.pattern.find_first_not_of('*');
+    ASSERT_NE(column, std::string::npos);
+    hve::Ciphertext holed = cts_[0];
+    holed.c0 = group_->curve().Infinity();
+    cts_.push_back(holed);
+    holed = cts_[1];
+    holed.c1[column] = group_->curve().Infinity();
+    cts_.push_back(holed);
+  }
+
+  /// A provider over the first `residents` ciphertexts (user id = index).
+  std::unique_ptr<ServiceProvider> Provider(
+      ServiceProvider::QueryEngine engine, size_t shards, unsigned threads,
+      size_t flush, size_t residents,
+      std::unique_ptr<api::CiphertextStore> store = nullptr) {
+    if (store == nullptr) store = api::MakeStore(shards);
+    for (size_t u = 0; u < residents; ++u) store->Put(int(u), cts_[u]);
+    ServiceProvider::Options options;
+    options.engine = engine;
+    options.num_shards = shards;
+    options.num_threads = threads;
+    options.batch_flush_evals = flush;
+    return std::make_unique<ServiceProvider>(group_, ta_->marker(),
+                                             std::move(store), options);
+  }
+
+  std::vector<std::vector<uint8_t>> Bundle(size_t size) const {
+    return {pool_.begin(), pool_.begin() + long(size)};
+  }
+
+  std::vector<std::vector<uint8_t>> pool_;
+  std::vector<hve::Ciphertext> cts_;  // uploads_, then the two holed ones
+};
+
+TEST_P(TeamScanTest, MatchesReferenceAcrossTeamShapes) {
+  const size_t all = cts_.size();  // 22
+  struct Expected {
+    size_t residents;
+    size_t tokens;
+    ServiceProvider::AlertOutcome outcome;
+  };
+  std::vector<Expected> expected;
+  for (size_t residents : {all, size_t(13)}) {
+    for (size_t tokens : {size_t(1), size_t(4), size_t(11)}) {
+      auto reference = Provider(ServiceProvider::QueryEngine::kReference, 1,
+                                1, 0, residents);
+      expected.push_back(
+          {residents, tokens, reference->ProcessAlert(Bundle(tokens)).value()});
+    }
+  }
+  ASSERT_GT(expected[2].outcome.stats.matches, 0u);
+  ASSERT_LT(expected[2].outcome.stats.matches, all);
+  const size_t flushes[] = {0, 1, 3, 9};
+  size_t config = 0;
+  for (size_t shards : {1, 2, 4, 7}) {
+    for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+      const Expected& want = expected[config % expected.size()];
+      const size_t flush = flushes[config % 4];
+      ++config;
+      auto sp = Provider(ServiceProvider::QueryEngine::kBatched, shards,
+                         threads, flush, want.residents);
+      auto got = sp->ProcessAlert(Bundle(want.tokens)).value();
+      const std::string shape =
+          "shards=" + std::to_string(shards) +
+          " threads=" + std::to_string(threads) +
+          " flush=" + std::to_string(flush) +
+          " residents=" + std::to_string(want.residents) +
+          " tokens=" + std::to_string(want.tokens);
+      EXPECT_EQ(got.notified_users, want.outcome.notified_users) << shape;
+      EXPECT_EQ(got.stats.ciphertexts_scanned,
+                want.outcome.stats.ciphertexts_scanned)
+          << shape;
+      EXPECT_EQ(got.stats.queries, want.outcome.stats.queries) << shape;
+      EXPECT_EQ(got.stats.pairings, want.outcome.stats.pairings) << shape;
+      EXPECT_EQ(got.stats.matches, want.outcome.stats.matches) << shape;
+    }
+  }
+  // A flush width whose product with the team size overflows holds the
+  // whole store in one wave.
+  auto huge = Provider(ServiceProvider::QueryEngine::kBatched, 4, 4,
+                       size_t(1) << 62, expected[0].residents);
+  EXPECT_EQ(huge->ProcessAlert(Bundle(expected[0].tokens))
+                .value()
+                .notified_users,
+            expected[0].outcome.notified_users);
+}
+
+TEST_P(TeamScanTest, EmptyStoreAndEmptyBundle) {
+  for (unsigned threads : {1u, 4u}) {
+    for (size_t shards : {1, 4}) {
+      auto empty = Provider(ServiceProvider::QueryEngine::kBatched, shards,
+                            threads, 0, 0);
+      auto none = empty->ProcessAlert(Bundle(3)).value();
+      EXPECT_TRUE(none.notified_users.empty());
+      EXPECT_EQ(none.stats.ciphertexts_scanned, 0u);
+      EXPECT_EQ(none.stats.queries, 0u);
+
+      auto sp = Provider(ServiceProvider::QueryEngine::kBatched, shards,
+                         threads, 0, cts_.size());
+      auto reference = Provider(ServiceProvider::QueryEngine::kReference,
+                                shards, threads, 0, cts_.size());
+      auto got = sp->ProcessAlert({}).value();
+      auto want = reference->ProcessAlert({}).value();
+      EXPECT_TRUE(got.notified_users.empty());
+      EXPECT_EQ(got.stats.ciphertexts_scanned, cts_.size());
+      EXPECT_EQ(got.stats.ciphertexts_scanned,
+                want.stats.ciphertexts_scanned);
+      EXPECT_EQ(got.stats.queries, 0u);
+      EXPECT_EQ(got.stats.pairings, 0u);
+    }
+  }
+}
+
+TEST_P(TeamScanTest, FailureInARoundEndsTheAlertWithItsStatus) {
+  // The second token is one column wider than the store's ciphertexts:
+  // round 0 runs, then every worker that claims a lane group in round 1
+  // fails, and the alert must end with that status on every team shape.
+  hve::Token wide = hve::ParseToken(*group_, pool_[1]).value();
+  wide.pattern.push_back('*');
+  const std::vector<std::vector<uint8_t>> bundle = {
+      pool_[0], hve::SerializeToken(*group_, wide)};
+  auto reference =
+      Provider(ServiceProvider::QueryEngine::kReference, 1, 1, 0, cts_.size());
+  const Status want = reference->ProcessAlert(bundle).status();
+  ASSERT_EQ(want.code(), StatusCode::kInvalidArgument);
+  for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+    for (size_t flush : {size_t(0), size_t(1)}) {
+      auto sp = Provider(ServiceProvider::QueryEngine::kBatched, 4, threads,
+                         flush, cts_.size());
+      const Status got = sp->ProcessAlert(bundle).status();
+      EXPECT_EQ(got.code(), StatusCode::kInvalidArgument)
+          << "threads=" << threads << " flush=" << flush << ": " << got;
+    }
+  }
+}
+
+/// A store whose visit of one shard throws.
+class ThrowingStore : public api::ShardedStore {
+ public:
+  ThrowingStore(size_t shards, size_t bad) : ShardedStore(shards), bad_(bad) {}
+  void VisitShard(size_t shard,
+                  const std::function<void(int, const api::CtPtr&)>& fn)
+      const override {
+    if (shard == bad_) throw std::runtime_error("visit failed");
+    ShardedStore::VisitShard(shard, fn);
+  }
+
+ private:
+  size_t bad_;
+};
+
+TEST_P(TeamScanTest, ThrowInsideTheTeamPropagates) {
+  // The teammates of the thrower may be waiting for the snapshots or at
+  // a barrier; they must be released and the exception must reach the
+  // caller.
+  for (unsigned threads : {1u, 2u, 4u, 8u}) {
+    auto sp = Provider(ServiceProvider::QueryEngine::kBatched, 4, threads, 0,
+                       cts_.size(), std::make_unique<ThrowingStore>(4, 2));
+    EXPECT_THROW((void)sp->ProcessAlert(Bundle(4)), std::runtime_error)
+        << "threads=" << threads;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Walks, TeamScanTest,
+    ::testing::Values(KernelDispatch::kAuto, KernelDispatch::kPortableOnly),
+    [](const ::testing::TestParamInfo<KernelDispatch>& info) {
+      return std::string(info.param == KernelDispatch::kAuto ? "Auto"
+                                                             : "Scalar");
+    });
+
+// Second-sighting admission in the token-table LRU.
+TEST(TokenCacheAdmissionTest, SecondSightingAdmitsThirdHits) {
+  hve::TokenTableCache cache(4);
+  const std::vector<uint8_t> blob = {1, 2, 3};
+  auto table = std::make_shared<const hve::PrecompiledToken>();
+  EXPECT_EQ(cache.Get(blob), nullptr);
+  cache.Put(blob, table);  // first sighting: remembered, not retained
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.sightings(), 1u);
+  EXPECT_EQ(cache.Get(blob), nullptr);
+  cache.Put(blob, table);  // second sighting: admitted
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.Get(blob), table);  // third: a hit
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 2u);
+}
+
+TEST(TokenCacheAdmissionTest, SightingsFifoStaysBounded) {
+  constexpr size_t kCapacity = 3;
+  hve::TokenTableCache cache(kCapacity);
+  auto table = std::make_shared<const hve::PrecompiledToken>();
+  const size_t bound = hve::TokenTableCache::kSightingsPerEntry * kCapacity;
+  for (uint8_t b = 0; b < 100; ++b) {
+    cache.Put({b, 0xee}, table);
+    EXPECT_LE(cache.sightings(), bound);
+  }
+  EXPECT_EQ(cache.sightings(), bound);
+  EXPECT_EQ(cache.size(), 0u);
+  // The oldest sightings were forgotten: their blobs count as new.
+  cache.Put({0, 0xee}, table);
+  EXPECT_EQ(cache.size(), 0u);
+  // The newest are remembered, so a repeat is admitted.
+  cache.Put({99, 0xee}, table);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_NE(cache.Get({99, 0xee}), nullptr);
+}
+
+TEST(TokenCacheAdmissionTest, CapacityZeroRemembersNothing) {
+  hve::TokenTableCache cache(0);
+  auto table = std::make_shared<const hve::PrecompiledToken>();
+  for (int i = 0; i < 3; ++i) cache.Put({7}, table);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.sightings(), 0u);
+  EXPECT_EQ(cache.Get({7}), nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -9,6 +9,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/bitstring.h"
 #include "common/parallel.h"
@@ -313,6 +314,105 @@ TEST(RunWorkersTest, FirstExceptionWinsWhenSeveralThrow) {
                                                      std::to_string(w));
                           }),
                std::runtime_error);
+}
+
+// ---------- TeamBarrier ----------
+
+TEST(TeamBarrierTest, LastArrivalRunsTheStepBetweenPhases) {
+  // Each phase every worker adds its index to its slot; the step folds
+  // the slots into the total, so the total is exact only if the step
+  // runs once per phase, after every worker's write and before any
+  // worker's next one.
+  constexpr size_t kWorkers = 4;
+  constexpr int kPhases = 50;
+  TeamBarrier team(kWorkers);
+  std::vector<size_t> slots(kWorkers, 0);
+  size_t total = 0;
+  int steps = 0;
+  RunWorkers(kWorkers, [&](size_t w) {
+    for (int phase = 0; phase < kPhases; ++phase) {
+      slots[w] += w + 1;
+      ASSERT_TRUE(team.ArriveAndWait([&] {
+        for (size_t& slot : slots) {
+          total += slot;
+          slot = 0;
+        }
+        ++steps;
+      }));
+    }
+  });
+  EXPECT_EQ(steps, kPhases);
+  EXPECT_EQ(total, size_t(kPhases) * (1 + 2 + 3 + 4));
+  EXPECT_FALSE(team.aborted());
+}
+
+TEST(TeamBarrierTest, WorkerLeavingMidRoundReleasesItsTeam) {
+  // Worker 2 fails in round 3 and leaves; the others, already waiting
+  // at that round's barrier or arriving later, must be let go.
+  constexpr size_t kWorkers = 4;
+  TeamBarrier team(kWorkers);
+  std::atomic<int> released{0};
+  RunWorkers(kWorkers, [&](size_t w) {
+    for (int round = 0; round < 10; ++round) {
+      if (w == 2 && round == 3) {
+        team.Abort();
+        return;
+      }
+      if (!team.ArriveAndWait()) {
+        released.fetch_add(1);
+        return;
+      }
+    }
+  });
+  EXPECT_TRUE(team.aborted());
+  EXPECT_EQ(released.load(), 3);
+}
+
+TEST(TeamBarrierTest, ThrowInsideTheTeamPropagatesWithoutHanging) {
+  // The pattern a team uses: a throwing worker aborts on its way out,
+  // RunWorkers rethrows once everyone has joined.
+  constexpr size_t kWorkers = 4;
+  for (bool throw_in_step : {false, true}) {
+    TeamBarrier team(kWorkers);
+    std::atomic<int> released{0};
+    EXPECT_THROW(
+        RunWorkers(kWorkers,
+                   [&](size_t w) {
+                     try {
+                       for (int round = 0; round < 10; ++round) {
+                         if (!throw_in_step && w == 1 && round == 4) {
+                           throw std::runtime_error("worker 1 boom");
+                         }
+                         const bool go = team.ArriveAndWait([&] {
+                           if (throw_in_step && round == 4) {
+                             throw std::runtime_error("step boom");
+                           }
+                         });
+                         if (!go) {
+                           released.fetch_add(1);
+                           return;
+                         }
+                       }
+                     } catch (...) {
+                       team.Abort();
+                       throw;
+                     }
+                   }),
+        std::runtime_error);
+    EXPECT_TRUE(team.aborted());
+    EXPECT_EQ(released.load(), 3) << "throw in step: " << throw_in_step;
+  }
+}
+
+TEST(TeamBarrierTest, OneWorkerTeamNeverWaits) {
+  TeamBarrier team(1);
+  int steps = 0;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(team.ArriveAndWait([&] { ++steps; }));
+  }
+  EXPECT_EQ(steps, 3);
+  team.Abort();
+  EXPECT_FALSE(team.ArriveAndWait());
 }
 
 TEST(ClampWorkersTest, Bounds) {

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -57,6 +58,12 @@ class LogStoreTest : public ::testing::Test {
     std::string tmpl = testing::TempDir() + "/log_store_XXXXXX";
     ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
     dir_ = tmpl;
+  }
+
+  void TearDown() override {
+    if (dir_.empty()) return;
+    std::error_code ignored;
+    std::filesystem::remove_all(dir_, ignored);
   }
 
   std::vector<uint8_t> BlobFor(int cell) {
@@ -212,9 +219,9 @@ TEST_F(LogStoreTest, ConcurrentSameUserPutsRecoverToAckedState) {
   const auto serialized_user1 = [&](LogBackedStore& store) {
     std::vector<uint8_t> blob;
     store.VisitShard(store.ShardOf(1),
-                     [&](int user_id, const hve::Ciphertext& ct) {
+                     [&](int user_id, const CtPtr& ct) {
                        if (user_id == 1) {
-                         blob = hve::SerializeCiphertext(*group_, ct);
+                         blob = hve::SerializeCiphertext(*group_, *ct);
                        }
                      });
     return blob;
@@ -425,8 +432,8 @@ TEST_F(LogStoreTest, LazyRecoveryMatchesEagerRecovery) {
   const auto serialize_all = [&](LogBackedStore& store) {
     std::vector<std::pair<int, std::vector<uint8_t>>> state;
     for (size_t s = 0; s < store.num_shards(); ++s) {
-      store.VisitShard(s, [&](int user_id, const hve::Ciphertext& ct) {
-        state.emplace_back(user_id, hve::SerializeCiphertext(*group_, ct));
+      store.VisitShard(s, [&](int user_id, const CtPtr& ct) {
+        state.emplace_back(user_id, hve::SerializeCiphertext(*group_, *ct));
       });
     }
     std::sort(state.begin(), state.end());
@@ -599,8 +606,8 @@ std::map<int, std::vector<uint8_t>> CollectAll(const LogBackedStore& store,
                                                const PairingGroup& group) {
   std::map<int, std::vector<uint8_t>> out;
   for (size_t s = 0; s < store.num_shards(); ++s) {
-    store.VisitShard(s, [&](int user, const hve::Ciphertext& ct) {
-      out[user] = hve::SerializeCiphertext(group, ct);
+    store.VisitShard(s, [&](int user, const CtPtr& ct) {
+      out[user] = hve::SerializeCiphertext(group, *ct);
     });
   }
   return out;

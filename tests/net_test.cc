@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +24,15 @@
 namespace sloc {
 namespace net {
 namespace {
+
+/// Removes a test's store directory when the test's scope ends.
+struct RemoveAtExit {
+  std::string dir;
+  ~RemoveAtExit() {
+    std::error_code ignored;
+    std::filesystem::remove_all(dir, ignored);
+  }
+};
 
 // ---------- FrameDecoder ----------
 
@@ -309,6 +319,7 @@ TEST_F(NetTest, ConnectionDroppedMidReplyBurstDoesNotPoisonServer) {
 TEST_F(NetTest, RestartOverLogStoreServesIdenticalAlert) {
   std::string dir = testing::TempDir() + "/net_restart_XXXXXX";
   ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const RemoveAtExit remove_store{dir};  // after every server over it
   auto open_store = [&] {
     api::LogBackedStore::Options options;
     options.num_shards = 2;
@@ -438,6 +449,7 @@ TEST_F(NetTest, ConcurrentIngestAlertsCompactionAndRestartRaceCleanly) {
 
   std::string dir = testing::TempDir() + "/net_stress_XXXXXX";
   ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const RemoveAtExit remove_store{dir};  // after every server over it
   auto open_store = [&] {
     api::LogBackedStore::Options options;
     options.num_shards = 4;

@@ -105,9 +105,9 @@ class StoreContractTest : public ::testing::Test {
   std::map<int, std::vector<uint8_t>> Contents() {
     std::map<int, std::vector<uint8_t>> out;
     for (size_t s = 0; s < store_->num_shards(); ++s) {
-      store_->VisitShard(s, [&](int user_id, const hve::Ciphertext& ct) {
+      store_->VisitShard(s, [&](int user_id, const CtPtr& ct) {
         EXPECT_EQ(store_->ShardOf(user_id), s) << "user " << user_id;
-        EXPECT_TRUE(out.emplace(user_id, Bytes(ct)).second)
+        EXPECT_TRUE(out.emplace(user_id, Bytes(*ct)).second)
             << "user " << user_id << " visited twice";
       });
     }
@@ -176,7 +176,7 @@ TYPED_TEST(StoreContractTest, VisitorMayWriteTheShardItVisits) {
     }
     const int fresh = this->UserInShard(s, 1000);
     std::set<int> visited;
-    store.VisitShard(s, [&](int user_id, const hve::Ciphertext&) {
+    store.VisitShard(s, [&](int user_id, const CtPtr&) {
       visited.insert(user_id);
       EXPECT_TRUE(store.Erase(user_id));
       store.Put(fresh, this->Ct(1));
@@ -200,14 +200,14 @@ TYPED_TEST(StoreContractTest, VisitedCiphertextOutlivesItsReplacement) {
   const std::vector<uint8_t> old_erased = this->Bytes(this->Ct(2));
   size_t checked = 0;
   store.VisitShard(store.ShardOf(replaced),
-                   [&](int user_id, const hve::Ciphertext& ct) {
+                   [&](int user_id, const CtPtr& ct) {
                      if (user_id == replaced) {
                        store.Put(replaced, this->Ct(1));
-                       EXPECT_EQ(this->Bytes(ct), old_replaced);
+                       EXPECT_EQ(this->Bytes(*ct), old_replaced);
                        ++checked;
                      } else if (user_id == erased) {
                        EXPECT_TRUE(store.Erase(erased));
-                       EXPECT_EQ(this->Bytes(ct), old_erased);
+                       EXPECT_EQ(this->Bytes(*ct), old_erased);
                        ++checked;
                      }
                    });
@@ -231,9 +231,9 @@ TYPED_TEST(StoreContractTest, ConcurrentWritersAndScansAgree) {
     readers.emplace_back([&] {
       while (!stop.load()) {
         for (size_t s = 0; s < store.num_shards(); ++s) {
-          store.VisitShard(s, [&](int user_id, const hve::Ciphertext& ct) {
+          store.VisitShard(s, [&](int user_id, const CtPtr& ct) {
             EXPECT_EQ(store.ShardOf(user_id), s);
-            EXPECT_EQ(ct.c1.size(), 4u);
+            EXPECT_EQ(ct->c1.size(), 4u);
           });
         }
         (void)store.size();
