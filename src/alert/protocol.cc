@@ -5,7 +5,6 @@
 #include <iterator>
 #include <limits>
 #include <optional>
-#include <thread>
 
 #include "common/bitstring.h"
 #include "common/check.h"
@@ -405,26 +404,35 @@ Status ServiceProvider::ScanBatched(
   // tokens served from retained tables vs compiled fresh.
   out->stats.token_cache_misses = misses.size();
   out->stats.token_cache_hits = first_of.size() - misses.size();
+  // Compile the misses across the worker pool at chain granularity:
+  // every Miller chain is independent, so even a one-token bundle keeps
+  // all workers busy.
   std::vector<const hve::Token*> miss_tokens;
   miss_tokens.reserve(misses.size());
   for (size_t i : misses) miss_tokens.push_back(&tokens[i]);
-  hve::TokenCompilation compilation(*group_, miss_tokens,
-                                    options_.num_threads);
-
+  std::vector<hve::PrecompiledToken> compiled =
+      hve::PrecompileTokens(*group_, miss_tokens, options_.num_threads);
+  for (size_t m = 0; m < misses.size(); ++m) {
+    tables[misses[m]] = std::make_shared<const hve::PrecompiledToken>(
+        std::move(compiled[m]));
+  }
+  for (const auto& [dup, original] : aliases) {
+    tables[dup] = tables[original];
+  }
+  std::vector<const hve::PrecompiledToken*> table_ptrs;
+  table_ptrs.reserve(num_tokens);
+  for (const auto& table : tables) table_ptrs.push_back(table.get());
   // The slim views read only the union of the bundle's non-star
-  // columns. That union depends on the patterns alone, so views are
-  // built while the tables compile.
+  // columns.
   const hve::EvalLayout layout = hve::MakeEvalLayout(
-      tokens.empty() ? 0 : tokens.front().pattern.size(), tokens);
+      tokens.empty() ? 0 : tokens.front().pattern.size(), table_ptrs);
   const size_t flush = options_.batch_flush_evals == 0
                            ? AutoFlushWidth(layout.positions.size())
                            : options_.batch_flush_evals;
   const size_t num_shards = store_->num_shards();
-  const size_t compile_groups = compilation.groups();
   const size_t workers = ClampWorkers(
       options_.num_threads,
-      num_shards + compile_groups +
-          (store_->size() + kMillerLanes - 1) / kMillerLanes);
+      num_shards + (store_->size() + kViewChunk - 1) / kViewChunk);
   // Views live in waves of at most `flush` per worker, the same memory
   // budget as a worker's flush buffer (saturating: `flush` may be any
   // caller-set width).
@@ -433,14 +441,15 @@ Status ServiceProvider::ScanBatched(
           ? workers * flush
           : std::numeric_limits<size_t>::max();
 
-  // One team runs the whole alert. Phase one claims, in this order,
-  // every shard's snapshot, the missing tables' compile groups and the
-  // first wave's view chunks. Then each token round claims lane groups
-  // of eight views from one alive list spanning the whole store, so the
-  // work splits evenly however the shards fall; each worker batch-
-  // finalises the ratios it walked. Barriers separate the rounds, and
-  // their serial steps (run by the last worker to arrive) merge the
-  // survivors and move on to the next wave.
+  // One team runs the scan. It first claims every shard's snapshot;
+  // the serial step after them lays the snapshots out as one list.
+  // Then, wave by wave, it claims chunks of views to build, and each
+  // token round claims lane groups of eight views from one alive list
+  // spanning the whole store, so the work splits evenly however the
+  // shards fall; each worker batch-finalises the ratios it walked.
+  // Barriers separate the phases, and their serial steps (run by the
+  // last worker to arrive) merge the survivors and move on to the next
+  // wave.
   TeamBarrier team(workers);
   // lock-note: failure_mu guards failure until RunWorkers returns; both
   // are locals captured by the workers' lambdas.
@@ -454,12 +463,9 @@ Status ServiceProvider::ScanBatched(
     team.Abort();
   };
 
-  std::atomic<size_t> next_task{0};
+  std::atomic<size_t> next_shard{0};
   std::vector<std::vector<Entry>> shard_entries(num_shards);
-  std::atomic<size_t> snapshots_left{num_shards};
-  std::atomic<bool> entries_ready{false};
-  // Written by the last snapshot before entries_ready is set, or by a
-  // barrier step; read by every worker after that.
+  // Written by barrier steps; read by every worker after them.
   std::vector<Entry> entries;
   size_t viewable = 0;  // entries that get views: none for an empty bundle
   std::vector<WaveSlot> slab;
@@ -470,13 +476,7 @@ Status ServiceProvider::ScanBatched(
   std::atomic<size_t> next_group{0};
   std::vector<TeamWorker> crew(workers);
 
-  auto snapshot = [&](size_t shard) {
-    std::vector<Entry>& mine = shard_entries[shard];
-    store_->VisitShard(shard, [&mine](int user_id, const api::CtPtr& ct) {
-      mine.emplace_back(user_id, ct);
-    });
-    if (snapshots_left.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    // The last snapshot lays out the scan.
+  auto lay_out = [&] {
     size_t total = 0;
     for (const std::vector<Entry>& shard_list : shard_entries) {
       total += shard_list.size();
@@ -489,7 +489,6 @@ Status ServiceProvider::ScanBatched(
     viewable = tokens.empty() ? 0 : entries.size();
     wave_end = std::min(viewable, wave_capacity);
     slab.resize(wave_end);
-    entries_ready.store(true, std::memory_order_release);
   };
   // Builds the views of one chunk of the current wave; false past the
   // wave's end or on failure.
@@ -513,17 +512,6 @@ Status ServiceProvider::ScanBatched(
     alive.resize(wave_end - wave_begin);
     for (size_t i = 0; i < alive.size(); ++i) alive[i] = uint32_t(i);
     next_group.store(0, std::memory_order_relaxed);
-  };
-  auto publish_tables = [&] {
-    std::vector<hve::PrecompiledToken> compiled = compilation.Finish();
-    for (size_t m = 0; m < misses.size(); ++m) {
-      tables[misses[m]] = std::make_shared<const hve::PrecompiledToken>(
-          std::move(compiled[m]));
-    }
-    for (const auto& [dup, original] : aliases) {
-      tables[dup] = tables[original];
-    }
-    start_wave();
   };
   // One worker's share of token round k. A worker claims at most its
   // even share of the round's lane groups, so the first worker to wake
@@ -590,40 +578,34 @@ Status ServiceProvider::ScanBatched(
 
   auto work = [&](size_t w) {
     TeamWorker& me = crew[w];
-    {
-      MillerCompileScratch compile_scratch;
-      for (;;) {
-        if (team.aborted()) return;
-        const size_t task = next_task.fetch_add(1, std::memory_order_relaxed);
-        if (task < num_shards) {
-          snapshot(task);
-        } else if (task < num_shards + compile_groups) {
-          compilation.Compile(task - num_shards, &compile_scratch);
-        } else {
-          // Snapshots are claimed first and take microseconds.
-          while (!entries_ready.load(std::memory_order_acquire)) {
-            if (team.aborted()) return;
-            std::this_thread::yield();
-          }
-          if (!build_views(task - num_shards - compile_groups)) break;
-        }
-      }
+    for (size_t shard = next_shard.fetch_add(1, std::memory_order_relaxed);
+         shard < num_shards;
+         shard = next_shard.fetch_add(1, std::memory_order_relaxed)) {
+      if (team.aborted()) return;
+      std::vector<Entry>& mine = shard_entries[shard];
+      store_->VisitShard(shard, [&mine](int user_id, const api::CtPtr& ct) {
+        mine.emplace_back(user_id, ct);
+      });
     }
-    if (!team.ArriveAndWait(publish_tables)) return;
-    const size_t wave_slots = slab.size();
-    me.claimed.reserve(wave_slots);
-    me.ratios.reserve(wave_slots);
-    me.survivors.reserve(wave_slots);
-    for (;;) {
+    if (!team.ArriveAndWait(lay_out)) return;
+    // The first wave is the largest, and a worker claims at most its
+    // even share of a round's lane groups: reserved once, a worker's
+    // round buffers never grow.
+    const size_t share =
+        ((slab.size() + kMillerLanes - 1) / kMillerLanes + workers - 1) /
+        workers;
+    me.claimed.reserve(share * kMillerLanes);
+    me.ratios.reserve(share * kMillerLanes);
+    me.survivors.reserve(share * kMillerLanes);
+    while (wave_begin < viewable) {
+      while (build_views(next_chunk.fetch_add(1, std::memory_order_relaxed))) {
+      }
+      if (!team.ArriveAndWait(start_wave)) return;
       for (size_t k = 0; k < num_tokens && !alive.empty(); ++k) {
         if (!run_round(me, k)) return;
         if (!team.ArriveAndWait(merge_survivors)) return;
       }
       if (!team.ArriveAndWait(next_wave)) return;
-      if (wave_begin >= viewable) return;
-      while (build_views(next_chunk.fetch_add(1, std::memory_order_relaxed))) {
-      }
-      if (!team.ArriveAndWait(start_wave)) return;
     }
   };
   RunWorkers(workers, [&](size_t w) {

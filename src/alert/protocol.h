@@ -292,9 +292,10 @@ class ServiceProvider {
 
   /// The batched engine's scan: precompiled line tables (LRU-cached
   /// from a blob's second sighting on), deferred final
-  /// exponentiation, and one team of num_threads workers that compiles
-  /// the missing tables, snapshots the shards and walks eight-view lane
-  /// groups claimed from one alive list per token round.
+  /// exponentiation, and, once the missing tables are compiled, one
+  /// team of num_threads workers that snapshots the shards, builds the
+  /// views and walks eight-view lane groups claimed from one alive list
+  /// per token round.
   Status ScanBatched(const std::vector<hve::Token>& tokens,
                      const std::vector<std::vector<uint8_t>>& blobs,
                      AlertOutcome* out) const;

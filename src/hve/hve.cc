@@ -416,97 +416,71 @@ PrecompiledToken PrecompileToken(const PairingGroup& group,
 std::vector<PrecompiledToken> PrecompileTokens(
     const PairingGroup& group, const std::vector<const Token*>& tokens,
     unsigned num_threads) {
-  TokenCompilation compilation(group, tokens, num_threads);
-  const size_t groups = compilation.groups();
-  const size_t workers = ClampWorkers(num_threads, groups);
-  RunWorkers(workers, [&](size_t w) {
-    MillerCompileScratch scratch;
-    for (size_t g = w; g < groups; g += workers) {
-      compilation.Compile(g, &scratch);
-    }
-  });
-  return compilation.Finish();
-}
-
-TokenCompilation::TokenCompilation(const PairingGroup& group,
-                                   const std::vector<const Token*>& tokens,
-                                   unsigned num_threads)
-    : group_(&group), out_(tokens.size()), first_(tokens.size() + 1, 0) {
+  const Curve& curve = group.curve();
+  const MillerPlan& plan = group.miller_plan();
   // One unit per (token, chain), token-major; within a token K_0, then
   // K_j,1 and K_j,2 per non-star position j (a malformed token stops at
-  // its shortest point list).
+  // its shortest point list). first[t] is token t's first unit.
+  std::vector<PrecompiledToken> out(tokens.size());
+  std::vector<const AffinePoint*> points;
+  std::vector<size_t> first(tokens.size() + 1, 0);
   for (size_t t = 0; t < tokens.size(); ++t) {
     const Token& token = *tokens[t];
-    PrecompiledToken& compiled = out_[t];
+    PrecompiledToken& compiled = out[t];
     compiled.pattern = token.pattern;
-    points_.push_back(&token.k0);
+    points.push_back(&token.k0);
     for (size_t i = 0; i < token.pattern.size(); ++i) {
       if (token.pattern[i] == kStar) continue;
       const size_t j = compiled.positions.size();
       if (j >= token.k1.size() || j >= token.k2.size()) break;  // malformed
       compiled.positions.push_back(i);
-      points_.push_back(&token.k1[j]);
-      points_.push_back(&token.k2[j]);
+      points.push_back(&token.k1[j]);
+      points.push_back(&token.k2[j]);
     }
-    first_[t + 1] = points_.size();
+    first[t + 1] = points.size();
   }
-  const size_t units = points_.size();
-  // Consecutive units form groups, each run, inverted and normalised by
-  // one worker (CompileMillerTables). Under the ifma8 walk a group
-  // fills the eight lanes; under the scalar walk the units split evenly
-  // over the workers. Field arithmetic is exact, so the tables are
-  // identical at every thread count and grouping.
+  const size_t units = points.size();
+  // One pass: consecutive units form groups, each run, inverted and
+  // normalised by one worker (CompileMillerTables). Under the ifma8
+  // walk a group fills the eight lanes; under the scalar walk the units
+  // split evenly over the workers. Field arithmetic is exact, so the
+  // tables are identical at every thread count and grouping.
   const size_t split = ClampWorkers(num_threads, units);
-  group_size_ = group.miller_plan().walk() == MillerWalk::kIfma8
-                    ? kMillerLanes
-                    : std::max<size_t>(1, (units + split - 1) / split);
-  groups_ = (units + group_size_ - 1) / group_size_;
-  tables_.resize(units);
-}
-
-void TokenCompilation::Compile(size_t g, MillerCompileScratch* scratch) {
-  const size_t begin = g * group_size_;
-  CompileMillerTables(group_->curve(), group_->miller_plan(),
-                      points_.data() + begin,
-                      std::min(group_size_, points_.size() - begin),
-                      tables_.data() + begin, scratch);
-}
-
-std::vector<PrecompiledToken> TokenCompilation::Finish() {
-  for (size_t t = 0; t < out_.size(); ++t) {
-    PrecompiledToken& compiled = out_[t];
+  const size_t group_size = plan.walk() == MillerWalk::kIfma8
+                                ? kMillerLanes
+                                : std::max<size_t>(1, (units + split - 1) /
+                                                          split);
+  const size_t groups = (units + group_size - 1) / group_size;
+  std::vector<MillerLineTable> tables(units);
+  const size_t workers = ClampWorkers(num_threads, groups);
+  RunWorkers(workers, [&](size_t w) {
+    MillerCompileScratch scratch;
+    for (size_t g = w; g < groups; g += workers) {
+      const size_t begin = g * group_size;
+      CompileMillerTables(curve, plan, points.data() + begin,
+                          std::min(group_size, units - begin),
+                          tables.data() + begin, &scratch);
+    }
+  });
+  for (size_t t = 0; t < tokens.size(); ++t) {
+    PrecompiledToken& compiled = out[t];
     const size_t non_star = compiled.positions.size();
-    compiled.k0 = std::move(tables_[first_[t]]);
+    compiled.k0 = std::move(tables[first[t]]);
     compiled.k1.reserve(non_star);
     compiled.k2.reserve(non_star);
     for (size_t j = 0; j < non_star; ++j) {
-      compiled.k1.push_back(std::move(tables_[first_[t] + 1 + 2 * j]));
-      compiled.k2.push_back(std::move(tables_[first_[t] + 2 + 2 * j]));
+      compiled.k1.push_back(std::move(tables[first[t] + 1 + 2 * j]));
+      compiled.k2.push_back(std::move(tables[first[t] + 2 + 2 * j]));
     }
   }
-  return std::move(out_);
+  return out;
 }
-
-namespace {
-
-/// The layout whose slots are the `used` columns, in column order.
-EvalLayout LayoutOfColumns(const std::vector<bool>& used) {
-  const size_t width = used.size();
-  EvalLayout layout;
-  layout.width = width;
-  layout.slot_of.assign(width, -1);
-  for (size_t i = 0; i < width; ++i) {
-    if (!used[i]) continue;
-    layout.slot_of[i] = int32_t(layout.positions.size());
-    layout.positions.push_back(i);
-  }
-  return layout;
-}
-
-}  // namespace
 
 EvalLayout MakeEvalLayout(
     size_t width, const std::vector<const PrecompiledToken*>& tokens) {
+  EvalLayout layout;
+  layout.width = width;
+  layout.slot_of.assign(width, -1);
   std::vector<bool> used(width, false);
   for (const PrecompiledToken* token : tokens) {
     if (token == nullptr) continue;
@@ -514,17 +488,12 @@ EvalLayout MakeEvalLayout(
       if (i < width) used[i] = true;
     }
   }
-  return LayoutOfColumns(used);
-}
-
-EvalLayout MakeEvalLayout(size_t width, const std::vector<Token>& tokens) {
-  std::vector<bool> used(width, false);
-  for (const Token& token : tokens) {
-    for (size_t i = 0; i < std::min(width, token.pattern.size()); ++i) {
-      if (token.pattern[i] != kStar) used[i] = true;
-    }
+  for (size_t i = 0; i < width; ++i) {
+    if (!used[i]) continue;
+    layout.slot_of[i] = int32_t(layout.positions.size());
+    layout.positions.push_back(i);
   }
-  return LayoutOfColumns(used);
+  return layout;
 }
 
 Result<EvalView> MakeEvalView(const PairingGroup& group,

@@ -186,33 +186,6 @@ std::vector<PrecompiledToken> PrecompileTokens(
     const PairingGroup& group, const std::vector<const Token*>& tokens,
     unsigned num_threads);
 
-/// PrecompileTokens in its parts, for a caller that runs the compile
-/// groups on workers it schedules itself. The constructor lays out the
-/// (token, chain) units and cuts them into groups as PrecompileTokens
-/// does for `num_threads` workers; Compile(g) runs group g (distinct
-/// groups may run concurrently, each with its own scratch); Finish()
-/// returns the tables once every group has run. The tokens must
-/// outlive the object.
-class TokenCompilation {
- public:
-  TokenCompilation(const PairingGroup& group,
-                   const std::vector<const Token*>& tokens,
-                   unsigned num_threads);
-
-  size_t groups() const { return groups_; }
-  void Compile(size_t g, MillerCompileScratch* scratch);
-  std::vector<PrecompiledToken> Finish();
-
- private:
-  const PairingGroup* group_;
-  std::vector<PrecompiledToken> out_;
-  std::vector<const AffinePoint*> points_;
-  std::vector<size_t> first_;  ///< token t's first unit; one past the end
-  std::vector<MillerLineTable> tables_;
-  size_t group_size_ = 1;
-  size_t groups_ = 0;
-};
-
 /// Which ciphertext columns a fixed token set actually evaluates: the
 /// union of the tokens' non-star positions. Built once per alert; maps
 /// full-width positions to the slots of a slim EvalView.
@@ -226,10 +199,6 @@ struct EvalLayout {
 /// entries are skipped).
 EvalLayout MakeEvalLayout(size_t width,
                           const std::vector<const PrecompiledToken*>& tokens);
-
-/// The same layout read from the tokens' patterns, so it is known
-/// before their tables compile.
-EvalLayout MakeEvalLayout(size_t width, const std::vector<Token>& tokens);
 
 /// Slim evaluation buffer for one ciphertext under a fixed EvalLayout:
 /// the *distorted* coordinates (xq = -x, y_im = the i-coefficient of

@@ -9,9 +9,10 @@
 //   - one full batched flush round: EvalView refill, precompiled
 //     Miller walks, batch final exponentiation, marker comparison —
 //     on the scalar walk and on the eight-lane IFMA walk;
-//   - a team worker's token round, which claims lane groups of eight
-//     views from an alive list: nothing per lane group, whether the
-//     group walks the lanes or falls back to the scalar walk.
+//   - a warm alert's token round through ServiceProvider::ProcessAlert,
+//     whose workers claim lane groups of eight views from an alive
+//     list: nothing per lane group, whether the group walks the lanes
+//     or falls back to the scalar walk.
 // The HVE blob codec is held to exact counts instead: a warm
 // ParseCiphertext allocates only the result's c1/c2 storage, whatever
 // the width, and a warm SerializeCiphertext only its output buffer.
@@ -37,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "alert/protocol.h"
 #include "api/log_store.h"
 #include "api/store.h"
 #include "bigint/limb_vec.h"
@@ -502,90 +504,83 @@ TEST(AllocIfmaTest, WarmLaneFlushRoundIsAllocFree) {
   EXPECT_EQ(probe.delta(), 0u) << "warm IFMA flush round must not allocate";
 }
 
+// Drives the real engine: a warm ProcessAlert of a two-token bundle
+// costs the same allocations over the one-token bundle however many
+// lane groups each worker walks, so a token round allocates nothing per
+// lane group. Each worker walks exactly n groups a round (the store
+// holds n * 8 residents per worker, and a worker claims at most its
+// even share), so every round-two buffer was sized in round one.
 TEST(AllocIfmaTest, WarmTeamRoundAllocatesNothingPerLaneGroup) {
   if (!miller_ifma::Available()) GTEST_SKIP() << "no AVX-512 IFMA walk";
   PairingParamSpec spec;
   spec.p_prime_bits = 100;
   spec.q_prime_bits = 100;
   spec.seed = 79;
-  PairingGroup group = PairingGroup::Generate(spec).value();
-  ASSERT_EQ(group.miller_plan().walk(), MillerWalk::kIfma8);
+  auto group = std::make_shared<const PairingGroup>(
+      PairingGroup::Generate(spec).value());
+  ASSERT_EQ(group->miller_plan().walk(), MillerWalk::kIfma8);
   constexpr size_t kWidth = 6;
-  constexpr size_t kCts = 27;  // three full lane groups and a partial one
+  constexpr size_t kMaxGroupsPerWorker = 4;
+  constexpr size_t kMaxWorkers = 2;
   RandFn rand = TestRand(9);
-  hve::KeyPair kp = hve::Setup(group, kWidth, rand).value();
+  hve::KeyPair kp = hve::Setup(*group, kWidth, rand).value();
+  const Fp2Elem marker = group->RandomGt(rand);
+  // No resident matches "1*11*0", so both rounds walk every view.
   std::vector<hve::Ciphertext> cts;
-  for (size_t i = 0; i < kCts; ++i) {
-    cts.push_back(hve::Encrypt(group, kp.pk, i % 3 ? "101100" : "010011",
-                               group.GtOne(), rand)
-                      .value());
+  for (size_t i = 0; i < kMaxGroupsPerWorker * kMaxWorkers * kMillerLanes;
+       ++i) {
+    cts.push_back(
+        hve::Encrypt(*group, kp.pk, i % 3 ? "010011" : "000111", marker, rand)
+            .value());
   }
-  // An identity point in a column the token reads sends the second lane
-  // group to the scalar walk.
-  cts[10].c0 = group.curve().Infinity();
-  hve::Token token = hve::GenToken(group, kp.sk, "1*11*0", rand).value();
-  hve::PrecompiledToken compiled = hve::PrecompileToken(group, token);
-  hve::EvalLayout layout = hve::MakeEvalLayout(kWidth, {&compiled});
-  std::vector<hve::EvalView> views(kCts);
-  std::vector<Fp2Elem> expected(kCts);
-  for (size_t i = 0; i < kCts; ++i) {
-    ASSERT_TRUE(hve::MakeEvalView(group, layout, cts[i], &views[i]).ok());
-    expected[i] = cts[i].c_prime;
-  }
+  std::vector<uint8_t> first_blob = hve::SerializeToken(
+      *group, hve::GenToken(*group, kp.sk, "1*11*0", rand).value());
+  std::vector<uint8_t> second_blob = hve::SerializeToken(
+      *group, hve::GenToken(*group, kp.sk, "1*11*0", rand).value());
+  const std::vector<std::vector<uint8_t>> one_token = {first_blob};
+  const std::vector<std::vector<uint8_t>> two_tokens = {first_blob,
+                                                        second_blob};
 
-  // A team worker's buffers, reserved for the wave as the engine does.
-  hve::QueryScratch scratch;
-  std::vector<const hve::EvalView*> lane_views;
-  std::vector<Fp2Elem> lane_ratios;
-  std::vector<uint32_t> claimed, survivors;
-  std::vector<Fp2Elem> ratios;
-  claimed.reserve(kCts);
-  ratios.reserve(kCts);
-  survivors.reserve(kCts);
-  std::vector<uint32_t> alive(kCts);
-  for (size_t i = 0; i < kCts; ++i) alive[i] = uint32_t(i);
-
-  bool round_ok = true;
-  // The worker claims `groups` lane groups of the alive list.
-  auto round = [&](size_t groups) {
-    claimed.clear();
-    ratios.clear();
-    survivors.clear();
-    for (size_t g = 0; g < groups; ++g) {
-      const size_t begin = g * kMillerLanes;
-      lane_views.clear();
-      for (size_t pos = begin;
-           pos < std::min(alive.size(), begin + kMillerLanes); ++pos) {
-        claimed.push_back(alive[pos]);
-        lane_views.push_back(&views[alive[pos]]);
+  // One worker also walks a lane group holding an identity point,
+  // which falls back to the scalar walk; with two, which worker claims
+  // that group would vary from round to round.
+  for (unsigned threads : {1u, unsigned(kMaxWorkers)}) {
+    std::vector<size_t> round_allocs;
+    for (size_t per_worker : {size_t(1), size_t(2), kMaxGroupsPerWorker}) {
+      const size_t residents = per_worker * threads * kMillerLanes;
+      alert::ServiceProvider::Options options;
+      options.num_shards = 2;
+      options.num_threads = threads;
+      std::unique_ptr<api::CiphertextStore> store = api::MakeStore(2);
+      for (size_t i = 0; i < residents; ++i) {
+        hve::Ciphertext ct = cts[i];
+        if (threads == 1 && i == 3) ct.c0 = group->curve().Infinity();
+        store->Put(int(i), std::move(ct));
       }
-      if (!hve::QueryMillerPrecompiledViews(group, compiled, layout,
-                                            lane_views, &lane_ratios,
-                                            &scratch)
-               .ok()) {
-        round_ok = false;
-        return;
+      alert::ServiceProvider sp(group, marker, std::move(store), options);
+      // Two sightings admit both tables to the LRU; the rest warms up.
+      for (int warm = 0; warm < 3; ++warm) {
+        ASSERT_TRUE(sp.ProcessAlert(two_tokens).ok());
       }
-      ratios.insert(ratios.end(), lane_ratios.begin(), lane_ratios.end());
+      ASSERT_TRUE(sp.ProcessAlert(one_token).ok());
+      AllocProbe one_probe;
+      auto one = sp.ProcessAlert(one_token);
+      const size_t one_allocs = one_probe.delta();
+      AllocProbe two_probe;
+      auto two = sp.ProcessAlert(two_tokens);
+      const size_t two_allocs = two_probe.delta();
+      ASSERT_TRUE(one.ok() && two.ok());
+      ASSERT_EQ(two->stats.token_cache_hits, 2u);
+      ASSERT_EQ(two->stats.matches, 0u);
+      ASSERT_EQ(two->stats.queries, 2 * residents);
+      ASSERT_GE(two_allocs, one_allocs);
+      round_allocs.push_back(two_allocs - one_allocs);
     }
-    BatchFinalExponentiation(group.fp2(), group.params().cofactor, &ratios,
-                             &scratch.pairing);
-    for (size_t i = 0; i < claimed.size(); ++i) {
-      if (!group.GtEqual(ratios[i], expected[claimed[i]])) {
-        survivors.push_back(claimed[i]);
-      }
+    for (size_t i = 1; i < round_allocs.size(); ++i) {
+      EXPECT_EQ(round_allocs[i], round_allocs[0])
+          << threads << " workers: the second token round's allocations "
+          << "grow with the lane groups each worker walks";
     }
-  };
-
-  const size_t all_groups = (kCts + kMillerLanes - 1) / kMillerLanes;
-  round(all_groups);  // warm-up: sizes every buffer to its high-water mark
-  ASSERT_TRUE(round_ok);
-  for (size_t groups : {size_t(1), size_t(2), all_groups}) {
-    AllocProbe probe;
-    round(groups);
-    const size_t allocs = probe.delta();
-    ASSERT_TRUE(round_ok);
-    EXPECT_EQ(allocs, 0u) << groups << " lane groups";
   }
 }
 
