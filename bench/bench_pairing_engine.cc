@@ -163,7 +163,8 @@ int Run(int argc, char** argv) {
       kernel_dispatch, walk);
   // The chains follow the NAF of the group order n: one doubling line
   // per digit below the top, one addition or subtraction line per
-  // nonzero digit below it.
+  // nonzero digit below it. Packed (ifma8) tables merge each step's two
+  // lines into one product, all but a final step's.
   const MillerPlan& plan = group->miller_plan();
   const size_t order_bits = group->params().n.BitLength();
   const size_t nonzero_digits =
@@ -171,8 +172,8 @@ int Run(int argc, char** argv) {
                                [](int8_t d) { return d != 0; }));
   std::printf(
       "Miller plan: n = %zu bits, %zu nonzero NAF digits, %zu lines per "
-      "chain\n",
-      order_bits, nonzero_digits, plan.length());
+      "chain, %zu merged steps\n",
+      order_bits, nonzero_digits, plan.length(), plan.merged_steps());
   std::printf(
       "security: HVE falls to factoring n = P*Q; a %zu-bit n is a bench "
       "size (about 1024 bits for ~80-bit security)\n",
@@ -574,6 +575,7 @@ int Run(int argc, char** argv) {
   plan_json.Integer("order_bits", order_bits);
   plan_json.Integer("nonzero_digits", nonzero_digits);
   plan_json.Integer("lines_per_chain", plan.length());
+  plan_json.Integer("merged_steps", plan.merged_steps());
   root.Nested("plan", plan_json);
   JsonWriter walk_json;
   walk_json.Number("single_us_per_query", walk_single_us);

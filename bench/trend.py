@@ -9,34 +9,55 @@ history window; a drift alert fires when the value moved more than
 --drift (default 10%) in the bad direction.
 
 Metric direction is inferred from the name: throughput-like metrics
-(*_per_sec, speedup_*, evals_per_sec, pairings_per_sec) are
-higher-is-better; cost-like metrics (*_ms, *_seconds, *_allocs,
-allocs_*, *_bytes) are lower-is-better. Metrics that match neither
-family are recorded in the history but never alerted on.
+(*_per_sec, *_per_s, speedup_*, evals_per_sec, pairings_per_sec) are
+higher-is-better; cost-like metrics (*_ms, *_us, *us_per_query, *_s,
+*_seconds, *_mb, *_allocs, allocs_*, *_bytes) are lower-is-better. A
+`median` leaf takes the direction of the metric it summarizes, one
+level up (BENCH_svcbench.json's workloads.<name>.<metric>.median).
+Metrics that match neither family are recorded in the history but
+never alerted on.
 
 Usage:
   trend.py [--history=PATH] [--drift=0.10] [--window=14] [--strict] \
-      [--run-id=ID] BENCH_*.json...
+      [--run-id=ID] [--git[=REPO]] BENCH_*.json...
 
 Writes the updated history back to --history (default
 trend-history.json). Exits 0 even when drift is detected unless
 --strict is given — the nightly job records drift in the log and the
 uploaded history without going red.
+
+--git reads the trajectory the repository itself keeps: every committed
+version of the BENCH_*.json files at the root of REPO (default: the
+current directory), via `git log` and `git show`, one run per commit
+that changed any of them, oldest first. The runs are stored under the
+history's "git_runs" (rebuilt from git on every call, so folding twice
+adds nothing), beside the nightly "runs", and printed as a per-metric
+trajectory; a night's value of a metric the commits also carry is
+printed against the last committed one. Committed runs never raise a
+drift alert, and with --git the bench files are optional.
 """
 
 import json
 import math
 import os
 import statistics
+import subprocess
 import sys
 
-HIGHER_IS_BETTER = ("_per_sec", "per_sec", "speedup")
-LOWER_IS_BETTER = ("_ms", "ms", "_seconds", "seconds", "allocs", "bytes")
+HIGHER_IS_BETTER = ("_per_sec", "per_sec", "_per_s", "speedup")
+LOWER_IS_BETTER = ("_ms", "ms", "_us", "us_per_query", "_s", "_seconds",
+                   "seconds", "_mb", "allocs", "bytes")
+# Workload shape, not measurements.
+SHAPE_KEYS = ("tolerance", "run_seconds", "held_out_seed")
+GIT_PATHSPEC = ":(glob)BENCH_*.json"  # the files at the repository root
 
 
 def direction(metric):
     """+1 higher-is-better, -1 lower-is-better, 0 untracked."""
-    leaf = metric.rsplit(".", 1)[-1]
+    parts = metric.split(".")
+    leaf = parts[-1]
+    if leaf == "median" and len(parts) > 1:
+        leaf = parts[-2]
     for marker in HIGHER_IS_BETTER:
         if marker in leaf:
             return +1
@@ -66,12 +87,70 @@ def label_of(path):
     return stem[len("BENCH_"):] if stem.startswith("BENCH_") else stem
 
 
+def bench_metrics(label, bench):
+    """The measurements of one bench JSON, namespaced by its label."""
+    flat = {}
+    flatten("", bench, flat)
+    return {f"{label}.{key}": value for key, value in flat.items()
+            if not key.startswith("params.") and key not in SHAPE_KEYS}
+
+
+def git(repo, *args):
+    return subprocess.run(["git", "-C", repo] + list(args), check=True,
+                          capture_output=True, text=True).stdout
+
+
+def git_runs(repo):
+    """One run per commit that changed a root BENCH_*.json, oldest first."""
+    runs = []
+    log = git(repo, "log", "--reverse", "--format=%H %cI", "--",
+              GIT_PATHSPEC)
+    for line in log.splitlines():
+        sha, date = line.split()
+        changed = git(repo, "show", "--name-only", "--format=", sha, "--",
+                      GIT_PATHSPEC).split()
+        metrics = {}
+        for path in changed:
+            try:
+                text = git(repo, "show", f"{sha}:{path}")
+            except subprocess.CalledProcessError:
+                continue  # deleted in this commit
+            metrics.update(bench_metrics(label_of(path), json.loads(text)))
+        if metrics:
+            runs.append({"commit": sha[:12], "date": date,
+                         "metrics": metrics})
+    return runs
+
+
+def print_git_trajectory(runs, tonight):
+    """Each directed metric's committed values, oldest first, and a
+    night's value against the last committed one."""
+    series = {}
+    for run in runs:
+        for metric, value in run["metrics"].items():
+            series.setdefault(metric, []).append((run["commit"][:7], value))
+    print(f"committed trajectory: {len(runs)} commit(s)")
+    for metric in sorted(series):
+        if direction(metric) == 0:
+            continue
+        points = " -> ".join(f"{value:.4g} ({commit})"
+                             for commit, value in series[metric])
+        line = f"git   {metric}: {points}"
+        if metric in tonight and series[metric][-1][1] != 0:
+            last = series[metric][-1][1]
+            change = direction(metric) * (tonight[metric] - last) / abs(last)
+            line += f"; tonight {tonight[metric]:.4g} ({change:+.1%})"
+        print(line)
+    print()
+
+
 def main(argv):
     history_path = "trend-history.json"
     drift = 0.10
     window = 14
     strict = False
     run_id = ""
+    repo = None
     bench_paths = []
     for arg in argv[1:]:
         if arg.startswith("--history="):
@@ -84,9 +163,11 @@ def main(argv):
             run_id = arg.split("=", 1)[1]
         elif arg == "--strict":
             strict = True
+        elif arg == "--git" or arg.startswith("--git="):
+            repo = arg.split("=", 1)[1] if "=" in arg else "."
         else:
             bench_paths.append(arg)
-    if not bench_paths:
+    if not bench_paths and repo is None:
         print(__doc__)
         return 2
 
@@ -94,20 +175,23 @@ def main(argv):
     metrics = {}
     for path in bench_paths:
         with open(path) as f:
-            bench = json.load(f)
-        flat = {}
-        flatten("", bench, flat)
-        label = label_of(path)
-        for key, value in flat.items():
-            if key.startswith("params.") or key == "tolerance":
-                continue  # workload shape, not a measurement
-            metrics[f"{label}.{key}"] = value
+            metrics.update(bench_metrics(label_of(path), json.load(f)))
 
     history = {"runs": []}
     if os.path.exists(history_path):
         with open(history_path) as f:
             history = json.load(f)
     prior_runs = history.get("runs", [])
+    if repo is not None:
+        history["git_runs"] = git_runs(repo)
+        print_git_trajectory(history["git_runs"], metrics)
+        if not bench_paths:
+            with open(history_path, "w") as f:
+                json.dump(history, f, indent=1)
+                f.write("\n")
+            print(f"folded {len(history['git_runs'])} committed run(s) "
+                  f"into {history_path}")
+            return 0
 
     alerts = []
     tracked = 0

@@ -5,11 +5,13 @@
 #include <iterator>
 #include <limits>
 #include <optional>
+#include <unordered_map>
 
 #include "common/bitstring.h"
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/wire.h"
 
 namespace sloc {
 namespace alert {
@@ -389,21 +391,27 @@ Status ServiceProvider::ScanBatched(
   const size_t num_tokens = tokens.size();
   std::vector<std::shared_ptr<const hve::PrecompiledToken>> tables(num_tokens);
   std::vector<size_t> misses;
-  std::map<std::vector<uint8_t>, size_t> first_of;
+  // Blob hash -> the first token with it; a duplicate is found by hash
+  // and confirmed in full, so no blob is copied. (A colliding distinct
+  // blob just compiles on its own.)
+  std::unordered_map<uint64_t, size_t> first_of;
   std::vector<std::pair<size_t, size_t>> aliases;  // (dup, original)
+  size_t unique = 0;
   for (size_t i = 0; i < num_tokens; ++i) {
-    auto [it, inserted] = first_of.emplace(blobs[i], i);
-    if (!inserted) {
+    const uint64_t hash = wire::Fnv1a(blobs[i].data(), blobs[i].size());
+    auto [it, inserted] = first_of.emplace(hash, i);
+    if (!inserted && blobs[it->second] == blobs[i]) {
       aliases.emplace_back(i, it->second);
       continue;
     }
+    ++unique;
     tables[i] = token_cache_.Get(blobs[i]);
     if (tables[i] == nullptr) misses.push_back(i);
   }
   // Per-alert cache traffic (duplicates never consult the LRU): unique
   // tokens served from retained tables vs compiled fresh.
   out->stats.token_cache_misses = misses.size();
-  out->stats.token_cache_hits = first_of.size() - misses.size();
+  out->stats.token_cache_hits = unique - misses.size();
   // Compile the misses across the worker pool at chain granularity:
   // every Miller chain is independent, so even a one-token bundle keeps
   // all workers busy.

@@ -113,16 +113,19 @@ void PrecomputeSecretKey(const PairingGroup& group, SecretKey* sk) {
     }
   }
   if (sk->tables != nullptr) return;
+  // GenToken's scalars (a and every r_i) are drawn below P, so the
+  // combs span P's width, not N's.
+  const BigInt& bound = group.params().prime_p;
   auto tables = std::make_shared<SecretKeyTables>();
-  tables->g = group.BuildComb(sk->g);
-  tables->v = group.BuildComb(sk->v);
+  tables->g = group.BuildComb(sk->g, bound);
+  tables->v = group.BuildComb(sk->v, bound);
   tables->h.reserve(sk->width);
   tables->uh.reserve(sk->width);
   tables->w.reserve(sk->width);
   for (size_t i = 0; i < sk->width; ++i) {
-    tables->h.push_back(group.BuildComb(sk->h[i]));
-    tables->uh.push_back(group.BuildComb(sk->uh[i]));
-    tables->w.push_back(group.BuildComb(sk->w[i]));
+    tables->h.push_back(group.BuildComb(sk->h[i], bound));
+    tables->uh.push_back(group.BuildComb(sk->uh[i], bound));
+    tables->w.push_back(group.BuildComb(sk->w[i], bound));
   }
   sk->tables = std::move(tables);
 }

@@ -7,27 +7,28 @@ namespace hve {
 
 std::shared_ptr<const PrecompiledToken> TokenTableCache::Get(
     const std::vector<uint8_t>& blob) {
-  std::string key(blob.begin(), blob.end());
+  const uint64_t hash = wire::Fnv1a(blob.data(), blob.size());
   MutexLock lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
+  auto it = index_.find(hash);
+  if (it == index_.end() || it->second->blob != blob) {
     ++misses_;
     return nullptr;
   }
   ++hits_;
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  return it->second->second;
+  return it->second->table;
 }
 
 void TokenTableCache::Put(const std::vector<uint8_t>& blob,
                           std::shared_ptr<const PrecompiledToken> table) {
   if (capacity_ == 0) return;
-  std::string key(blob.begin(), blob.end());
   const uint64_t hash = wire::Fnv1a(blob.data(), blob.size());
   MutexLock lock(mu_);
-  auto it = index_.find(key);
+  auto it = index_.find(hash);
   if (it != index_.end()) {
-    it->second->second = std::move(table);
+    Entry& entry = *it->second;
+    if (entry.blob != blob) entry.blob = blob;  // a collision gives way
+    entry.table = std::move(table);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
@@ -39,10 +40,10 @@ void TokenTableCache::Put(const std::vector<uint8_t>& blob,
     }
     return;
   }
-  lru_.emplace_front(key, std::move(table));
-  index_.emplace(std::move(key), lru_.begin());
+  lru_.push_front(Entry{hash, blob, std::move(table)});
+  index_.emplace(hash, lru_.begin());
   while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
+    index_.erase(lru_.back().hash);
     lru_.pop_back();
   }
 }

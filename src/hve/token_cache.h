@@ -6,15 +6,17 @@
 // tables across alerts only up to a fixed entry budget, evicting the
 // least-recently-used ones; evicted tokens are simply recompiled on the
 // next alert that carries them, so eviction can never change match
-// results. Keys are the serialized token blobs (tokens are randomized
-// per issuance, so equal blobs really are the same token).
+// results. Entries are found by the 64-bit hash of the serialized token
+// blob and hold the one copy of the blob, which every hit compares in
+// full (tokens are randomized per issuance, so equal blobs really are
+// the same token): a lookup copies no blob, and a hash collision can
+// only cost a miss.
 //
 // A table enters the LRU only at its blob's second sighting. Most
 // alerts are issued fresh and their tokens are never seen again, so
 // retaining every table on first sight would fill the LRU with tables
 // that are never hit. A FIFO of 64-bit blob hashes remembers first
-// sightings instead. A hash collision can only admit a table early:
-// the LRU itself stays keyed by the full blob.
+// sightings instead. A hash collision can only admit a table early.
 
 #ifndef SLOC_HVE_TOKEN_CACHE_H_
 #define SLOC_HVE_TOKEN_CACHE_H_
@@ -23,10 +25,8 @@
 #include <deque>
 #include <list>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -46,7 +46,7 @@ class TokenTableCache {
   explicit TokenTableCache(size_t capacity) : capacity_(capacity) {}
 
   /// The cached table for this blob, or null on miss. A hit refreshes
-  /// the entry's recency.
+  /// the entry's recency. Allocates nothing.
   std::shared_ptr<const PrecompiledToken> Get(
       const std::vector<uint8_t>& blob);
 
@@ -54,7 +54,8 @@ class TokenTableCache {
   /// remembered (its hash joins the sightings FIFO, which keeps the
   /// last kSightingsPerEntry * capacity of them); a blob seen before is
   /// inserted (or refreshed), evicting least-recently-used entries
-  /// beyond the capacity.
+  /// beyond the capacity; an entry whose blob shares the hash gives way.
+  /// Only an insertion copies the blob.
   void Put(const std::vector<uint8_t>& blob,
            std::shared_ptr<const PrecompiledToken> table);
 
@@ -68,8 +69,11 @@ class TokenTableCache {
   uint64_t misses() const;
 
  private:
-  using Entry =
-      std::pair<std::string, std::shared_ptr<const PrecompiledToken>>;
+  struct Entry {
+    uint64_t hash;
+    std::vector<uint8_t> blob;
+    std::shared_ptr<const PrecompiledToken> table;
+  };
 
   size_t capacity_;  // immutable after construction
   mutable Mutex mu_;
@@ -77,7 +81,8 @@ class TokenTableCache {
   uint64_t misses_ SLOC_GUARDED_BY(mu_) = 0;
   // front = most recently used
   std::list<Entry> lru_ SLOC_GUARDED_BY(mu_);
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_
+  // Blob hash -> its entry.
+  std::unordered_map<uint64_t, std::list<Entry>::iterator> index_
       SLOC_GUARDED_BY(mu_);
   // Blob hashes in first-sighting order (front = oldest), and the same
   // hashes as a set for lookup.

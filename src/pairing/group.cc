@@ -52,8 +52,9 @@ Result<PairingGroup> PairingGroup::Generate(const PairingParamSpec& spec) {
     break;
   }
   group.comb_g_ = group.BuildComb(group.g_);
-  group.comb_gp_ = group.BuildComb(group.gp_);
-  group.comb_gq_ = group.BuildComb(group.gq_);
+  // RandomGp/RandomGq draw scalars below P or Q.
+  group.comb_gp_ = group.BuildComb(group.gp_, pp.prime_p);
+  group.comb_gq_ = group.BuildComb(group.gq_, pp.prime_q);
   group.e_gg_ = group.Pair(group.g_, group.g_);
   group.ResetCounters();
   return group;
@@ -97,6 +98,11 @@ FixedBaseComb PairingGroup::BuildComb(const AffinePoint& base) const {
   // Scalars are reduced mod N (or a prime factor) everywhere, so N's
   // width bounds every comb lookup.
   return FixedBaseComb::Build(*curve_, base, params_.n.BitLength());
+}
+
+FixedBaseComb PairingGroup::BuildComb(const AffinePoint& base,
+                                      const BigInt& bound) const {
+  return FixedBaseComb::Build(*curve_, base, bound.BitLength());
 }
 
 AffinePoint PairingGroup::Add(const AffinePoint& a,

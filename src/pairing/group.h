@@ -81,8 +81,14 @@ class PairingGroup {
   /// together through one Curve::BatchToAffine call.
   JacobianPoint MulFixedJacobian(const FixedBaseComb& comb,
                                  const BigInt& k) const;
-  /// Builds a fixed-base table sized for this group's scalars.
+  /// Builds a fixed-base table sized for this group's scalars (N's
+  /// width).
   FixedBaseComb BuildComb(const AffinePoint& base) const;
+  /// Builds a fixed-base table for scalars below `bound` (P or Q for a
+  /// subgroup base): half N's width, so half the doublings per
+  /// multiplication. Wider scalars still get the right point, through
+  /// the comb's ScalarMul fallback.
+  FixedBaseComb BuildComb(const AffinePoint& base, const BigInt& bound) const;
   /// P + Q.
   AffinePoint Add(const AffinePoint& a, const AffinePoint& b) const;
 

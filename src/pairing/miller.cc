@@ -266,6 +266,14 @@ using miller_ifma::kLimbBits;
 using miller_ifma::kLimbMask;
 using miller_ifma::kLimbs;
 using miller_ifma::kLineWords;
+using miller_ifma::kMergedWords;
+
+/// Whether step `s` of the schedule is packed as one merged record: it
+/// has an addition line and is not the last step (miller_ifma.h,
+/// "Packed layout").
+bool MergedStep(const std::vector<int8_t>& adds, size_t s) {
+  return adds[s] != 0 && s + 1 < adds.size();
+}
 
 /// Radix-2^52 limbs of the 5-word integer `w` (value below 2^260).
 void SplitLimbs52(const uint64_t* w, uint64_t* out) {
@@ -351,9 +359,10 @@ miller_ifma::LaneField MakeLaneField(const BigInt& p) {
   BigIntToLimbs52(p, kLimbs, field.p);
   BigIntToLimbs52(p + p, kLimbs, field.two_p);
   BigIntToLimbs52(p << 2, kLimbs, field.four_p);
+  BigIntToLimbs52(p << 3, kLimbs, field.eight_p);
   BigIntToLimbs52(BigInt::Mod(BigInt(1) << (kLimbs * kLimbBits), p), kLimbs,
                   field.one);
-  BigIntToLimbs52((p * p) << 1, 2 * kLimbs, field.two_p_sq);
+  BigIntToLimbs52((p * p) << 2, 2 * kLimbs, field.four_p_sq);
   // -p^-1 mod 2^64 by Newton iteration; its low 52 bits are -p^-1 mod
   // 2^52.
   const uint64_t p0 = p.limbs()[0];
@@ -384,9 +393,13 @@ Result<MillerPlan> MillerPlan::Create(const Fp& fp, const BigInt& order,
   while (naf.back() == 0) naf.pop_back();
   plan.adds_.assign(naf.rbegin() + 1, naf.rend());
   plan.length_ = plan.adds_.size();
-  for (int8_t digit : plan.adds_) {
-    if (digit != 0) ++plan.length_;
+  for (size_t s = 0; s < plan.adds_.size(); ++s) {
+    if (plan.adds_[s] == 0) continue;
+    ++plan.length_;
+    if (MergedStep(plan.adds_, s)) ++plan.merged_steps_;
   }
+  plan.packed_words_ = plan.length_ * kLineWords -
+                       plan.merged_steps_ * (2 * kLineWords - kMergedWords);
   if (walk == MillerWalk::kIfma8) {
     if (fp.num_limbs() != 4) {
       return Status::InvalidArgument(
@@ -398,6 +411,8 @@ Result<MillerPlan> MillerPlan::Create(const Fp& fp, const BigInt& order,
           "not supported by this CPU)");
     }
     plan.lane_field_ = MakeLaneField(fp.p());
+    plan.sixteenth_ =
+        fp.FromBigInt(BigInt::ModInverse(BigInt(16), fp.p()).value());
   }
   return plan;
 }
@@ -485,6 +500,69 @@ void InvertMillerChains(const Fp& fp, MillerChain* chains, size_t count) {
   }
 }
 
+namespace {
+
+/// One normalised line as a packed line record (`words` zeroed).
+void PackLine(const MillerLine& line, uint64_t* words) {
+  if (line.trivial) {
+    words[0] = miller_ifma::kTrivialLine;
+    return;
+  }
+  ResidueToLimbs52(line.c_x, 0, words);
+  ResidueToLimbs52(line.c_0, 0, words + kLimbs);
+}
+
+/// A step's doubling and addition lines as one merged record (`words`
+/// zeroed): A/16, B/16, C/16, D and E (miller_ifma.h, "Lazy reduction"),
+/// or the two lines apart when either is trivial.
+void PackMerged(const Fp& fp, const Fp::Elem& sixteenth,
+                const MillerLine& dbl, const MillerLine& add,
+                uint64_t* words) {
+  if (dbl.trivial || add.trivial) {
+    words[0] = miller_ifma::kSplitStep;
+    PackLine(dbl, words + 1);
+    PackLine(add, words + 1 + kLineWords);
+    return;
+  }
+  Fp::Elem x2, o2, t, u, v;
+  fp.Mul(add.c_x, sixteenth, &x2);  // c_x2 / 16
+  fp.Mul(add.c_0, sixteenth, &o2);  // c_02 / 16
+  fp.Mul(dbl.c_x, x2, &t);
+  ResidueToLimbs52(t, 0, words);
+  fp.Mul(dbl.c_x, o2, &t);
+  fp.Mul(dbl.c_0, x2, &u);
+  fp.Add(t, u, &v);
+  ResidueToLimbs52(v, 0, words + kLimbs);
+  fp.Mul(dbl.c_0, o2, &t);
+  ResidueToLimbs52(t, 0, words + 2 * kLimbs);
+  fp.Add(dbl.c_x, add.c_x, &t);
+  ResidueToLimbs52(t, 0, words + 3 * kLimbs);
+  fp.Add(dbl.c_0, add.c_0, &t);
+  ResidueToLimbs52(t, 0, words + 4 * kLimbs);
+}
+
+/// Lays normalised lines out in the packed layout of an ifma8 plan
+/// (plan.packed_words() words, zeroed).
+void PackLines(const Fp& fp, const MillerPlan& plan,
+               const std::vector<MillerLine>& lines, uint64_t* words) {
+  const std::vector<int8_t>& adds = plan.adds();
+  size_t j = 0;
+  for (size_t s = 0; s < adds.size(); ++s) {
+    if (MergedStep(adds, s)) {
+      PackMerged(fp, plan.sixteenth(), lines[j], lines[j + 1], words);
+      j += 2;
+      words += kMergedWords;
+      continue;
+    }
+    for (int l = adds[s] != 0 ? 2 : 1; l > 0; --l) {
+      PackLine(lines[j++], words);
+      words += kLineWords;
+    }
+  }
+}
+
+}  // namespace
+
 MillerLineTable NormalizeMillerChain(const Fp& fp, const MillerPlan& plan,
                                      const MillerChain& chain) {
   MillerLineTable table;
@@ -496,12 +574,7 @@ MillerLineTable NormalizeMillerChain(const Fp& fp, const MillerPlan& plan,
   SLOC_CHECK(n == plan.length())
       << "Miller chain recorded under a different plan";
   table.size_ = n;
-  const bool packed = plan.walk() == MillerWalk::kIfma8;
-  if (packed) {
-    table.packed_lines_.assign(n * kLineWords, 0);
-  } else {
-    table.lines_.resize(n);
-  }
+  table.lines_.resize(n);
   // Walk back from the chain's product inverse: before line j is
   // handled, `acc` is (prefix[j])^-1, so c_y_j^-1 = acc * prefix[j-1].
   Fp::Elem acc = chain.product_inv;
@@ -509,11 +582,7 @@ MillerLineTable NormalizeMillerChain(const Fp& fp, const MillerPlan& plan,
   for (size_t j = n; j-- > 0;) {
     const RawLine& raw = chain.lines[j];
     if (raw.trivial) {
-      if (packed) {
-        table.packed_lines_[j * kLineWords] = miller_ifma::kTrivialLine;
-      } else {
-        table.lines_[j].trivial = true;
-      }
+      table.lines_[j].trivial = true;
       continue;
     }
     if (j == 0) {
@@ -525,13 +594,12 @@ MillerLineTable NormalizeMillerChain(const Fp& fp, const MillerPlan& plan,
     acc = tmp;
     fp.Mul(raw.c_x, c_y_inv, &c_x);
     fp.Mul(raw.c_0, c_y_inv, &c_0);
-    if (packed) {
-      uint64_t* words = table.packed_lines_.data() + j * kLineWords;
-      ResidueToLimbs52(c_x, 0, words);
-      ResidueToLimbs52(c_0, 0, words + kLimbs);
-    } else {
-      table.lines_[j] = MillerLine{c_x, c_0, false};
-    }
+    table.lines_[j] = MillerLine{c_x, c_0, false};
+  }
+  if (plan.walk() == MillerWalk::kIfma8) {
+    table.packed_lines_.assign(plan.packed_words(), 0);
+    PackLines(fp, plan, table.lines_, table.packed_lines_.data());
+    table.lines_ = std::vector<MillerLine>();
   }
   return table;
 }
@@ -556,7 +624,7 @@ struct LaneGroupResult {
 
 /// Runs up to eight finite points through Chain8, inverts the lanes'
 /// c_y products with one field inversion and normalises every
-/// unexceptional lane into dst[lane] (plan.length() * kLineWords words).
+/// unexceptional lane into dst[lane] (plan.packed_words() words).
 /// Lanes past `filled` repeat the last point and are discarded.
 LaneGroupResult CompileLaneGroup(const Curve& curve, const MillerPlan& plan,
                                  const AffinePoint* const* points,
@@ -624,7 +692,8 @@ LaneGroupResult CompileLaneGroup(const Curve& curve, const MillerPlan& plan,
       tables[lane] = dst[lane];
     }
   }
-  miller_ifma::Normalize8(plan.lane_field(), n, lines->data(), inv, tables);
+  miller_ifma::Normalize8(plan.lane_field(), plan.adds().data(),
+                          plan.adds().size(), lines->data(), inv, tables);
   return result;
 }
 
@@ -647,7 +716,7 @@ void CompileMillerTables(const Curve& curve, const MillerPlan& plan,
     }
     return;
   }
-  const size_t n = plan.length();
+  const size_t words = plan.packed_words();
   const AffinePoint* group[kLanes];
   size_t index[kLanes];
   uint64_t* dst[kLanes];
@@ -660,7 +729,7 @@ void CompileMillerTables(const Curve& curve, const MillerPlan& plan,
       if ((result.exceptional >> lane) & 1u) {
         table = PrecompileMillerLines(curve, plan, *group[lane]);
       } else if ((result.vertical >> lane) & 1u) {
-        uint64_t* last = dst[lane] + (n - 1) * kLineWords;
+        uint64_t* last = dst[lane] + words - kLineWords;
         last[0] = miller_ifma::kTrivialLine;
         for (size_t w = 1; w < kLineWords; ++w) last[w] = 0;
       }
@@ -674,8 +743,8 @@ void CompileMillerTables(const Curve& curve, const MillerPlan& plan,
       table.trivial_ = true;
       continue;
     }
-    table.size_ = n;
-    table.packed_lines_.resize(n * kLineWords);
+    table.size_ = plan.length();
+    table.packed_lines_.resize(words);
     group[filled] = points[k];
     index[filled] = k;
     dst[filled] = table.packed_lines_.data();
@@ -698,9 +767,11 @@ Fp2Elem MultiMillerLoopCoords(
     const std::vector<PrecompiledPairingCoords>& pairs,
     PairingScratch* scratch, size_t* loops_executed) {
   using EvalUnit = PairingScratch::EvalUnit;
+  const Fp& fp = curve.fp();
   std::vector<EvalUnit>& live = scratch->live;
   live.clear();
   live.reserve(pairs.size());
+  Fp::Elem y2;
   for (const PrecompiledPairingCoords& pair : pairs) {
     SLOC_CHECK(pair.table != nullptr);
     if (pair.skip || pair.table->trivial()) continue;
@@ -713,6 +784,10 @@ Fp2Elem MultiMillerLoopCoords(
     s.table = pair.table;
     s.xq = pair.xq;
     s.line.im = pair.y_im;
+    if (s.table->packed()) {
+      fp.Sqr(pair.y_im, &y2);
+      fp.Neg(y2, &s.neg_y2);
+    }
   }
   if (loops_executed != nullptr) *loops_executed = live.size();
   Fp2Elem f = fp2.One();
@@ -720,43 +795,76 @@ Fp2Elem MultiMillerLoopCoords(
 
   // All chains share one schedule: walk it once, substituting each
   // pair's coordinates into the stored coefficients. Packed tables are
-  // decoded line by line back to the canonical residues they re-split,
-  // so the walk's value does not depend on the layout.
-  const Fp& fp = curve.fp();
-  Fp2Elem tmp;
-  Fp::Elem cx_xq, dec_x, dec_0;
-  size_t idx = 0;
-  auto substitute = [&](EvalUnit& s) {
-    const MillerLineTable& table = *s.table;
-    const Fp::Elem* c_x;
-    const Fp::Elem* c_0;
-    if (table.packed()) {
-      const uint64_t* words = table.packed_lines().data() + idx * kLineWords;
-      if ((words[0] & miller_ifma::kTrivialLine) != 0) return;
-      Limbs52ToResidue(words, &dec_x);
-      Limbs52ToResidue(words + kLimbs, &dec_0);
-      c_x = &dec_x;
-      c_0 = &dec_0;
-    } else {
-      const MillerLine& ml = table.lines()[idx];
-      if (ml.trivial) return;
-      c_x = &ml.c_x;
-      c_0 = &ml.c_0;
-    }
-    fp.Mul(*c_x, s.xq, &cx_xq);
-    fp.Add(cx_xq, *c_0, &s.line.re);
+  // decoded record by record back to the canonical residues they
+  // re-split, and a merged record is evaluated as the product of its two
+  // lines (miller_ifma.h, "Lazy reduction"), so the walk's value does
+  // not depend on the layout.
+  Fp2Elem tmp, merged;
+  Fp::Elem cx_xq, dec_x, dec_0, t, u, v;
+  auto mul_line = [&](EvalUnit& s, const Fp::Elem& c_x, const Fp::Elem& c_0) {
+    fp.Mul(c_x, s.xq, &cx_xq);
+    fp.Add(cx_xq, c_0, &s.line.re);
     fp2.Mul(f, s.line, &tmp);
     f = tmp;
   };
-  for (int8_t add : plan.adds()) {
+  auto mul_packed_line = [&](EvalUnit& s, const uint64_t* words) {
+    if ((words[0] & miller_ifma::kTrivialLine) != 0) return;
+    Limbs52ToResidue(words, &dec_x);
+    Limbs52ToResidue(words + kLimbs, &dec_0);
+    mul_line(s, dec_x, dec_0);
+  };
+  // (A xq^2 + B xq + C - y^2) + (D xq + E) y i, from A/16, B/16, C/16,
+  // D and E: 16 * ((A/16 * xq + B/16) * xq + C/16) - y^2.
+  auto mul_merged = [&](EvalUnit& s, const uint64_t* words) {
+    if (words[0] == miller_ifma::kSplitStep) {
+      mul_packed_line(s, words + 1);
+      mul_packed_line(s, words + 1 + kLineWords);
+      return;
+    }
+    Limbs52ToResidue(words, &t);
+    fp.Mul(t, s.xq, &u);
+    Limbs52ToResidue(words + kLimbs, &t);
+    fp.Add(u, t, &v);
+    fp.Mul(v, s.xq, &u);
+    Limbs52ToResidue(words + 2 * kLimbs, &t);
+    fp.Add(u, t, &v);
+    for (int k = 0; k < 2; ++k) {  // times 16
+      fp.Dbl(v, &u);
+      fp.Dbl(u, &v);
+    }
+    fp.Add(v, s.neg_y2, &merged.re);
+    Limbs52ToResidue(words + 3 * kLimbs, &t);
+    fp.Mul(t, s.xq, &u);
+    Limbs52ToResidue(words + 4 * kLimbs, &t);
+    fp.Add(u, t, &v);
+    fp.Mul(v, s.line.im, &merged.im);
+    fp2.Mul(f, merged, &tmp);
+    f = tmp;
+  };
+  const std::vector<int8_t>& adds = plan.adds();
+  size_t idx = 0;  // line index (scalar layout)
+  size_t off = 0;  // word offset (packed layout)
+  for (size_t step = 0; step < adds.size(); ++step) {
     fp2.Sqr(f, &tmp);
     f = tmp;
-    for (EvalUnit& s : live) substitute(s);
-    ++idx;
-    if (add != 0) {
-      for (EvalUnit& s : live) substitute(s);
-      ++idx;
+    const size_t num_lines = adds[step] != 0 ? 2 : 1;
+    const bool merged_step = MergedStep(adds, step);
+    for (size_t l = 0; l < num_lines; ++l) {
+      for (EvalUnit& s : live) {
+        const MillerLineTable& table = *s.table;
+        if (!table.packed()) {
+          const MillerLine& ml = table.lines()[idx + l];
+          if (!ml.trivial) mul_line(s, ml.c_x, ml.c_0);
+        } else if (!merged_step) {
+          mul_packed_line(s, table.packed_lines().data() + off +
+                                 l * kLineWords);
+        } else if (l == 0) {
+          mul_merged(s, table.packed_lines().data() + off);
+        }
+      }
     }
+    idx += num_lines;
+    off += merged_step ? kMergedWords : num_lines * kLineWords;
   }
   return f;
 }
@@ -789,6 +897,8 @@ void MultiMillerLoopLanes(const Fp2& fp2, const MillerPlan& plan,
       StoreLane(*pair.y_im[lane], 0, lane, coords + kElemWords);
     }
   }
+  miller_ifma::CompleteCoords(plan.lane_field(), n,
+                              scratch->lane_coords.data());
   uint64_t values[2 * kElemWords];
   miller_ifma::Walk8(plan.lane_field(), plan.adds().data(),
                      plan.adds().size(), scratch->lane_tables.data(),

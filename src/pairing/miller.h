@@ -16,7 +16,8 @@
 //     pairs share one f^2 squaring chain.
 //  3. MultiMillerLoopLanes — strategy 2 for eight evaluation points at
 //     once on AVX-512 IFMA (pairing/miller_ifma.h), for groups whose
-//     plan selects that walk.
+//     plan selects that walk; its tables hold each step's doubling and
+//     addition lines as one merged product.
 //
 // CompileMillerTables builds many tables at once; under that plan it
 // runs eight chains per pass in the same lanes (miller_ifma::Chain8).
@@ -92,14 +93,25 @@ class MillerPlan {
   /// final exponentiation both give the same value, since the verticals
   /// the schedules drop and f_{-1} = 1 / v_A are F_p* values at phi(B).
   const std::vector<int8_t>& adds() const { return adds_; }
+  /// Steps whose doubling and addition lines a packed table holds as
+  /// one merged record: every nonzero digit but a final one.
+  size_t merged_steps() const { return merged_steps_; }
+  /// Words of a packed table (miller_ifma.h, "Packed layout"): length()
+  /// line records, less two and plus one merged record per merged step.
+  size_t packed_words() const { return packed_words_; }
   /// Radix-2^52 constants of the field (meaningful for kIfma8 only).
   const miller_ifma::LaneField& lane_field() const { return lane_field_; }
+  /// 1/16 in F_p, which packing scales merged records by (kIfma8 only).
+  const Fp::Elem& sixteenth() const { return sixteenth_; }
 
  private:
   MillerWalk walk_ = MillerWalk::kScalar;
   size_t length_ = 0;
+  size_t merged_steps_ = 0;
+  size_t packed_words_ = 0;
   std::vector<int8_t> adds_;
   miller_ifma::LaneField lane_field_;
+  Fp::Elem sixteenth_;
 };
 
 /// One normalised precompiled line: evaluated at phi(B) = (xq, i*yq_im)
@@ -125,10 +137,14 @@ struct MillerCompileScratch;
 /// per-line tags are needed.
 ///
 /// Layout follows the plan's walk, one layout per table: kScalar plans
-/// store MillerLine entries; kIfma8 plans store each line as
-/// miller_ifma::kLineWords packed radix-2^52 words (the bit re-split of
-/// the canonical c_x and c_0, trivial lines flagged in the first word),
-/// 80 bytes a line against 184 for a MillerLine.
+/// store MillerLine entries; kIfma8 plans store packed radix-2^52 words
+/// (the bit re-split of canonical residues; miller_ifma.h, "Packed
+/// layout"): a line record of kLineWords per step without an addition
+/// line, and one merged record of kMergedWords for the doubling and
+/// addition lines of every other step but a final one, whose product
+/// it holds, so the walk pays one line product for both. That is 80
+/// bytes a line, 200 a merged step, against 184 a line for a
+/// MillerLine.
 class MillerLineTable {
  public:
   /// True when A was the identity: the pairing is identically 1.
@@ -139,8 +155,8 @@ class MillerLineTable {
   bool packed() const { return !packed_lines_.empty(); }
   /// The lines of a scalar-layout table (empty when packed()).
   const std::vector<MillerLine>& lines() const { return lines_; }
-  /// The words of a packed table, kLineWords per line (empty unless
-  /// packed()).
+  /// The words of a packed table, the plan's packed_words() (empty
+  /// unless packed()).
   const std::vector<uint64_t>& packed_lines() const { return packed_lines_; }
 
   friend bool operator==(const MillerLineTable& a, const MillerLineTable& b);
@@ -189,7 +205,8 @@ MillerChain RunMillerChain(const Curve& curve, const MillerPlan& plan,
 void InvertMillerChains(const Fp& fp, MillerChain* chains, size_t count);
 
 /// Scales each line of an inverted chain by its c_y^-1 and lays the
-/// result out for the plan's walk.
+/// result out for the plan's walk (merging the lines of each merged
+/// step under a kIfma8 plan).
 MillerLineTable NormalizeMillerChain(const Fp& fp, const MillerPlan& plan,
                                      const MillerChain& chain);
 
@@ -252,7 +269,8 @@ struct PairingScratch {
   struct EvalUnit {
     const MillerLineTable* table;
     Fp::Elem xq;
-    Fp2Elem line;  ///< im holds the pair's y_im for the whole walk
+    Fp2Elem line;     ///< im holds the pair's y_im for the whole walk
+    Fp::Elem neg_y2;  ///< -y_im^2, for a packed table's merged records
   };
   std::vector<EvalUnit> live;      ///< schedule-walk state
   std::vector<const uint64_t*> lane_tables;  ///< lane walk: packed lines
@@ -266,8 +284,9 @@ struct PairingScratch {
 /// (one F_p mul) and one fp2.Mul remain. Skipped pairs and trivial
 /// tables contribute 1; `loops_executed` counts the pairs actually
 /// evaluated. Tables must have been compiled under `plan` (their length
-/// is checked). Packed tables are decoded line by line, so the value
-/// does not depend on the table layout.
+/// is checked). Packed tables are decoded record by record, a merged
+/// record evaluated as its two lines' product, so the value does not
+/// depend on the table layout.
 Fp2Elem MultiMillerLoopCoords(
     const Curve& curve, const Fp2& fp2, const MillerPlan& plan,
     const std::vector<PrecompiledPairingCoords>& pairs,

@@ -39,8 +39,9 @@ struct Consts {
   Fe p;
   Fe two_p;
   Fe four_p;
+  Fe eight_p;
   Fe one;
-  Wide two_p_sq;
+  Wide four_p_sq;
   __m512i p_inv;
   __m512i mask;
 };
@@ -78,9 +79,10 @@ Consts MakeConsts(const LaneField& field) {
   c.p = Broadcast(field.p);
   c.two_p = Broadcast(field.two_p);
   c.four_p = Broadcast(field.four_p);
+  c.eight_p = Broadcast(field.eight_p);
   c.one = Broadcast(field.one);
   for (size_t k = 0; k < 2 * kLimbs; ++k) {
-    c.two_p_sq.v[k] = _mm512_set1_epi64(int64_t(field.two_p_sq[k]));
+    c.four_p_sq.v[k] = _mm512_set1_epi64(int64_t(field.four_p_sq[k]));
   }
   c.p_inv = _mm512_set1_epi64(int64_t(field.p_inv));
   c.mask = _mm512_set1_epi64(int64_t(kLimbMask));
@@ -145,26 +147,32 @@ inline Fe CondSub(const Fe& a, const Fe& m, const Consts& c) {
   return r;
 }
 
-/// a * b as ten accumulators, operand scanning: VPMADD52LUQ adds the
-/// low half of a limb product into limb i + j, VPMADD52HUQ the high
+/// t += a * b on ten accumulators, operand scanning: VPMADD52LUQ adds
+/// the low half of a limb product into limb i + j, VPMADD52HUQ the high
 /// half into limb i + j + 1. Requires normalized limbs.
+inline void MulWideAcc(Wide* t, const Fe& a, const Fe& b) {
+  for (size_t i = 0; i < kLimbs; ++i) {
+    for (size_t j = 0; j < kLimbs; ++j) {
+      t->v[i + j] = _mm512_madd52lo_epu64(t->v[i + j], a.v[i], b.v[j]);
+      t->v[i + j + 1] =
+          _mm512_madd52hi_epu64(t->v[i + j + 1], a.v[i], b.v[j]);
+    }
+  }
+}
+
+/// a * b as ten accumulators. Requires normalized limbs.
 inline Wide MulWide(const Fe& a, const Fe& b) {
   Wide t;
   for (size_t k = 0; k < 2 * kLimbs; ++k) t.v[k] = _mm512_setzero_si512();
-  for (size_t i = 0; i < kLimbs; ++i) {
-    for (size_t j = 0; j < kLimbs; ++j) {
-      t.v[i + j] = _mm512_madd52lo_epu64(t.v[i + j], a.v[i], b.v[j]);
-      t.v[i + j + 1] = _mm512_madd52hi_epu64(t.v[i + j + 1], a.v[i], b.v[j]);
-    }
-  }
+  MulWideAcc(&t, a, b);
   return t;
 }
 
 /// Montgomery reduction T * 2^-260 mod p, word by word on the same ten
 /// accumulators: each step picks m so that limb i becomes a multiple of
 /// 2^52 and carries it up (an arithmetic shift, so limbs may be
-/// negative). Requires 0 <= T < p * 2^260; returns a normalized value
-/// below T / 2^260 + p, i.e. below 2p.
+/// negative). Requires T >= 0; returns a value below T / 2^260 + p
+/// (below 2p when T < p * 2^260), normalized when that is below 2^260.
 inline Fe Redc(Wide t, const Consts& c) {
   const __m512i zero = _mm512_setzero_si512();
   for (size_t i = 0; i < kLimbs; ++i) {
@@ -195,24 +203,24 @@ inline void Sqr2(Fe* re, Fe* im, const Consts& c) {
   *re = Mul(sum, diff, c);
 }
 
-/// f <- f * (l_re + y i) in F_p(i), Karatsuba with lazy reduction:
-/// the three products stay wide, re' = t0 - t1 + 2p^2 and
+/// f <- f * (l_re + l_im i) in F_p(i), Karatsuba with lazy reduction:
+/// the three products stay wide, re' = t0 - t1 + 4p^2 and
 /// im' = t2 - t0 - t1 are formed on signed limbs and each reduced once
 /// (header, "Lazy reduction"). Requires re and im below 2p, l_re below
-/// 3p and y below p; re' and im' come out below 2p.
-inline void MulByLine(Fe* re, Fe* im, const Fe& l_re, const Fe& y,
+/// 4.07p and l_im below 1.125p; re' and im' come out below 2p.
+inline void MulByLine(Fe* re, Fe* im, const Fe& l_re, const Fe& l_im,
                       const Consts& c) {
-  const Wide t0 = MulWide(*re, l_re);                          // re * l_re
-  const Wide t1 = MulWide(*im, y);                             // im * y
-  const Wide t2 = MulWide(Add(*re, *im, c), Add(l_re, y, c));  // 4p * 4p
+  const Wide t0 = MulWide(*re, l_re);                             // re * l_re
+  const Wide t1 = MulWide(*im, l_im);                             // im * l_im
+  const Wide t2 = MulWide(Add(*re, *im, c), Add(l_re, l_im, c));  // < 2^260
   Wide r, i;
   for (size_t k = 0; k < 2 * kLimbs; ++k) {
     r.v[k] = _mm512_add_epi64(_mm512_sub_epi64(t0.v[k], t1.v[k]),
-                              c.two_p_sq.v[k]);
+                              c.four_p_sq.v[k]);
     i.v[k] = _mm512_sub_epi64(t2.v[k], _mm512_add_epi64(t0.v[k], t1.v[k]));
   }
-  *re = Redc(r, c);  // re * l_re - im * y + 2p^2, in (0, 8p^2)
-  *im = Redc(i, c);  // re * y + im * l_re, in [0, 8p^2)
+  *re = Redc(r, c);  // re * l_re - im * l_im + 4p^2, in (0, 12.2p^2)
+  *im = Redc(i, c);  // re * l_im + im * l_re, in [0, 10.4p^2)
 }
 
 /// f <- f * line for one packed line at this pair's lane coordinates:
@@ -220,18 +228,60 @@ inline void MulByLine(Fe* re, Fe* im, const Fe& l_re, const Fe& y,
 inline void MulLine(Fe* re, Fe* im, const uint64_t* line,
                     const uint64_t* coords, const Consts& c) {
   if ((line[0] & kTrivialLine) != 0) return;
-  const Fe xq = Load(coords);                  // 16 * xq, below 16p
-  const Fe y = Load(coords + kLimbs * kLanes);  // below p
+  const Fe xq = Load(coords);               // 16 * xq, below 16p
+  const Fe y = Load(coords + kElemWords);  // below p
   // c_x < p times xq < 16p stays under p * 2^260; plus c_0 < p: < 3p.
   const Fe l_re =
       Add(Mul(Broadcast(line), xq, c), Broadcast(line + kLimbs), c);
   MulByLine(re, im, l_re, y, c);
 }
 
+/// The merged line of one step at a pair's completed lane coordinates
+/// (xq, y, xq^2, ny2 = -y^2, xq y): l_re = A * xq^2 + B * xq + C + ny2
+/// and l_im = D * xq y + E * y, each sum of products reduced once
+/// (header, "Lazy reduction"). Requires A..E below p; l_re comes out
+/// below 4.07p and l_im below 1.125p.
+inline void MergedLine(const Fe& a, const Fe& b, const Fe& cc, const Fe& d,
+                       const Fe& e, const uint64_t* coords, const Consts& c,
+                       Fe* l_re, Fe* l_im) {
+  Wide t = MulWide(a, Load(coords + 2 * kElemWords));  // A * xq^2 < p^2
+  MulWideAcc(&t, b, Load(coords));                     // B * 16xq < 16p^2
+  *l_re = Add(Add(Redc(t, c), cc, c), Load(coords + 3 * kElemWords), c);
+  Wide u = MulWide(d, Load(coords + 4 * kElemWords));  // D * xq y < p^2
+  MulWideAcc(&u, e, Load(coords + kElemWords));        // E * y < p^2
+  *l_im = Redc(u, c);
+}
+
+/// f <- f * step for one packed merged record at this pair's lane
+/// coordinates: both lines of the step, as one product unless the
+/// record holds them apart (kSplitStep).
+inline void MulStep(Fe* re, Fe* im, const uint64_t* rec,
+                    const uint64_t* coords, const Consts& c) {
+  if (rec[0] == kSplitStep) {
+    MulLine(re, im, rec + 1, coords, c);
+    MulLine(re, im, rec + 1 + kLineWords, coords, c);
+    return;
+  }
+  Fe l_re, l_im;
+  MergedLine(Broadcast(rec), Broadcast(rec + kLimbs),
+             Broadcast(rec + 2 * kLimbs), Broadcast(rec + 3 * kLimbs),
+             Broadcast(rec + 4 * kLimbs), coords, c, &l_re, &l_im);
+  MulByLine(re, im, l_re, l_im, c);
+}
+
+/// Whether step `s` of a `steps`-step schedule is packed as a merged
+/// record: it has an addition line and is not the last step.
+inline bool MergedStep(const int8_t* adds, size_t s, size_t steps) {
+  return adds[s] != 0 && s + 1 < steps;
+}
+
 /// a below 4p, brought below 2p.
 inline Fe Reduce4p(const Fe& a, const Consts& c) {
   return CondSub(a, c.two_p, c);
 }
+
+/// a below 2p, brought below p (canonical).
+inline Fe Canon(const Fe& a, const Consts& c) { return CondSub(a, c.p, c); }
 
 /// a below 8p, brought below 2p.
 inline Fe Reduce8p(const Fe& a, const Consts& c) {
@@ -350,27 +400,68 @@ void MulLineLanes(const LaneField& field, const uint64_t* f,
   Store(im, out + kElemWords);
 }
 
+void MulMergedLanes(const LaneField& field, const uint64_t* f,
+                    const uint64_t* record, const uint64_t* coords,
+                    uint64_t* out) {
+  const Consts c = MakeConsts(field);
+  Fe re = Load(f);
+  Fe im = Load(f + kElemWords);
+  Fe l_re, l_im;
+  MergedLine(Load(record), Load(record + kElemWords),
+             Load(record + 2 * kElemWords), Load(record + 3 * kElemWords),
+             Load(record + 4 * kElemWords), coords, c, &l_re, &l_im);
+  MulByLine(&re, &im, l_re, l_im, c);
+  Store(re, out);
+  Store(im, out + kElemWords);
+}
+
+void CompleteCoords(const LaneField& field, size_t num_pairs,
+                    uint64_t* coords) {
+  const Consts c = MakeConsts(field);
+  for (size_t k = 0; k < num_pairs; ++k) {
+    uint64_t* pair = coords + k * kCoordWords;
+    const Fe xq = Load(pair);               // 16 * xq, below 16p
+    const Fe y = Load(pair + kElemWords);  // below p
+    // 16xq * 16xq < 256p^2 reduces to below 17p: back to canonical by
+    // subtracting 8p (twice), 4p, 2p and p.
+    const Fe* const steps[] = {&c.eight_p, &c.eight_p, &c.four_p, &c.two_p,
+                               &c.p};
+    Fe xq2 = Mul(xq, xq, c);
+    for (const Fe* m : steps) xq2 = CondSub(xq2, *m, c);
+    Store(xq2, pair + 2 * kElemWords);
+    Store(SubPlus(Zero(), Canon(Mul(y, y, c), c), c.p, c),
+          pair + 3 * kElemWords);
+    Store(Canon(Mul(xq, y, c), c), pair + 4 * kElemWords);
+  }
+}
+
 void Walk8(const LaneField& field, const int8_t* adds, size_t steps,
            const uint64_t* const* tables, const uint64_t* coords,
            size_t num_pairs, uint64_t* out) {
   const Consts c = MakeConsts(field);
   Fe re = c.one;
   Fe im = Zero();
-  size_t line = 0;
+  size_t off = 0;  // word offset of the current record in every table
   auto apply = [&]() {
     for (size_t k = 0; k < num_pairs; ++k) {
-      MulLine(&re, &im, tables[k] + line * kLineWords,
-              coords + k * kCoordWords, c);
+      MulLine(&re, &im, tables[k] + off, coords + k * kCoordWords, c);
     }
-    ++line;
+    off += kLineWords;
   };
   for (size_t s = 0; s < steps; ++s) {
     Sqr2(&re, &im, c);
+    if (MergedStep(adds, s, steps)) {
+      for (size_t k = 0; k < num_pairs; ++k) {
+        MulStep(&re, &im, tables[k] + off, coords + k * kCoordWords, c);
+      }
+      off += kMergedWords;
+      continue;
+    }
     apply();
     if (adds[s] != 0) apply();
   }
-  Store(CondSub(re, c.p, c), out);
-  Store(CondSub(im, c.p, c), out + kLimbs * kLanes);
+  Store(Canon(re, c), out);
+  Store(Canon(im, c), out + kElemWords);
 }
 
 uint8_t Chain8(const LaneField& field, const uint64_t* curve_a,
@@ -410,29 +501,65 @@ uint8_t Chain8(const LaneField& field, const uint64_t* curve_a,
     line.c_y = Blend(vertical, line.c_y, c.one);
     record(line);
   }
-  Store(CondSub(prod, c.p, c), product);
+  Store(Canon(prod, c), product);
   return uint8_t(vertical);
 }
 
-void Normalize8(const LaneField& field, size_t num_lines,
+void Normalize8(const LaneField& field, const int8_t* adds, size_t steps,
                 const uint64_t* lines, const uint64_t* inv,
                 uint64_t* const* tables) {
   const Consts c = MakeConsts(field);
+  size_t line = 0, off = 0;  // past the last line and the last record
+  for (size_t s = 0; s < steps; ++s) {
+    line += adds[s] != 0 ? 2 : 1;
+    off += MergedStep(adds, s, steps) ? kMergedWords
+                                      : (adds[s] != 0 ? 2 : 1) * kLineWords;
+  }
   // Walk back: before line j, acc is (prefix_j)^-1, where prefix_j is
   // the product of c_y over lines 0..j; then c_y_j^-1 = acc * prefix_{j-1}.
   Fe acc = Load(inv);
-  alignas(64) uint64_t words[kLineWords * kLanes];
-  for (size_t j = num_lines; j-- > 0;) {
-    const uint64_t* rec = lines + j * kChainLineWords;
+  // The previous line's (c_x / c_y, c_0 / c_y), each below 2p.
+  auto normalize_prev = [&](Fe* n_x, Fe* n_0) {
+    const uint64_t* rec = lines + --line * kChainLineWords;
     const Fe c_y_inv = Mul(acc, Load(rec + 3 * kElemWords), c);
     acc = Mul(acc, Load(rec + 2 * kElemWords), c);
-    Store(CondSub(Mul(Load(rec), c_y_inv, c), c.p, c), words);
-    Store(CondSub(Mul(Load(rec + kElemWords), c_y_inv, c), c.p, c),
-          words + kElemWords);
+    *n_x = Mul(Load(rec), c_y_inv, c);
+    *n_0 = Mul(Load(rec + kElemWords), c_y_inv, c);
+  };
+  alignas(64) uint64_t words[kMergedWords * kLanes];
+  // Moves the previous record's `count` words out of `words`, lane by
+  // lane.
+  auto scatter = [&](size_t count) {
+    off -= count;
     for (size_t lane = 0; lane < kLanes; ++lane) {
       if (tables[lane] == nullptr) continue;
-      uint64_t* dst = tables[lane] + j * kLineWords;
-      for (size_t w = 0; w < kLineWords; ++w) dst[w] = words[w * kLanes + lane];
+      uint64_t* dst = tables[lane] + off;
+      for (size_t w = 0; w < count; ++w) dst[w] = words[w * kLanes + lane];
+    }
+  };
+  for (size_t s = steps; s-- > 0;) {
+    if (MergedStep(adds, s, steps)) {
+      Fe x1, o1, x2, o2;
+      normalize_prev(&x2, &o2);  // the addition line
+      normalize_prev(&x1, &o1);  // the doubling line
+      // Products of two values below 2p: below 4p^2, and the two of B
+      // below 8p^2, so each comes out below 2p. Sums are below 4p.
+      Wide b = MulWide(x1, o2);
+      MulWideAcc(&b, o1, x2);
+      Store(Canon(Mul(x1, x2, c), c), words);
+      Store(Canon(Redc(b, c), c), words + kElemWords);
+      Store(Canon(Mul(o1, o2, c), c), words + 2 * kElemWords);
+      Store(Canon(Reduce4p(Add(x1, x2, c), c), c), words + 3 * kElemWords);
+      Store(Canon(Reduce4p(Add(o1, o2, c), c), c), words + 4 * kElemWords);
+      scatter(kMergedWords);
+      continue;
+    }
+    for (int l = adds[s] != 0 ? 2 : 1; l > 0; --l) {
+      Fe n_x, n_0;
+      normalize_prev(&n_x, &n_0);
+      Store(Canon(n_x, c), words);
+      Store(Canon(n_0, c), words + kElemWords);
+      scatter(kLineWords);
     }
   }
 }
@@ -468,6 +595,13 @@ void MulLineLanes(const LaneField&, const uint64_t*, const uint64_t*,
   Unreachable();
 }
 
+void MulMergedLanes(const LaneField&, const uint64_t*, const uint64_t*,
+                    const uint64_t*, uint64_t*) {
+  Unreachable();
+}
+
+void CompleteCoords(const LaneField&, size_t, uint64_t*) { Unreachable(); }
+
 void Walk8(const LaneField&, const int8_t*, size_t, const uint64_t* const*,
            const uint64_t*, size_t, uint64_t*) {
   Unreachable();
@@ -478,8 +612,8 @@ uint8_t Chain8(const LaneField&, const uint64_t*, const int8_t*, size_t,
   Unreachable();
 }
 
-void Normalize8(const LaneField&, size_t, const uint64_t*, const uint64_t*,
-                uint64_t* const*) {
+void Normalize8(const LaneField&, const int8_t*, size_t, const uint64_t*,
+                const uint64_t*, uint64_t* const*) {
   Unreachable();
 }
 

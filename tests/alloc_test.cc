@@ -16,6 +16,7 @@
 // The HVE blob codec is held to exact counts instead: a warm
 // ParseCiphertext allocates only the result's c1/c2 storage, whatever
 // the width, and a warm SerializeCiphertext only its output buffer.
+// A token-cache lookup, hit or miss, allocates nothing: no blob copy.
 // Likewise a warm WAL replay costs each record only its parsed
 // ciphertext and that ciphertext's shared holder: blobs parse in place
 // from the segment buffer. A store visit costs one vector of
@@ -45,6 +46,7 @@
 #include "common/rng.h"
 #include "hve/hve.h"
 #include "hve/serialize.h"
+#include "hve/token_cache.h"
 #include "pairing/group.h"
 #include "pairing/miller.h"
 #include "pairing/miller_ifma.h"
@@ -437,6 +439,33 @@ TEST_F(AllocSteadyStateTest, VisitShardAllocatesOnlyThePointerCopy) {
   }
   stores.clear();
   std::filesystem::remove_all(dir);
+}
+
+// A token-cache lookup copies no blob: entries are found by the blob's
+// hash and compared in place. Get, hit or miss, allocates nothing, nor
+// does re-offering a cached blob; only admitting a new blob copies it
+// (once, into its entry).
+TEST(AllocTokenCacheTest, LookupCopiesNoBlob) {
+  hve::TokenTableCache cache(4);
+  auto table = std::make_shared<const hve::PrecompiledToken>();
+  std::vector<uint8_t> blob(4096), other(4096);
+  for (size_t i = 0; i < blob.size(); ++i) {
+    blob[i] = uint8_t(i * 7 + 1);
+    other[i] = uint8_t(i * 5 + 3);
+  }
+  cache.Put(blob, table);  // first sighting
+  cache.Put(blob, table);  // second: admitted
+  ASSERT_EQ(cache.size(), 1u);
+  ASSERT_EQ(cache.Get(blob), table);  // warm
+  {
+    AllocProbe probe;
+    EXPECT_EQ(cache.Get(blob), table);
+    EXPECT_EQ(cache.Get(other), nullptr);
+    cache.Put(blob, table);
+    EXPECT_EQ(probe.delta(), 0u) << "a token-cache lookup must not allocate";
+  }
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(AllocIfmaTest, WarmLaneFlushRoundIsAllocFree) {

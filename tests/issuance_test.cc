@@ -115,6 +115,35 @@ TEST_F(IssuanceTest, BatchedTokensMatchAndSerialTokensRoundTrip) {
   EXPECT_TRUE(hve::Matches(*group_, tokens[2], ct, marker).value());
 }
 
+// The secret-key combs and the group's G_p/G_q combs span P's or Q's
+// width, half N's. A comb built at P's width must agree with ScalarMul
+// at its ends (1 and P-1), for a negated scalar, and past its width,
+// where it falls back to ScalarMul.
+TEST_F(IssuanceTest, SubgroupWidthCombMatchesScalarMul) {
+  const BigInt& prime_p = group_->params().prime_p;
+  const Curve& curve = group_->curve();
+  const AffinePoint& base = keys_.sk.v;
+  const FixedBaseComb comb = group_->BuildComb(base, prime_p);
+  EXPECT_GE(comb.max_bits(), prime_p.BitLength());
+  EXPECT_LT(comb.max_bits(), group_->params().n.BitLength());
+  const BigInt past = BigInt(1) << comb.max_bits();
+  for (const BigInt& k : {BigInt(1), prime_p - BigInt(1), past,
+                          past + BigInt(3), -(prime_p - BigInt(2))}) {
+    const AffinePoint want = curve.ScalarMul(k, base);
+    EXPECT_TRUE(curve.Equal(comb.Mul(curve, k), want)) << k.ToDecimal();
+    EXPECT_TRUE(curve.Equal(curve.ToAffine(comb.MulJacobian(curve, k)), want))
+        << k.ToDecimal();
+  }
+  const BigInt& prime_q = group_->params().prime_q;
+  for (const BigInt& k : {prime_p - BigInt(1), prime_q - BigInt(1),
+                          group_->params().n - BigInt(1)}) {
+    EXPECT_TRUE(curve.Equal(group_->Mul(k, group_->gen_p()),
+                            curve.ScalarMul(k, group_->gen_p())));
+    EXPECT_TRUE(curve.Equal(group_->Mul(k, group_->gen_q()),
+                            curve.ScalarMul(k, group_->gen_q())));
+  }
+}
+
 TEST_F(IssuanceTest, InvalidPatternsRejected) {
   RandFn rand = SeededRand(6);
   // Bad character.

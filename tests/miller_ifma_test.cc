@@ -3,9 +3,10 @@
 //  - Radix-2^52 Montgomery products against Montgomery::Mul at 0, 1,
 //    p-1 and random residues, and at the lazy-reduction bounds the walk
 //    relies on (inputs up to 4p and 16p, outputs below 2p).
-//  - The walk's lazily reduced F_p^2 line product (MulLineLanes)
-//    against Fp2 arithmetic at the extremes of its input bounds, on the
-//    top 4-limb prime and the perf-gate group's prime.
+//  - The walk's lazily reduced F_p^2 line product (MulLineLanes) and
+//    merged step product (MulMergedLanes) against Fp2 arithmetic at the
+//    extremes of their input bounds, on the top 4-limb prime and the
+//    perf-gate group's prime; CompleteCoords's derived coordinates.
 //  - MultiMillerLoopLanes against MultiMillerLoopCoords after the final
 //    exponentiation, parameterised over KernelDispatch (the F_p kernel
 //    under the conversions and the final exponentiation).
@@ -22,7 +23,9 @@
 //    partial lane groups of 1-9 chains, and 1, 2 and 4 threads; and
 //    under the signed-digit schedule, a -1 digit meeting T = +-A and
 //    chains closing on a -1 digit, with the walked tables against
-//    Pair().
+//    Pair(). Every packed record is also checked against the scalar
+//    layout's lines: line records, merged records (A/16, B/16, C/16, D,
+//    E) and merged steps packed split around a trivial line.
 // Every test skips when the CPU (or the build) has no IFMA walk.
 
 #include <gtest/gtest.h>
@@ -93,6 +96,83 @@ BigInt TopFourLimbPrime() {
   BigInt p = (BigInt(1) << 256) - BigInt(1);  // = 3 (mod 4)
   while (!IsProbablePrime(p, rand)) p -= BigInt(4);
   return p;
+}
+
+/// The value of five consecutive radix-2^52 limbs.
+BigInt RecordElement(const uint64_t* limbs) {
+  BigInt x;
+  for (size_t k = kLimbs; k-- > 0;) {
+    x = (x << kLimbBits) + BigInt::FromU64(limbs[k]);
+  }
+  return x;
+}
+
+/// Checks every record of `packed` (an ifma8 plan's table) against
+/// `lines`, the scalar layout's table of the same chain, computed
+/// apart: a line record re-splits the canonical residues of c_x and
+/// c_0; a merged record holds those of A/16, B/16, C/16, D and E for
+/// the step's doubling and addition lines, or the two lines as line
+/// records after kSplitStep when either is trivial. Returns the number
+/// of split records.
+size_t ExpectPackedRecordsMatchLines(const Fp& fp, const MillerPlan& plan,
+                                     const MillerLineTable& packed,
+                                     const MillerLineTable& lines) {
+  const BigInt& p = fp.p();
+  const BigInt mont = BigInt::Mod(BigInt(1) << 256, p);
+  const BigInt inv16 = BigInt::ModInverse(BigInt(16), p).value();
+  auto residue = [&](const BigInt& v) { return BigInt::Mod(v * mont, p); };
+  EXPECT_EQ(packed.packed_lines().size(), plan.packed_words());
+  if (packed.packed_lines().size() != plan.packed_words()) return 0;
+  const uint64_t* words = packed.packed_lines().data();
+  size_t j = 0, splits = 0;
+  auto expect_line = [&](const uint64_t* rec, const MillerLine& line) {
+    if (line.trivial) {
+      EXPECT_EQ(rec[0], miller_ifma::kTrivialLine) << "line " << j;
+      return;
+    }
+    EXPECT_EQ(BigInt::Cmp(RecordElement(rec), residue(fp.ToBigInt(line.c_x))),
+              0)
+        << "line " << j;
+    EXPECT_EQ(BigInt::Cmp(RecordElement(rec + kLimbs),
+                          residue(fp.ToBigInt(line.c_0))),
+              0)
+        << "line " << j;
+  };
+  const std::vector<int8_t>& adds = plan.adds();
+  for (size_t s = 0; s < adds.size(); ++s) {
+    if (adds[s] == 0 || s + 1 == adds.size()) {
+      for (int l = adds[s] != 0 ? 2 : 1; l > 0; --l, ++j) {
+        expect_line(words, lines.lines()[j]);
+        words += kLineWords;
+      }
+      continue;
+    }
+    const MillerLine& dbl = lines.lines()[j];
+    const MillerLine& add = lines.lines()[j + 1];
+    if (dbl.trivial || add.trivial) {
+      EXPECT_EQ(words[0], miller_ifma::kSplitStep) << "step " << s;
+      expect_line(words + 1, dbl);
+      ++j;
+      expect_line(words + 1 + kLineWords, add);
+      ++j;
+      ++splits;
+    } else {
+      const BigInt x1 = fp.ToBigInt(dbl.c_x), o1 = fp.ToBigInt(dbl.c_0);
+      const BigInt x2 = fp.ToBigInt(add.c_x), o2 = fp.ToBigInt(add.c_0);
+      const BigInt want[5] = {residue(x1 * x2 * inv16),
+                              residue((x1 * o2 + o1 * x2) * inv16),
+                              residue(o1 * o2 * inv16), residue(x1 + x2),
+                              residue(o1 + o2)};
+      for (size_t e = 0; e < 5; ++e) {
+        EXPECT_EQ(BigInt::Cmp(RecordElement(words + e * kLimbs), want[e]), 0)
+            << "step " << s << " element " << e;
+      }
+      j += 2;
+    }
+    words += miller_ifma::kMergedWords;
+  }
+  EXPECT_EQ(j, plan.length());
+  return splits;
 }
 
 TEST(MillerIfmaTest, Radix52MulMatchesMontgomeryAtEdgesAndBounds) {
@@ -231,6 +311,142 @@ TEST(MillerIfmaTest, MulLineLanesMatchesFp2AtTheBounds) {
   }
 }
 
+// The walk's merged step product at the extremes of its documented
+// bounds: re and im in {0, p-1, p, 2p-1}, A..E = p-1, xq just below 16p,
+// y, xq^2 and xq y = p-1 and -y^2 = p (its ceiling), where the real
+// part's sum of products reaches 17p^2 and both Karatsuba sums their
+// ceilings; then random operands across the same ranges. The outputs
+// must stay below 2p and equal the F_p^2 product of (re + im i) and
+// l_re + l_im i, each reduction contributing its 2^-260.
+TEST(MillerIfmaTest, MulMergedLanesMatchesFp2AtTheBounds) {
+  if (!miller_ifma::Available()) GTEST_SKIP() << "no AVX-512 IFMA walk";
+  PairingParamSpec spec;  // the perf-gate and svcbench group
+  spec.p_prime_bits = 120;
+  spec.q_prime_bits = 120;
+  spec.seed = 20210323;
+  const BigInt gate_p = GeneratePairingParams(spec).value().field_p;
+  for (const BigInt& p : {TopFourLimbPrime(), gate_p}) {
+    Fp fp = Fp::Create(p).value();
+    Fp2 fp2 = Fp2::Create(fp).value();
+    MillerPlan plan =
+        MillerPlan::Create(fp, BigInt(1000003), MillerWalk::kIfma8).value();
+    const BigInt r_inv =  // 2^-260 mod p
+        BigInt::ModInverse(BigInt(1) << (kLimbs * kLimbBits), p).value();
+    const BigInt pm1 = p - BigInt(1);
+    const BigInt two_p = p * BigInt(2);
+    const BigInt sixteen_p = p * BigInt(16);
+    const std::vector<BigInt> extremes = {BigInt(0), pm1, p,
+                                          two_p - BigInt(1)};
+    RandFn rand = TestRand(13);
+    for (size_t block = 0; block < 10; ++block) {
+      uint64_t f[2 * kElemWords], rec[5 * kElemWords],
+          coords[5 * kElemWords], out[2 * kElemWords];
+      BigInt re[kLanes], im[kLanes], r[kLanes][5], q[kLanes][5];
+      for (size_t lane = 0; lane < kLanes; ++lane) {
+        const size_t combo = block * kLanes + lane;
+        if (block < 2) {
+          re[lane] = extremes[combo / 4];
+          im[lane] = extremes[combo % 4];
+          for (size_t e = 0; e < 5; ++e) r[lane][e] = pm1;
+          q[lane][0] = sixteen_p - BigInt(1 + int64_t(lane));  // xq
+          q[lane][1] = pm1;                                     // y
+          q[lane][2] = pm1;                                     // xq^2
+          q[lane][3] = p;                                       // -y^2
+          q[lane][4] = pm1;                                     // xq y
+        } else {
+          re[lane] = BigInt::RandomBelow(two_p, rand);
+          im[lane] = BigInt::RandomBelow(two_p, rand);
+          for (size_t e = 0; e < 5; ++e) {
+            r[lane][e] = BigInt::RandomBelow(p, rand);
+          }
+          q[lane][0] = BigInt::RandomBelow(sixteen_p, rand);
+          q[lane][1] = BigInt::RandomBelow(p, rand);
+          q[lane][2] = BigInt::RandomBelow(p, rand);
+          q[lane][3] = BigInt::RandomBelow(p, rand) + BigInt(1);
+          q[lane][4] = BigInt::RandomBelow(p, rand);
+        }
+        PutLane(re[lane], lane, f);
+        PutLane(im[lane], lane, f + kElemWords);
+        for (size_t e = 0; e < 5; ++e) {
+          PutLane(r[lane][e], lane, rec + e * kElemWords);
+          PutLane(q[lane][e], lane, coords + e * kElemWords);
+        }
+      }
+      miller_ifma::MulMergedLanes(plan.lane_field(), f, rec, coords, out);
+      for (size_t lane = 0; lane < kLanes; ++lane) {
+        const BigInt* a = r[lane];
+        const BigInt* x = q[lane];
+        const BigInt l_re = BigInt::Mod(
+            (a[0] * x[2] + a[1] * x[0]) * r_inv + a[2] + x[3], p);
+        const BigInt l_im = BigInt::Mod((a[3] * x[4] + a[4] * x[1]) * r_inv, p);
+        const Fp2Elem fa{fp.FromBigInt(BigInt::Mod(re[lane], p)),
+                         fp.FromBigInt(BigInt::Mod(im[lane], p))};
+        const Fp2Elem fb{fp.FromBigInt(l_re), fp.FromBigInt(l_im)};
+        Fp2Elem prod;
+        fp2.Mul(fa, fb, &prod);
+        const BigInt want_re = BigInt::Mod(fp.ToBigInt(prod.re) * r_inv, p);
+        const BigInt want_im = BigInt::Mod(fp.ToBigInt(prod.im) * r_inv, p);
+        const BigInt got_re = GetLane(out, lane);
+        const BigInt got_im = GetLane(out + kElemWords, lane);
+        EXPECT_LT(BigInt::Cmp(got_re, two_p), 0) << "lane " << lane;
+        EXPECT_LT(BigInt::Cmp(got_im, two_p), 0) << "lane " << lane;
+        EXPECT_EQ(BigInt::Cmp(BigInt::Mod(got_re, p), want_re), 0)
+            << "block " << block << " lane " << lane;
+        EXPECT_EQ(BigInt::Cmp(BigInt::Mod(got_im, p), want_im), 0)
+            << "block " << block << " lane " << lane;
+      }
+    }
+  }
+}
+
+// CompleteCoords derives xq^2, -y^2 and xq y from the caller's 16 * xq
+// and y: canonical, in the walk's domain, at the bounds' extremes (xq =
+// p-1 gives 16xq just below 16p) and at random residues.
+TEST(MillerIfmaTest, CompleteCoordsDerivesTheMergedCoordinates) {
+  if (!miller_ifma::Available()) GTEST_SKIP() << "no AVX-512 IFMA walk";
+  const BigInt p = TopFourLimbPrime();
+  Fp fp = Fp::Create(p).value();
+  MillerPlan plan =
+      MillerPlan::Create(fp, BigInt(1000003), MillerWalk::kIfma8).value();
+  const BigInt r_inv =  // 2^-260 mod p
+      BigInt::ModInverse(BigInt(1) << (kLimbs * kLimbBits), p).value();
+  RandFn rand = TestRand(14);
+  constexpr size_t kPairs = 2;
+  std::vector<uint64_t> coords(kPairs * miller_ifma::kCoordWords);
+  BigInt xq[kPairs][kLanes], y[kPairs][kLanes];
+  for (size_t k = 0; k < kPairs; ++k) {
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      const bool edge = k == 0 && lane < 4;
+      xq[k][lane] = (edge && lane % 2 == 0) ? p - BigInt(1)
+                    : edge                  ? BigInt(0)
+                                            : BigInt::RandomBelow(p, rand);
+      y[k][lane] = (edge && lane < 2) ? p - BigInt(1)
+                                      : BigInt::RandomBelow(p, rand);
+      uint64_t* block = coords.data() + k * miller_ifma::kCoordWords;
+      PutLane(xq[k][lane] * BigInt(16), lane, block);
+      PutLane(y[k][lane], lane, block + kElemWords);
+    }
+  }
+  miller_ifma::CompleteCoords(plan.lane_field(), kPairs, coords.data());
+  for (size_t k = 0; k < kPairs; ++k) {
+    const uint64_t* block = coords.data() + k * miller_ifma::kCoordWords;
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      const BigInt x16 = xq[k][lane] * BigInt(16);
+      const BigInt& yy = y[k][lane];
+      const BigInt want[3] = {
+          BigInt::Mod(x16 * x16 * r_inv, p),
+          p - BigInt::Mod(yy * yy * r_inv, p),
+          BigInt::Mod(x16 * yy * r_inv, p)};
+      for (size_t e = 0; e < 3; ++e) {
+        EXPECT_EQ(BigInt::Cmp(GetLane(block + (2 + e) * kElemWords, lane),
+                              want[e]),
+                  0)
+            << "pair " << k << " lane " << lane << " element " << e;
+      }
+    }
+  }
+}
+
 // The whole walk at the top of the 4-limb range, where only the
 // documented bounds keep every product under p * 2^260: arbitrary line
 // coefficients and coordinates (extremes p-1 included, plus a trivial
@@ -254,6 +470,16 @@ TEST(MillerIfmaTest, LaneWalkMatchesScalarWalkAtTheTopOfTheRange) {
   };
   // The schedule has -1 digits; the walk only tests for nonzero ones.
   ASSERT_NE(std::count(lanes.adds().begin(), lanes.adds().end(), -1), 0);
+  // Trivial lines: line 5, and the doubling line of the first merged
+  // step and the addition line of the second, which pack split.
+  std::vector<size_t> trivial = {5};
+  for (size_t s = 0, j = 0; s + 1 < lanes.adds().size(); ++s) {
+    if (lanes.adds()[s] != 0 && trivial.size() < 3) {
+      trivial.push_back(trivial.size() == 1 ? j : j + 1);
+    }
+    j += lanes.adds()[s] != 0 ? 2 : 1;
+  }
+  ASSERT_EQ(trivial.size(), 3u);
   constexpr size_t kPairs = 11;
   std::vector<MillerLineTable> scalar_tables, lane_tables;
   for (size_t k = 0; k < kPairs; ++k) {
@@ -262,8 +488,9 @@ TEST(MillerIfmaTest, LaneWalkMatchesScalarWalkAtTheTopOfTheRange) {
     MillerChain chain;
     Fp::Elem product = fp.One(), tmp;
     for (size_t j = 0; j < scalar.length(); ++j) {
-      MillerChain::Line line{random_elem(), random_elem(), random_elem(),
-                             j == 5};
+      MillerChain::Line line{
+          random_elem(), random_elem(), random_elem(),
+          std::count(trivial.begin(), trivial.end(), j) != 0};
       if (fp.IsZero(line.c_y)) line.c_y = fp.One();
       if (!line.trivial) {
         fp.Mul(product, line.c_y, &tmp);
@@ -275,6 +502,9 @@ TEST(MillerIfmaTest, LaneWalkMatchesScalarWalkAtTheTopOfTheRange) {
     InvertMillerChains(fp, &chain, 1);
     scalar_tables.push_back(NormalizeMillerChain(fp, scalar, chain));
     lane_tables.push_back(NormalizeMillerChain(fp, lanes, chain));
+    EXPECT_EQ(ExpectPackedRecordsMatchLines(fp, lanes, lane_tables.back(),
+                                            scalar_tables.back()),
+              2u);
   }
   std::vector<std::vector<Fp::Elem>> xs(kPairs), ys(kPairs);
   std::vector<LanePairingCoords> lane_pairs(kPairs);
@@ -492,11 +722,20 @@ class LaneCompileTest : public ::testing::Test {
     MillerCompileScratch scratch;
     CompileMillerTables(curve, plan, ptrs.data(), ptrs.size(), lanes.data(),
                         &scratch);
+    const MillerPlan scalar =
+        MillerPlan::Create(group_->fp(), group_->params().n,
+                           MillerWalk::kScalar)
+            .value();
     for (size_t k = 0; k < points.size(); ++k) {
       const MillerLineTable want =
           PrecompileMillerLines(curve, plan, points[k]);
       EXPECT_TRUE(lanes[k] == want) << what << ": point " << k;
       EXPECT_EQ(lanes[k].packed(), !points[k].infinity) << what;
+      if (!lanes[k].packed()) continue;
+      SCOPED_TRACE(what + ": point " + std::to_string(k));
+      ExpectPackedRecordsMatchLines(
+          group_->fp(), plan, lanes[k],
+          PrecompileMillerLines(curve, scalar, points[k]));
     }
   }
 
@@ -537,7 +776,7 @@ TEST_F(LaneCompileTest, SubgroupPointsMatchTheScalarChain) {
                       tables.data(), &scratch);
   for (const MillerLineTable& table : tables) {
     const uint64_t* last =
-        table.packed_lines().data() + (plan.length() - 1) * kLineWords;
+        table.packed_lines().data() + plan.packed_words() - kLineWords;
     EXPECT_EQ(last[0], miller_ifma::kTrivialLine);
     for (size_t w = 1; w < kLineWords; ++w) EXPECT_EQ(last[w], 0u);
   }
@@ -685,9 +924,19 @@ TEST(MillerIfmaTest, MinusOneDigitMeetingPlusMinusATakesTheScalarChain) {
   PairingScratch walk_scratch;
   for (const size_t k : {size_t(0), size_t(2), size_t(4)}) {  // order | n
     const uint64_t* last =
-        tables[k].packed_lines().data() + (plan.length() - 1) * kLineWords;
+        tables[k].packed_lines().data() + plan.packed_words() - kLineWords;
     EXPECT_EQ(last[0], miller_ifma::kTrivialLine) << "point " << k;
   }
+  // The order-3 chains meet T = +-A, the scalar chain records a trivial
+  // line there, and that merged step is packed split.
+  const MillerPlan scalar =
+      MillerPlan::Create(fp, group.params().n, MillerWalk::kScalar).value();
+  size_t splits = 0;
+  for (const size_t k : {size_t(1), size_t(3), size_t(5), size_t(8)}) {
+    splits += ExpectPackedRecordsMatchLines(
+        fp, plan, tables[k], PrecompileMillerLines(curve, scalar, points[k]));
+  }
+  EXPECT_GT(splits, 0u);
   for (size_t k = 0; k < points.size(); ++k) {
     EXPECT_TRUE(tables[k] == PrecompileMillerLines(curve, plan, points[k]))
         << "point " << k;
