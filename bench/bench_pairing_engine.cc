@@ -27,7 +27,8 @@
 // speedup row). The verify pass also re-runs the scan on the portable
 // kernels, whose plan walks scalar, so on an AVX-512 IFMA host the
 // scalar walk is checked against the eight-lane walk; a walk row times
-// one token round per query on both. Emits a human table plus
+// one token round per query on both, as the fastest of many passes
+// with their median and slowest printed beside it. Emits a human table plus
 // machine-readable BENCH_pairing_engine.json for
 // bench/check_regression.py; the pinned params.field_kernel is the
 // portable *family* name (cios4 on both cios4 and cios4_adx hardware)
@@ -90,6 +91,30 @@ size_t AllocCount() {
 }
 
 using alert::ServiceProvider;
+
+/// One walk row's per-query times over its timed passes.
+struct WalkSpread {
+  double min_us = 0.0;
+  double median_us = 0.0;
+  double max_us = 0.0;
+  size_t samples = 0;
+};
+
+/// Times `pass` (one walk over `queries` views) after one warm-up call:
+/// at least 5 passes, then more until 0.5 s have run or 1000 passes.
+template <typename Pass>
+WalkSpread TimeWalkPasses(size_t queries, Pass pass) {
+  pass();
+  std::vector<double> us;
+  WallTimer budget;
+  while (us.size() < 5 || (budget.Seconds() < 0.5 && us.size() < 1000)) {
+    WallTimer timer;
+    pass();
+    us.push_back(timer.Seconds() * 1e6 / double(queries));
+  }
+  std::sort(us.begin(), us.end());
+  return {us.front(), us[us.size() / 2], us.back(), us.size()};
+}
 
 struct EngineRow {
   std::string name;
@@ -319,8 +344,11 @@ int Run(int argc, char** argv) {
   //
   // QueryMillerPrecompiledView always walks scalar; the batched call the
   // flush makes walks eight lanes at a time when the group's plan is
-  // ifma8 (and scalar otherwise, so the two rows then agree).
-  double walk_single_us = 0.0, walk_batched_us = 0.0;
+  // ifma8 (and scalar otherwise, so the two rows then agree). Each
+  // sample is one pass over the views, after one warm-up pass; a row
+  // is the fastest of its samples, with the median and slowest printed
+  // as its spread.
+  WalkSpread walk_single, walk_batched;
   {
     hve::Token token = hve::ParseToken(*group, token_blobs[0]).value();
     hve::PrecompiledToken compiled = hve::PrecompileToken(*group, token);
@@ -335,27 +363,22 @@ int Run(int argc, char** argv) {
     }
     hve::QueryScratch scratch;
     std::vector<Fp2Elem> millers;
-    for (int rep = 0; rep < 3; ++rep) {  // best-of-3, first one warms
-      WallTimer single;
+    walk_single = TimeWalkPasses(views.size(), [&] {
       for (const hve::EvalView& view : views) {
         (void)hve::QueryMillerPrecompiledView(*group, compiled, layout, view,
                                               &scratch)
             .value();
       }
-      const double single_us = single.Seconds() * 1e6 / double(views.size());
-      WallTimer batched;
+    });
+    walk_batched = TimeWalkPasses(views.size(), [&] {
       SLOC_CHECK(hve::QueryMillerPrecompiledViews(*group, compiled, layout,
                                                   view_ptrs, &millers,
                                                   &scratch)
                      .ok());
-      const double batched_us =
-          batched.Seconds() * 1e6 / double(views.size());
-      if (rep == 0 || single_us < walk_single_us) walk_single_us = single_us;
-      if (rep == 0 || batched_us < walk_batched_us) {
-        walk_batched_us = batched_us;
-      }
-    }
+    });
   }
+  const double walk_single_us = walk_single.min_us;
+  const double walk_batched_us = walk_batched.min_us;
 
   // ---- Token precompilation: the active walk vs the scalar chain ----
   //
@@ -529,6 +552,12 @@ int Run(int argc, char** argv) {
       "%.1f us/query batched (%s), %.2fx\n",
       walk_single_us, walk_batched_us, walk, walk_single_us / walk_batched_us);
   std::printf(
+      "  walk spread, us/query min / median / max: single %.1f / %.1f / "
+      "%.1f over %zu passes, batched %.1f / %.1f / %.1f over %zu passes\n",
+      walk_single.min_us, walk_single.median_us, walk_single.max_us,
+      walk_single.samples, walk_batched.min_us, walk_batched.median_us,
+      walk_batched.max_us, walk_batched.samples);
+  std::printf(
       "Token precompile: %zu chains, %.0f chains/s (%s) vs %.0f chains/s "
       "scalar chain, %.2fx\n",
       precompile_chains, precompile_per_sec, walk, precompile_scalar_per_sec,
@@ -581,6 +610,10 @@ int Run(int argc, char** argv) {
   walk_json.Number("single_us_per_query", walk_single_us);
   walk_json.Number("batched_us_per_query", walk_batched_us);
   walk_json.Number("speedup", walk_single_us / walk_batched_us);
+  walk_json.Number("single_median_us_per_query", walk_single.median_us);
+  walk_json.Number("batched_median_us_per_query", walk_batched.median_us);
+  walk_json.Integer("single_passes", walk_single.samples);
+  walk_json.Integer("batched_passes", walk_batched.samples);
   root.Nested("walk", walk_json);
   JsonWriter precompile_json;
   precompile_json.Integer("chains", precompile_chains);

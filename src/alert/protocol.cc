@@ -4,7 +4,6 @@
 #include <atomic>
 #include <iterator>
 #include <limits>
-#include <optional>
 #include <unordered_map>
 
 #include "common/bitstring.h"
@@ -201,10 +200,8 @@ ServiceProvider::ServiceProvider(std::shared_ptr<const PairingGroup> group,
 Status ServiceProvider::SubmitLocation(int user_id,
                                        const std::vector<uint8_t>& ct_blob) {
   SLOC_RETURN_IF_ERROR(config_status_);
-  auto ct = hve::ParseCiphertext(*group_, ct_blob);
-  if (!ct.ok()) return ct.status();
-  store_->Put(user_id, std::move(ct).value());
-  return Status::Ok();
+  return api::Ingest(*store_, *group_, user_id,
+                     wire::ByteView{ct_blob.data(), ct_blob.size()});
 }
 
 Status ServiceProvider::SubmitUpload(
@@ -226,30 +223,26 @@ ServiceProvider::SubmitReport ServiceProvider::SubmitBatch(
     }
     return report;
   }
-  // Phase 1 — validate & parse every blob. This is the expensive half
-  // (curve membership of every point), embarrassingly parallel, and
-  // touches no shared state: worker w handles indexes w, w+T, ...
-  std::vector<std::optional<hve::Ciphertext>> parsed(n);
+  // Each upload is parsed, validated and stored by api::Ingest, the
+  // expensive half being the parse (curve membership of every point).
+  // Workers split the batch by user id, so every upload of one user
+  // goes through one worker in submission order and a duplicate user
+  // id within the batch resolves the same way as sequential uploads:
+  // latest wins.
   std::vector<Status> statuses(n);
-  auto parse_range = [&](size_t begin, size_t stride) {
-    for (size_t i = begin; i < n; i += stride) {
-      auto ct = hve::ParseCiphertext(*group_, uploads[i].ciphertext);
-      if (ct.ok()) {
-        parsed[i] = std::move(ct).value();
-      } else {
-        statuses[i] = ct.status();
-      }
-    }
-  };
   const size_t num_workers = ClampWorkers(options_.num_threads, n);
-  RunWorkers(num_workers,
-             [&](size_t w) { parse_range(w, num_workers); });
-  // Phase 2 — insert in submission order, so a duplicate user id within
-  // one batch resolves the same way as sequential uploads: latest wins.
+  RunWorkers(num_workers, [&](size_t w) {
+    for (size_t i = 0; i < n; ++i) {
+      const api::LocationUpload& upload = uploads[i];
+      if (uint32_t(upload.user_id) % num_workers != w) continue;
+      statuses[i] = api::Ingest(
+          *store_, *group_, upload.user_id,
+          wire::ByteView{upload.ciphertext.data(), upload.ciphertext.size()});
+    }
+  });
   SubmitReport report;
   for (size_t i = 0; i < n; ++i) {
-    if (parsed[i].has_value()) {
-      store_->Put(uploads[i].user_id, std::move(*parsed[i]));
+    if (statuses[i].ok()) {
       ++report.accepted;
     } else {
       report.rejected.emplace_back(uploads[i].user_id, statuses[i]);

@@ -135,6 +135,25 @@ size_t AlignUp(size_t v, size_t align) {
 /// claiming more than this is a corrupted prefix, not a large record.
 constexpr size_t kMaxRecordPayload = 64u << 20;
 
+/// One log record in one exact-size buffer (docs/WIRE.md §3):
+///   u32 payload_len | u8 kind | i32 user_id | [u32 blob_len | blob] |
+///   u64 fnv1a64(payload)
+/// The blob goes in only for a put.
+std::vector<uint8_t> EncodeRecord(uint8_t kind, int user_id,
+                                  wire::ByteView blob) {
+  const size_t payload = 1 + 4 + (kind == kRecordPut ? 4 + blob.size : 0);
+  wire::Writer record(4 + payload + 8);
+  record.U32(uint32_t(payload));
+  record.U8(kind);
+  record.I32(user_id);
+  if (kind == kRecordPut) {
+    record.U32(uint32_t(blob.size));
+    record.Raw(blob.data, blob.size);
+  }
+  record.U64(wire::Fnv1a(record.buf().data() + 4, payload));
+  return record.Take();
+}
+
 /// True when a validly-checksummed, plausibly-sized record starts
 /// anywhere in [from, log.size()). Intact data after a bad stretch
 /// means mid-log corruption rather than a torn tail.
@@ -725,18 +744,7 @@ Status LogBackedStore::LoadAllShards() {
   return first;
 }
 
-bool LogBackedStore::Append(uint8_t kind, int user_id,
-                            const std::vector<uint8_t>& blob) {
-  wire::Writer payload;
-  payload.U8(kind);
-  payload.I32(user_id);
-  if (kind == kRecordPut) payload.Bytes(blob);
-  const std::vector<uint8_t>& p = payload.buf();
-  wire::Writer record;
-  record.U32(uint32_t(p.size()));
-  record.Raw(p.data(), p.size());
-  record.U64(wire::Fnv1a(p.data(), p.size()));
-
+bool LogBackedStore::Append(const std::vector<uint8_t>& record) {
   const bool group = options_.fsync_batch_max > 0;
   MutexLock lock(log_mu_);
   if (log_fd_ < 0) {
@@ -745,8 +753,7 @@ bool LogBackedStore::Append(uint8_t kind, int user_id,
     }
     return false;
   }
-  const Status st =
-      WriteAll(log_fd_, record.buf().data(), record.buf().size());
+  const Status st = WriteAll(log_fd_, record.data(), record.size());
   if (!st.ok()) {
     if (io_status_.ok()) io_status_ = st;
     if (group) {
@@ -759,8 +766,8 @@ bool LogBackedStore::Append(uint8_t kind, int user_id,
     }
     return false;
   }
-  log_bytes_ += record.buf().size();
-  active_bytes_ += record.buf().size();
+  log_bytes_ += record.size();
+  active_bytes_ += record.size();
   const uint64_t seq = append_seq_.fetch_add(1, std::memory_order_acq_rel) + 1;
   if (group) {
     sync_cv_.NotifyOne();
@@ -773,15 +780,17 @@ bool LogBackedStore::Append(uint8_t kind, int user_id,
          log_bytes_ >= options_.compact_log_bytes;
 }
 
-void LogBackedStore::Put(int user_id, hve::Ciphertext ct) {
-  // Serialize outside any lock (the expensive part). Resident apply and
-  // log append happen together under the shard lock, so for any one
-  // user the log order always matches the memory order — recovery can
-  // never resurrect a ciphertext the acked state had already replaced.
-  // An unmaterialized shard is NOT loaded here: the new ciphertext
+void LogBackedStore::Put(int user_id, hve::Ciphertext ct,
+                         wire::ByteView blob) {
+  SLOC_CHECK(blob.size > 0) << "a logged Put needs the ciphertext's blob";
+  // Build the record outside any lock. Resident apply and log append
+  // happen together under the shard lock, so for any one user the log
+  // order always matches the memory order — recovery can never
+  // resurrect a ciphertext the acked state had already replaced. An
+  // unmaterialized shard is NOT loaded here: the new ciphertext
   // overlays the snapshot index entry, keeping recovered-store ingest
   // O(1) per put.
-  const std::vector<uint8_t> blob = hve::SerializeCiphertext(*group_, ct);
+  const std::vector<uint8_t> record = EncodeRecord(kRecordPut, user_id, blob);
   // Declared before the lock, so the replaced ciphertext (swapped into
   // it) is freed after the lock is released.
   CtPtr slot = std::make_shared<const hve::Ciphertext>(std::move(ct));
@@ -792,9 +801,14 @@ void LogBackedStore::Put(int user_id, hve::Ciphertext ct) {
     MutexLock lock(shard.mu);
     OverlayLocked(index, shard, user_id);
     shard.users[user_id].swap(slot);
-    compact_due = Append(kRecordPut, user_id, blob);
+    compact_due = Append(record);
   }
   if (compact_due) AutoCompact();
+}
+
+void LogBackedStore::Put(int user_id, hve::Ciphertext ct) {
+  const std::vector<uint8_t> blob = hve::SerializeCiphertext(*group_, ct);
+  Put(user_id, std::move(ct), wire::ByteView{blob.data(), blob.size()});
 }
 
 bool LogBackedStore::Erase(int user_id) {
@@ -809,7 +823,9 @@ bool LogBackedStore::Erase(int user_id) {
     // ever parsing its blob.
     const bool in_snapshot = OverlayLocked(index, shard, user_id);
     existed = shard.users.erase(user_id) > 0 || in_snapshot;
-    if (existed) compact_due = Append(kRecordErase, user_id, {});
+    if (existed) {
+      compact_due = Append(EncodeRecord(kRecordErase, user_id, {}));
+    }
   }
   if (compact_due) AutoCompact();
   return existed;

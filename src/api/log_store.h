@@ -8,7 +8,8 @@
 // front-end's durability story):
 //
 //   * every Put/Erase appends one length-prefixed, checksummed record
-//     to the active log segment before returning — by the time an
+//     to the active log segment before returning (a Put's record holds
+//     the validated blob it was handed, byte for byte) — by the time an
 //     ingest ack is sent the mutation is in the OS page cache, and
 //     under group commit (Options::fsync_batch_max > 0) on the disk by
 //     the time the covering durability notification fires (see
@@ -183,6 +184,10 @@ class LogBackedStore : public CiphertextStore, public DurabilityWaiter {
   std::string name() const override {
     return "log/sharded/" + std::to_string(num_shards_);
   }
+  /// Logs `blob` as it is; it must be nonempty, the bytes `ct` was
+  /// parsed from (replay parses them again).
+  void Put(int user_id, hve::Ciphertext ct, wire::ByteView blob) override;
+  /// Serializes `ct` once and forwards to the blob Put.
   void Put(int user_id, hve::Ciphertext ct) override;
   bool Erase(int user_id) override;
   bool Contains(int user_id) const override;
@@ -281,12 +286,12 @@ class LogBackedStore : public CiphertextStore, public DurabilityWaiter {
   LogBackedStore(std::string dir, std::shared_ptr<const PairingGroup> group,
                  const Options& options);
 
-  /// Serializes and appends one record; latches io_status_ on failure.
+  /// Appends one encoded record; latches io_status_ on failure.
   /// Called with the mutation's shard lock held (the shard -> log leg
   /// of the lock order; it takes log_mu_, then sync_mu_, itself).
   /// Returns true when the live log has grown past the auto-compaction
   /// threshold (the caller compacts after releasing its shard lock).
-  bool Append(uint8_t kind, int user_id, const std::vector<uint8_t>& blob)
+  bool Append(const std::vector<uint8_t>& record)
       SLOC_EXCLUDES(log_mu_, sync_mu_);
 
   /// Loads snapshot + manifest-listed segments into the shards (v2

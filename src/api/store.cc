@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "hve/serialize.h"
 
 namespace sloc {
 namespace api {
@@ -20,12 +21,16 @@ size_t CiphertextStore::ShardOf(int user_id) const {
   return size_t(h % num_shards());
 }
 
+void CiphertextStore::Put(int user_id, hve::Ciphertext ct) {
+  Put(user_id, std::move(ct), wire::ByteView{});
+}
+
 ShardedStore::ShardedStore(size_t num_shards) : num_shards_(num_shards) {
   SLOC_CHECK(num_shards >= 1) << "store needs at least one shard";
   shards_ = std::make_unique<Shard[]>(num_shards);
 }
 
-void ShardedStore::Put(int user_id, hve::Ciphertext ct) {
+void ShardedStore::Put(int user_id, hve::Ciphertext ct, wire::ByteView) {
   // Declared before the lock, so the replaced ciphertext (swapped into
   // it) is freed after the lock is released.
   CtPtr slot = std::make_shared<const hve::Ciphertext>(std::move(ct));
@@ -71,6 +76,13 @@ void ShardedStore::VisitShard(
 
 std::unique_ptr<CiphertextStore> MakeStore(size_t num_shards) {
   return std::make_unique<ShardedStore>(std::max<size_t>(num_shards, 1));
+}
+
+Status Ingest(CiphertextStore& store, const PairingGroup& group, int user_id,
+              wire::ByteView blob) {
+  SLOC_ASSIGN_OR_RETURN(hve::Ciphertext ct, hve::ParseCiphertext(group, blob));
+  store.Put(user_id, std::move(ct), blob);
+  return Status::Ok();
 }
 
 }  // namespace api

@@ -21,6 +21,7 @@
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "common/wire.h"
 #include "hve/hve.h"
 
 namespace sloc {
@@ -80,8 +81,16 @@ class CiphertextStore {
   /// Human-readable backend name ("sharded/8", "log/sharded/8").
   virtual std::string name() const = 0;
 
-  /// Inserts or replaces a user's latest ciphertext.
-  virtual void Put(int user_id, hve::Ciphertext ct) = 0;
+  /// Inserts or replaces a user's latest ciphertext. `blob` is the
+  /// validated encoding `ct` was parsed from (see Ingest below): a
+  /// durable store logs those bytes as they are, an in-memory store
+  /// ignores them.
+  virtual void Put(int user_id, hve::Ciphertext ct, wire::ByteView blob) = 0;
+
+  /// Put for a ciphertext with no blob at hand (seeding, tests). This
+  /// passes an empty blob; a store that logs blobs overrides it to
+  /// serialize `ct` once and forward to the blob Put.
+  virtual void Put(int user_id, hve::Ciphertext ct);
 
   /// Removes a user's ciphertext; returns whether the user existed.
   virtual bool Erase(int user_id) = 0;
@@ -117,7 +126,8 @@ class ShardedStore : public CiphertextStore {
   std::string name() const override {
     return "sharded/" + std::to_string(num_shards_);
   }
-  void Put(int user_id, hve::Ciphertext ct) override;
+  using CiphertextStore::Put;
+  void Put(int user_id, hve::Ciphertext ct, wire::ByteView blob) override;
   bool Erase(int user_id) override;
   bool Contains(int user_id) const override;
   size_t size() const override;
@@ -138,6 +148,13 @@ class ShardedStore : public CiphertextStore {
 
 /// Factory: a ShardedStore with max(num_shards, 1) shards.
 std::unique_ptr<CiphertextStore> MakeStore(size_t num_shards);
+
+/// The one ingest path for a user's upload: parses and validates `blob`
+/// as a ciphertext of `group`, then stores it as `user_id`'s latest,
+/// handing the store the blob itself to log. On a parse failure nothing
+/// is stored and the parse status is returned.
+Status Ingest(CiphertextStore& store, const PairingGroup& group, int user_id,
+              wire::ByteView blob);
 
 }  // namespace api
 }  // namespace sloc

@@ -712,16 +712,14 @@ struct AlertServer::Impl {
       }
       // Parse and validate with no locks held — the expensive half —
       // and apply in queue order: this worker is the shard's only
-      // drainer, so per-user order is the arrival order. The acks go
-      // out together once the whole drain is applied (and logged).
+      // drainer, so per-user order is the arrival order. The store logs
+      // each validated blob as it arrived. The acks go out together
+      // once the whole drain is applied (and logged).
       std::vector<Status> why(batch.size());
       for (size_t i = 0; i < batch.size(); ++i) {
-        auto ct = hve::ParseCiphertext(*group, batch[i].blob);
-        if (ct.ok()) {
-          store->Put(batch[i].user_id, std::move(ct).value());
-        } else {
-          why[i] = ct.status();
-        }
+        const std::vector<uint8_t>& blob = batch[i].blob;
+        why[i] = api::Ingest(*store, *group, batch[i].user_id,
+                             wire::ByteView{blob.data(), blob.size()});
       }
       stats.ingest_drains.fetch_add(1, std::memory_order_relaxed);
       for (size_t i = 0; i < batch.size(); ++i) {

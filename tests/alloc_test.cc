@@ -17,6 +17,8 @@
 // ParseCiphertext allocates only the result's c1/c2 storage, whatever
 // the width, and a warm SerializeCiphertext only its output buffer.
 // A token-cache lookup, hit or miss, allocates nothing: no blob copy.
+// A durable Put of a validated blob allocates the ciphertext's holder
+// and one record buffer: nothing is serialized.
 // Likewise a warm WAL replay costs each record only its parsed
 // ciphertext and that ciphertext's shared holder: blobs parse in place
 // from the segment buffer. A store visit costs one vector of
@@ -438,6 +440,49 @@ TEST_F(AllocSteadyStateTest, VisitShardAllocatesOnlyThePointerCopy) {
     }
   }
   stores.clear();
+  std::filesystem::remove_all(dir);
+}
+
+// A durable Put of a validated blob logs those bytes as they are: it
+// allocates the ciphertext's shared holder and one exact-size record
+// buffer, and no serialize buffer. The Put without a blob serializes
+// the ciphertext once, which is one buffer more.
+TEST_F(AllocSteadyStateTest, DurableBlobPutAllocatesOnlyHolderAndRecord) {
+  const std::shared_ptr<const PairingGroup> group(
+      group_, [](const PairingGroup*) {});  // borrowed from the suite
+  RandFn rand = TestRand(9);
+  hve::KeyPair kp = hve::Setup(*group_, 16, rand).value();
+  const hve::Ciphertext ct =
+      hve::Encrypt(*group_, kp.pk, std::string(16, '0'), group_->GtOne(),
+                   rand)
+          .value();
+  const std::vector<uint8_t> blob = hve::SerializeCiphertext(*group_, ct);
+  const wire::ByteView view{blob.data(), blob.size()};
+  std::string dir = testing::TempDir() + "/alloc_put_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  api::LogBackedStore::Options options;
+  options.compact_log_bytes = 0;
+  // No group commit: the sync thread would count its own allocations.
+  auto store = api::LogBackedStore::Open(dir, group, options).value();
+  store->Put(1, ct, view);  // warm-up: user 1's map entry exists from now
+  auto put_allocs = [&](bool with_blob) {
+    hve::Ciphertext copy = ct;
+    size_t allocs = 0;
+    {
+      AllocProbe probe;
+      if (with_blob) {
+        store->Put(1, std::move(copy), view);
+      } else {
+        store->Put(1, std::move(copy));
+      }
+      allocs = probe.delta();
+    }
+    EXPECT_TRUE(store->io_status().ok());
+    return allocs;
+  };
+  EXPECT_EQ(put_allocs(true), 2u);
+  EXPECT_EQ(put_allocs(false), 3u);
+  store.reset();
   std::filesystem::remove_all(dir);
 }
 

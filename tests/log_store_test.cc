@@ -22,6 +22,7 @@
 
 #include "alert/protocol.h"
 #include "api/log_store.h"
+#include "blob_padding.h"
 #include "common/wire.h"
 #include "hve/serialize.h"
 #include "prob/sigmoid.h"
@@ -272,6 +273,51 @@ TEST_F(LogStoreTest, CompactThenMorePutsReplayOverSnapshot) {
   EXPECT_FALSE(store->Contains(1));
   EXPECT_TRUE(store->Contains(2));
   EXPECT_TRUE(store->Contains(3));
+}
+
+// The log keeps the bytes a Put was handed, even a valid encoding that
+// is not minimal. Replay parses them to the same ciphertext, and only
+// compaction, which serializes the stored ciphertext, writes the
+// minimal form.
+TEST_F(LogStoreTest, LogKeepsTheValidatedBlobAndCompactionMinimizes) {
+  std::vector<uint8_t> minimal;
+  std::vector<uint8_t> padded;
+  for (int tries = 0; padded.empty() && tries < 64; ++tries) {
+    minimal = BlobFor(2);
+    padded = PadShortCoordinate(*group_, minimal);
+  }
+  ASSERT_FALSE(padded.empty()) << "no coordinate shorter than p";
+  const auto contains = [](const std::vector<uint8_t>& file,
+                           const std::vector<uint8_t>& bytes) {
+    return std::search(file.begin(), file.end(), bytes.begin(),
+                       bytes.end()) != file.end();
+  };
+  // User 1's ciphertext, serialized: minimal whatever it was parsed from.
+  const auto stored = [&](const LogBackedStore& store) {
+    std::vector<uint8_t> blob;
+    store.VisitShard(store.ShardOf(1), [&](int user_id, const CtPtr& ct) {
+      if (user_id == 1) blob = hve::SerializeCiphertext(*group_, *ct);
+    });
+    return blob;
+  };
+  {
+    auto store = Open().value();
+    ASSERT_TRUE(
+        Ingest(*store, *group_, 1, wire::ByteView{padded.data(), padded.size()})
+            .ok());
+    EXPECT_TRUE(contains(Slurp(LogPath()), padded));
+    EXPECT_EQ(stored(*store), minimal);
+  }
+  {
+    auto store = Open().value();  // replays the padded record
+    EXPECT_EQ(stored(*store), minimal);
+    ASSERT_TRUE(store->Compact().ok());
+  }
+  const std::vector<uint8_t> snapshot = Slurp(SnapshotPath());
+  EXPECT_TRUE(contains(snapshot, minimal));
+  EXPECT_FALSE(contains(snapshot, padded));
+  auto store = Open().value();
+  EXPECT_EQ(stored(*store), minimal);
 }
 
 TEST_F(LogStoreTest, AutoCompactionKicksIn) {

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,6 +19,7 @@
 
 #include "alert/protocol.h"
 #include "api/log_store.h"
+#include "blob_padding.h"
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/server.h"
@@ -347,6 +351,90 @@ TEST_F(NetTest, RestartOverLogStoreServesIdenticalAlert) {
   EXPECT_EQ(after.notified_users, before);
   EXPECT_EQ(after.resident_users, 6u);
   EXPECT_EQ(after.store_backend, "log/sharded/2");
+}
+
+// ServiceProvider::SubmitLocation, SubmitBatch and the server's shard
+// drain all ingest through api::Ingest, so they log the same record for
+// the same upload: the client's blob as it was sent, including a valid
+// blob that is not in minimal form.
+TEST_F(NetTest, EveryIngestPathLogsTheClientBlob) {
+  std::vector<api::LocationUpload> uploads;
+  for (int u = 1; u <= 6; ++u) uploads.push_back(UploadFor(u, u + 1));
+  for (int tries = 0; uploads.size() == 6 && tries < 64; ++tries) {
+    api::LocationUpload upload = UploadFor(7, 4);
+    upload.ciphertext = PadShortCoordinate(*group_, upload.ciphertext);
+    if (!upload.ciphertext.empty()) uploads.push_back(std::move(upload));
+  }
+  ASSERT_EQ(uploads.size(), 7u) << "no coordinate shorter than p";
+
+  std::string root = testing::TempDir() + "/net_ingest_XXXXXX";
+  ASSERT_NE(::mkdtemp(root.data()), nullptr);
+  const RemoveAtExit remove_stores{root};
+  auto open_store = [&](const std::string& name) {
+    const std::string dir = root + "/" + name;
+    std::filesystem::create_directory(dir);
+    api::LogBackedStore::Options options;
+    options.num_shards = 2;
+    return api::LogBackedStore::Open(dir, group_, options).value();
+  };
+  alert::ServiceProvider::Options sp_options;
+  sp_options.num_shards = 2;
+  sp_options.num_threads = 2;
+  {
+    alert::ServiceProvider sp(group_, ta_->marker(), open_store("location"),
+                              sp_options);
+    for (const api::LocationUpload& upload : uploads) {
+      ASSERT_TRUE(sp.SubmitLocation(upload.user_id, upload.ciphertext).ok());
+    }
+  }
+  {
+    alert::ServiceProvider sp(group_, ta_->marker(), open_store("batch"),
+                              sp_options);
+    EXPECT_EQ(sp.SubmitBatch(uploads).accepted, uploads.size());
+  }
+  {
+    auto server = StartServer(open_store("server"));
+    AlertClient client = AlertClient::Connect(server->port()).value();
+    EXPECT_EQ(client.SubmitBatch(uploads).value().accepted, uploads.size());
+    server->Stop();
+  }
+
+  // Splits a log into its records (u32 payload_len | payload | u64
+  // checksum, docs/WIRE.md §3), sorted: the batch's workers may append
+  // different users in either order.
+  auto records = [&](const std::string& name) {
+    std::ifstream in(root + "/" + name + "/wal.log", std::ios::binary);
+    const std::vector<uint8_t> log((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+    std::vector<std::vector<uint8_t>> out;
+    for (size_t pos = 0; pos + 4 <= log.size();) {
+      const size_t len = size_t(log[pos]) | size_t(log[pos + 1]) << 8 |
+                         size_t(log[pos + 2]) << 16 |
+                         size_t(log[pos + 3]) << 24;
+      const size_t end = std::min(log.size(), pos + 4 + len + 8);
+      out.emplace_back(log.begin() + long(pos), log.begin() + long(end));
+      pos = end;
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const std::vector<std::vector<uint8_t>> logged = records("location");
+  EXPECT_EQ(records("batch"), logged);
+  EXPECT_EQ(records("server"), logged);
+  // Each record's blob (after u32 len, u8 kind, i32 user, u32 blob_len)
+  // is the upload's bytes.
+  std::vector<std::vector<uint8_t>> sent;
+  for (const api::LocationUpload& upload : uploads) {
+    sent.push_back(upload.ciphertext);
+  }
+  std::vector<std::vector<uint8_t>> blobs;
+  for (const std::vector<uint8_t>& record : logged) {
+    ASSERT_GE(record.size(), 13u + 8u);
+    blobs.emplace_back(record.begin() + 13, record.end() - 8);
+  }
+  std::sort(sent.begin(), sent.end());
+  std::sort(blobs.begin(), blobs.end());
+  EXPECT_EQ(blobs, sent);
 }
 
 TEST_F(NetTest, MultiIoThreadServerMatchesTwinAcrossConnections) {
