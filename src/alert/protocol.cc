@@ -4,6 +4,7 @@
 #include <atomic>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 
 #include "common/bitstring.h"
@@ -223,26 +224,33 @@ ServiceProvider::SubmitReport ServiceProvider::SubmitBatch(
     }
     return report;
   }
-  // Each upload is parsed, validated and stored by api::Ingest, the
-  // expensive half being the parse (curve membership of every point).
-  // Workers split the batch by user id, so every upload of one user
-  // goes through one worker in submission order and a duplicate user
-  // id within the batch resolves the same way as sequential uploads:
-  // latest wins.
+  // Phase 1 — validate & parse every blob. This is the expensive half
+  // (curve membership of every point), embarrassingly parallel, and
+  // touches no shared state: worker w handles indexes w, w+T, ...
+  std::vector<std::optional<hve::Ciphertext>> parsed(n);
   std::vector<Status> statuses(n);
-  const size_t num_workers = ClampWorkers(options_.num_threads, n);
-  RunWorkers(num_workers, [&](size_t w) {
-    for (size_t i = 0; i < n; ++i) {
-      const api::LocationUpload& upload = uploads[i];
-      if (uint32_t(upload.user_id) % num_workers != w) continue;
-      statuses[i] = api::Ingest(
-          *store_, *group_, upload.user_id,
-          wire::ByteView{upload.ciphertext.data(), upload.ciphertext.size()});
+  auto parse_range = [&](size_t begin, size_t stride) {
+    for (size_t i = begin; i < n; i += stride) {
+      auto ct = hve::ParseCiphertext(*group_, uploads[i].ciphertext);
+      if (ct.ok()) {
+        parsed[i] = std::move(ct).value();
+      } else {
+        statuses[i] = ct.status();
+      }
     }
-  });
+  };
+  const size_t num_workers = ClampWorkers(options_.num_threads, n);
+  RunWorkers(num_workers,
+             [&](size_t w) { parse_range(w, num_workers); });
+  // Phase 2 — insert in submission order, so a duplicate user id within
+  // one batch resolves the same way as sequential uploads: latest wins.
+  // The store gets each validated blob to log as it is.
   SubmitReport report;
   for (size_t i = 0; i < n; ++i) {
-    if (statuses[i].ok()) {
+    if (parsed[i].has_value()) {
+      const std::vector<uint8_t>& blob = uploads[i].ciphertext;
+      store_->Put(uploads[i].user_id, std::move(*parsed[i]),
+                  wire::ByteView{blob.data(), blob.size()});
       ++report.accepted;
     } else {
       report.rejected.emplace_back(uploads[i].user_id, statuses[i]);

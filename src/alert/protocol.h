@@ -239,11 +239,10 @@ class ServiceProvider {
     std::vector<std::pair<int, Status>> rejected;  ///< (user_id, why)
   };
 
-  /// Ingests many (user_id, ciphertext blob) pairs at once, each
-  /// through api::Ingest. The provider's worker threads split the batch
-  /// by user id, so blob validation — the expensive part: curve
-  /// membership of every point — runs in parallel while each user's
-  /// uploads apply in submission order.
+  /// Ingests many (user_id, ciphertext blob) pairs at once. Blob
+  /// validation — the expensive part: curve membership of every point —
+  /// is spread across the provider's worker threads; the inserts then
+  /// run in submission order, each handing the store its blob.
   SubmitReport SubmitBatch(const std::vector<api::LocationUpload>& uploads);
 
   /// Ingests an enveloped kLocationBatch frame.
