@@ -417,24 +417,31 @@ int main(int argc, char** argv) {
   const long id_range =
       std::max<long>(params.resident_users, params.users);
   WallTimer submit_timer;
-  RunWorkers(size_t(params.clients), [&](size_t c) {
-    net::AlertClient client = net::AlertClient::Connect(port).value();
-    size_t sent = 0;
-    for (long i = long(c); i < params.updates;
-         i += long(params.clients)) {
-      api::LocationUpload upload;
-      upload.user_id = int(i % id_range) + 1;
-      upload.ciphertext =
-          setup.uploads[size_t(i) % setup.uploads.size()].ciphertext;
-      Status st = client.SendOnly(api::EncodeLocationUpload(upload));
-      SLOC_CHECK(st.ok()) << st.message();
-      ++sent;
-    }
-    for (size_t i = 0; i < sent; ++i) {
-      api::SubmitAck ack = client.DrainAck().value();
-      SLOC_CHECK(ack.rejected == 0) << ack.error_message;
-    }
-  });
+  // One thread per connection, all at once: the clients are concurrent
+  // peers, not compute work for the process pool (which would run at
+  // most one per core and the rest after them).
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < size_t(params.clients); ++c) {
+    clients.emplace_back([&, c] {
+      net::AlertClient client = net::AlertClient::Connect(port).value();
+      size_t sent = 0;
+      for (long i = long(c); i < params.updates;
+           i += long(params.clients)) {
+        api::LocationUpload upload;
+        upload.user_id = int(i % id_range) + 1;
+        upload.ciphertext =
+            setup.uploads[size_t(i) % setup.uploads.size()].ciphertext;
+        Status st = client.SendOnly(api::EncodeLocationUpload(upload));
+        SLOC_CHECK(st.ok()) << st.message();
+        ++sent;
+      }
+      for (size_t i = 0; i < sent; ++i) {
+        api::SubmitAck ack = client.DrainAck().value();
+        SLOC_CHECK(ack.rejected == 0) << ack.error_message;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
   const double submit_wall = submit_timer.Seconds();
   const double updates_per_sec = double(params.updates) / submit_wall;
   std::cout << "submitted " << params.updates << " uploads over "

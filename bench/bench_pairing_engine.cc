@@ -199,10 +199,15 @@ int Run(int argc, char** argv) {
       "Miller plan: n = %zu bits, %zu nonzero NAF digits, %zu lines per "
       "chain, %zu merged steps\n",
       order_bits, nonzero_digits, plan.length(), plan.merged_steps());
+  // HVE falls to factoring n = P*Q; 1024 bits (about 80-bit security)
+  // is the smallest honest size.
+  constexpr size_t kHonestOrderBits = 1024;
+  const bool honest = order_bits >= kHonestOrderBits;
   std::printf(
-      "security: HVE falls to factoring n = P*Q; a %zu-bit n is a bench "
-      "size (about 1024 bits for ~80-bit security)\n",
-      order_bits);
+      "security: HVE falls to factoring n = P*Q; a %zu-bit n is %s the "
+      "%zu-bit floor (about 80-bit security)%s\n",
+      order_bits, honest ? "at or above" : "below", kHonestOrderBits,
+      honest ? "" : ", a bench size");
   // Kernel-selection assert: 4/6/8-limb fields must run fixed-width.
   const size_t field_limbs = group->fp().num_limbs();
   if (field_limbs == 4 || field_limbs == 6 || field_limbs == 8) {

@@ -439,9 +439,12 @@ Status ServiceProvider::ScanBatched(
                            ? AutoFlushWidth(layout.positions.size())
                            : options_.batch_flush_evals;
   const size_t num_shards = store_->num_shards();
-  const size_t workers = ClampWorkers(
+  // The team is every pool helper idle now, up to the thread budget;
+  // everything below is sized for the parties it was granted.
+  WorkerTeam crew_threads(ClampWorkers(
       options_.num_threads,
-      num_shards + (store_->size() + kViewChunk - 1) / kViewChunk);
+      num_shards + (store_->size() + kViewChunk - 1) / kViewChunk));
+  const size_t workers = crew_threads.size();
   // Views live in waves of at most `flush` per worker, the same memory
   // budget as a worker's flush buffer (saturating: `flush` may be any
   // caller-set width).
@@ -460,7 +463,7 @@ Status ServiceProvider::ScanBatched(
   // last worker to arrive) merge the survivors and move on to the next
   // wave.
   TeamBarrier team(workers);
-  // lock-note: failure_mu guards failure until RunWorkers returns; both
+  // lock-note: failure_mu guards failure until the team returns; both
   // are locals captured by the workers' lambdas.
   Mutex failure_mu;
   Status failure;
@@ -617,7 +620,7 @@ Status ServiceProvider::ScanBatched(
       if (!team.ArriveAndWait(next_wave)) return;
     }
   };
-  RunWorkers(workers, [&](size_t w) {
+  crew_threads.Run([&](size_t w) {
     try {
       work(w);
     } catch (...) {

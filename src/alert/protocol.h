@@ -183,7 +183,9 @@ class ServiceProvider {
   /// the fastest query engine.
   struct Options {
     size_t num_shards = 1;    ///< store partitions
-    unsigned num_threads = 1; ///< worker threads for batch ops / matching
+    /// Workers a batch op or a scan asks the process pool for
+    /// (common/parallel.h); a scan's team may get fewer.
+    unsigned num_threads = 1;
     QueryEngine engine = QueryEngine::kBatched;
     /// Precompiled-token tables retained across alerts (LRU entries);
     /// 0 disables retention. Tables are O(order_bits * (2s+1)) field

@@ -12,9 +12,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
+#include <thread>
 #include <utility>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "common/wire.h"
 #include "hve/serialize.h"
 
@@ -130,6 +133,10 @@ size_t AlignUp(size_t v, size_t align) {
   return (v + align - 1) / align * align;
 }
 
+/// Recovered records parsed per pool pass: enough to keep every core
+/// busy, and a bound on the parsed ciphertexts waiting for their turn.
+constexpr size_t kReplayChunk = 256;
+
 /// Upper bound on a plausible record payload. A record holds one
 /// serialized ciphertext plus a few header bytes; a length prefix
 /// claiming more than this is a corrupted prefix, not a large record.
@@ -214,6 +221,109 @@ struct LogBackedStore::MappedSnapshot {
       ::munmap(const_cast<uint8_t*>(data), bytes);
     }
   }
+};
+
+/// Recovered records whose framing has been checked but which are not
+/// applied yet, in recovery order. The put blobs parse on the process
+/// pool a chunk at a time; then the chunk applies in order. So the
+/// store ends as a serial parse-and-apply loop would leave it, and it
+/// fails with that loop's status: the first parse error in order wins
+/// over any framing error found after it. The buffers are reused from
+/// chunk to chunk.
+class LogBackedStore::ReplayQueue {
+ public:
+  explicit ReplayQueue(LogBackedStore* store) : store_(store) {
+    records_.reserve(kReplayChunk);
+  }
+
+  /// Queues a put of `blob`, which must outlive the queue's next flush.
+  Status Put(int user_id, wire::ByteView blob) {
+    records_.push_back({user_id, blob, true});
+    return records_.size() < kReplayChunk ? Status::Ok() : Flush();
+  }
+
+  Status Erase(int user_id) {
+    records_.push_back({user_id, {}, false});
+    return records_.size() < kReplayChunk ? Status::Ok() : Flush();
+  }
+
+  /// Decodes one checksummed log payload (docs/WIRE.md §3) and queues
+  /// its record.
+  Status Add(wire::Reader& payload) {
+    SLOC_ASSIGN_OR_RETURN(uint8_t kind, payload.U8());
+    SLOC_ASSIGN_OR_RETURN(int user_id, payload.I32());
+    switch (kind) {
+      case kRecordPut: {
+        SLOC_ASSIGN_OR_RETURN(wire::ByteView blob, payload.BytesView());
+        SLOC_RETURN_IF_ERROR(Put(user_id, blob));
+        break;
+      }
+      case kRecordErase:
+        SLOC_RETURN_IF_ERROR(Erase(user_id));
+        break;
+      default:
+        return Status::DataLoss("unknown log record kind " +
+                                std::to_string(int(kind)));
+    }
+    // A put's blob parses before its payload's trailing bytes are
+    // checked, so it is queued first.
+    return payload.ExpectDone();
+  }
+
+  /// Parses and applies every queued record. Returns the first parse
+  /// error in order; nothing from that record on is applied.
+  Status Flush() {
+    if (records_.empty()) return Status::Ok();
+    const size_t n = records_.size();
+    parsed_.resize(n);
+    errors_.resize(n);
+    const size_t workers = ClampWorkers(std::thread::hardware_concurrency(), n);
+    RunWorkers(workers, [&](size_t w) {
+      for (size_t i = w; i < n; i += workers) {
+        if (!records_[i].put) continue;
+        auto ct = hve::ParseCiphertext(*store_->group_, records_[i].blob);
+        if (ct.ok()) {
+          parsed_[i] = std::move(ct).value();
+        } else {
+          errors_[i] = ct.status();
+        }
+      }
+    });
+    Status first;
+    for (size_t i = 0; i < n; ++i) {
+      if (first.ok() && !errors_[i].ok()) first = errors_[i];
+      if (first.ok()) {
+        store_->ApplyRecovered(
+            records_[i].user_id,
+            records_[i].put ? std::make_shared<const hve::Ciphertext>(
+                                  std::move(*parsed_[i]))
+                            : nullptr);
+      }
+      parsed_[i].reset();
+      errors_[i] = Status::Ok();
+    }
+    records_.clear();
+    return first;
+  }
+
+  /// The status recovery fails with when it finds `framing` wrong:
+  /// the first parse error among the records queued before it, if any.
+  Status Fail(Status framing) {
+    Status parsed = Flush();
+    return parsed.ok() ? framing : parsed;
+  }
+
+ private:
+  struct Record {
+    int user_id;
+    wire::ByteView blob;  ///< a put's ciphertext
+    bool put;
+  };
+
+  LogBackedStore* store_;
+  std::vector<Record> records_;
+  std::vector<std::optional<hve::Ciphertext>> parsed_;
+  std::vector<Status> errors_;
 };
 
 LogBackedStore::LogBackedStore(std::string dir,
@@ -376,24 +486,21 @@ Status LogBackedStore::RecoverMmapSnapshot(int fd, size_t file_bytes) {
   if (!same_sharding) {
     // The file's index is useless under a different shard count:
     // materialize everything now, re-sharded by ShardOf. Documented as
-    // the one recovery shape that pays the full eager parse.
-    std::vector<uint8_t> scratch;
+    // the one recovery shape that pays the full eager parse; the blobs
+    // parse in place from the mapping, on the pool.
+    ReplayQueue queue(this);
     for (const auto& entries : snap->shard_entries) {
       for (const auto& e : entries) {
         const uint8_t* blob = d + e.offset;
         if (wire::Fnv1a(blob, e.len) != e.fnv) {
-          return Status::DataLoss("snapshot " + path + " blob for user " +
-                                  std::to_string(e.user_id) +
-                                  " failed its checksum");
+          return queue.Fail(Status::DataLoss(
+              "snapshot " + path + " blob for user " +
+              std::to_string(e.user_id) + " failed its checksum"));
         }
-        scratch.assign(blob, blob + e.len);
-        SLOC_ASSIGN_OR_RETURN(hve::Ciphertext ct,
-                              hve::ParseCiphertext(*group_, scratch));
-        ApplyRecovered(e.user_id, std::make_shared<const hve::Ciphertext>(
-                                      std::move(ct)));
+        SLOC_RETURN_IF_ERROR(queue.Put(e.user_id, {blob, e.len}));
       }
     }
-    return Status::Ok();  // snap unmaps at scope exit
+    return queue.Flush();  // snap unmaps at scope exit
   }
 
   // Same sharding: install the mapping and mark populated shards
@@ -428,6 +535,10 @@ Status LogBackedStore::ReplaySegment(const std::string& path, bool last,
   // Replayed users land in their shard's overlay: their log-derived
   // resident state supersedes any snapshot index entry, which is
   // skipped if the shard later materializes.
+  //
+  // This pass checks the framing of every record; the queue parses
+  // the put blobs on the pool and applies the records in log order
+  // (see ReplayQueue for how a failure is reported).
   *valid_bytes = 0;
   std::vector<uint8_t> log;
   Status log_st = ReadFile(path, &log);
@@ -439,6 +550,7 @@ Status LogBackedStore::ReplaySegment(const std::string& path, bool last,
                             " but it is missing: " + log_st.message());
   }
   const size_t n = log.size();
+  ReplayQueue queue(this);
   size_t pos = 0;
   size_t valid_end = 0;
   while (pos < n) {
@@ -450,20 +562,20 @@ Status LogBackedStore::ReplaySegment(const std::string& path, bool last,
     if (size_t(len) > kMaxRecordPayload) {
       // No legitimate append ever writes a record this large, and a
       // torn append leaves a correct prefix — this prefix is corrupt.
-      return Status::DataLoss("log record at byte " + std::to_string(start) +
-                              " of " + path + " declares an implausible " +
-                              std::to_string(len) +
-                              "-byte payload (corrupted length prefix)");
+      return queue.Fail(Status::DataLoss(
+          "log record at byte " + std::to_string(start) + " of " + path +
+          " declares an implausible " + std::to_string(len) +
+          "-byte payload (corrupted length prefix)"));
     }
     if (n - start - 4 < size_t(len) || n - start - 4 - len < 8) {
       // Declared extent runs past end-of-file. Only a torn tail if
       // nothing valid follows; otherwise the prefix swallowed real
       // records.
       if (HasValidRecordAfter(log, start + 1)) {
-        return Status::DataLoss(
+        return queue.Fail(Status::DataLoss(
             "log record at byte " + std::to_string(start) + " of " + path +
             " runs past end-of-file but intact records follow "
-            "(corrupted length prefix)");
+            "(corrupted length prefix)"));
       }
       break;
     }
@@ -475,34 +587,19 @@ Status LogBackedStore::ReplaySegment(const std::string& path, bool last,
       // Torn tail only when the bad record is the last thing in the
       // file and no valid record boundary hides inside its extent.
       if (record_end >= n && !HasValidRecordAfter(log, start + 1)) break;
-      return Status::DataLoss(
+      return queue.Fail(Status::DataLoss(
           "log record at byte " + std::to_string(start) + " of " + path +
           " failed its checksum with intact log after it "
-          "(mid-log corruption)");
+          "(mid-log corruption)"));
     }
     wire::Reader r(log, payload_at, payload_at + len);
-    SLOC_ASSIGN_OR_RETURN(uint8_t kind, r.U8());
-    SLOC_ASSIGN_OR_RETURN(int user_id, r.I32());
-    switch (kind) {
-      case kRecordPut: {
-        SLOC_ASSIGN_OR_RETURN(wire::ByteView blob, r.BytesView());
-        SLOC_ASSIGN_OR_RETURN(hve::Ciphertext ct,
-                              hve::ParseCiphertext(*group_, blob));
-        ApplyRecovered(user_id,
-                       std::make_shared<const hve::Ciphertext>(std::move(ct)));
-        break;
-      }
-      case kRecordErase:
-        ApplyRecovered(user_id, nullptr);
-        break;
-      default:
-        return Status::DataLoss("unknown log record kind " +
-                                std::to_string(int(kind)));
-    }
-    SLOC_RETURN_IF_ERROR(r.ExpectDone());
+    const Status added = queue.Add(r);
+    if (!added.ok()) return queue.Fail(added);
     pos = record_end;
     valid_end = record_end;
   }
+  // Every record before a torn tail must parse before it is cut off.
+  SLOC_RETURN_IF_ERROR(queue.Flush());
   if (valid_end < n) {
     if (!last) {
       return Status::DataLoss("rotated segment " + path +
@@ -918,7 +1015,9 @@ void LogBackedStore::DrainNotifications() {
 
 Status LogBackedStore::SyncNow(uint64_t* covered) {
   int fd = -1;
-  std::string path;
+  // Segment names fit the string's inline buffer, so a round copies no
+  // heap bytes; the full path is built only for an error message.
+  std::string segment;
   {
     MutexLock lock(log_mu_);
     // Appends also hold log_mu_, so every record the sequence read here
@@ -927,10 +1026,10 @@ Status LogBackedStore::SyncNow(uint64_t* covered) {
     if (log_fd_ < 0) {
       return Status::FailedPrecondition("log file is closed");
     }
-    path = SegmentPath(segments_.back());
+    segment = segments_.back();
     fd = ::dup(log_fd_);
     if (fd < 0) {
-      const Status st = Errno("dup " + path);
+      const Status st = Errno("dup " + SegmentPath(segment));
       if (io_status_.ok()) io_status_ = st;
       return st;
     }
@@ -941,7 +1040,8 @@ Status LogBackedStore::SyncNow(uint64_t* covered) {
   // fsyncs a segment before retiring it, so `covered` stays a lower
   // bound of what is durable either way.
   const bool synced = ::fsync(fd) == 0;
-  const Status st = synced ? Status::Ok() : Errno("fsync " + path);
+  const Status st =
+      synced ? Status::Ok() : Errno("fsync " + SegmentPath(segment));
   ::close(fd);
   if (!synced) {
     MutexLock lock(log_mu_);

@@ -268,6 +268,9 @@ class LogBackedStore : public CiphertextStore, public DurabilityWaiter {
 
  private:
   struct MappedSnapshot;
+  /// Recovered records queued for a parallel parse and an in-order
+  /// apply (log_store.cc).
+  class ReplayQueue;
 
   /// One resident shard: its mutex, the ciphertexts it guards, and the
   /// shard's lazy-recovery state.
@@ -305,8 +308,10 @@ class LogBackedStore : public CiphertextStore, public DurabilityWaiter {
 
   /// Replays one log segment over the shards. `last` permits (and
   /// truncates) a torn tail; non-last segments must parse to their
-  /// exact end. On success sets `*valid_bytes` to the segment's intact
-  /// length.
+  /// exact end. The put blobs parse on the process pool (common/
+  /// parallel.h); the records apply in log order, and a failure is
+  /// reported as a serial parse-and-apply pass would report it. On
+  /// success sets `*valid_bytes` to the segment's intact length.
   Status ReplaySegment(const std::string& path, bool last,
                        size_t* valid_bytes);
 

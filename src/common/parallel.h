@@ -1,9 +1,32 @@
-// Worker-pool helpers shared by the batch paths (ingest validation,
-// token precompilation, batched issuance, the alert scan). Each caller
-// stripes or claims its own work units by worker index; this file owns
-// the clamp-spawn-join choreography, so fixes to it (e.g. exception
-// safety around join) land in one place, and the barrier a team of
-// workers uses to run in lockstep phases.
+// The process worker pool shared by the batch paths (ingest
+// validation, WAL replay, token precompilation, batched issuance, the
+// alert scan), and the barrier a team of workers uses to run in
+// lockstep phases.
+//
+// The pool. The process has one pool, created on first use with
+// hardware_concurrency() - 1 helper threads (none on a one-core host);
+// with the calling thread that makes one thread per core. Its helpers
+// live as long as the process. Two kinds of call run on it:
+//
+//   * RunWorkers (striped): fn(w) for every worker index w. Idle
+//     helpers claim indexes and the calling thread claims the rest, so
+//     any thread may run several indexes one after another, and a call
+//     finishes even when no helper is free. Callers stripe or claim
+//     their work units by index and never wait for a sibling index.
+//   * WorkerTeam (all at once): parties that meet at a TeamBarrier
+//     must all run at the same time. A team takes exactly the helpers
+//     that are idle when it is made, and shrinks to that many parties
+//     (plus the calling thread) before it starts; the caller sizes its
+//     barrier and per-party state from size().
+//
+// Neither kind waits for a helper that is busy, so calls may nest
+// (a striped index or a team party may call RunWorkers or make a
+// team) and may run concurrently from many threads without deadlock,
+// and together they never run more pool threads than there are cores.
+//
+// Fork. A forked child has none of its parent's helper threads. The
+// child forgets the parent's pool (a pthread_atfork handler) and
+// makes its own on first use.
 
 #ifndef SLOC_COMMON_PARALLEL_H_
 #define SLOC_COMMON_PARALLEL_H_
@@ -14,71 +37,120 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <thread>
-#include <vector>
 
 #include "common/thread_annotations.h"
 
 namespace sloc {
 
-/// Workers a pool should actually spawn: the configured thread budget
-/// clamped to the number of work units, never less than one.
+/// Workers a call should ask for: the configured thread budget clamped
+/// to the number of work units, never less than one.
 inline size_t ClampWorkers(size_t num_threads, size_t work_units) {
   return std::max<size_t>(1, std::min(num_threads, work_units));
 }
 
-/// Runs fn(worker) for worker in [0, num_workers): inline when one
-/// worker suffices, on spawned-and-joined std::threads otherwise.
-/// Callers handle work unit w, w + num_workers, ... inside fn.
-///
-/// Exception safety: a throw from fn on a worker thread is captured and
-/// rethrown on the calling thread after every worker has joined (the
-/// first exception captured wins; later ones are swallowed). A throw
-/// during the spawn loop itself (e.g. std::system_error from thread
-/// creation) joins the already-spawned workers before propagating.
-/// Letting either escape raw would std::terminate the process — an
-/// exception crossing a std::thread boundary, or destroying a joinable
-/// std::thread, both abort.
-inline void RunWorkers(size_t num_workers,
-                       const std::function<void(size_t)>& fn) {
-  if (num_workers <= 1) {
-    fn(0);
-    return;
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(num_workers);
-  // lock-note: mu guards first_error until the joins below; both are
-  // locals captured by reference, and GUARDED_BY cannot name a local
-  // variable's capability from inside a lambda.
-  Mutex mu;
-  std::exception_ptr first_error;
-  auto guarded = [&](size_t w) {
-    try {
-      fn(w);
-    } catch (...) {
-      MutexLock lock(mu);
-      if (!first_error) first_error = std::current_exception();
-    }
-  };
-  struct JoinGuard {
-    std::vector<std::thread>* threads;
-    ~JoinGuard() {
-      for (std::thread& t : *threads) {
-        if (t.joinable()) t.join();
-      }
-    }
-  };
-  {
-    JoinGuard join_all{&workers};
-    for (size_t w = 0; w < num_workers; ++w) workers.emplace_back(guarded, w);
-  }
-  if (first_error) std::rethrow_exception(first_error);
+namespace parallel_internal {
+
+/// A caller's callable behind one plain function pointer, so handing
+/// work to the pool allocates nothing (a std::function may).
+struct Task {
+  void (*call)(const void* fn, size_t index) = nullptr;
+  const void* fn = nullptr;
+};
+
+template <typename Fn>
+Task MakeTask(Fn& fn) {
+  return {[](const void* f, size_t index) {
+            (*static_cast<Fn*>(const_cast<void*>(f)))(index);
+          },
+          &fn};
 }
 
-/// A reusable barrier for the workers of one RunWorkers call that run
-/// in lockstep phases. The last worker to arrive runs `last`, the
-/// serial step between two phases, before it releases the others: the
-/// step sees every worker's writes, and every worker sees the step's.
+/// One call's work on the pool: indexes [0, count) of `task`. It lives
+/// in the caller's frame, and the pool links it while helpers may
+/// claim from it. Every field is guarded by the pool's mutex.
+struct Job {
+  Task task;
+  size_t count = 0;
+  size_t next = 0;       ///< striped: first unclaimed index
+  size_t seats = 0;      ///< team: helper parties not yet seated
+  bool team = false;
+  bool started = false;  ///< team: `task` is set (null: cancelled)
+  size_t running = 0;    ///< helpers inside the job
+  std::exception_ptr error;  ///< first exception any index threw
+  Job* link = nullptr;       ///< next open job
+  // lock-note: pairs with the pool's mutex; wakes the job's owner when
+  // its helpers finish, and seated helpers when a team starts.
+  CondVar cv;
+};
+
+/// Runs task(w) for w in [0, count) on the pool; see RunWorkers.
+void RunStriped(size_t count, Task task);
+/// Seats up to wanted - 1 idle helpers on `job`; returns the parties,
+/// the caller included.
+size_t OpenTeam(Job* job, size_t wanted);
+/// Starts the seated team (a null task releases it unrun), runs party
+/// 0 on the caller and waits for the others; rethrows the first throw.
+void RunTeam(Job* job, Task task);
+
+}  // namespace parallel_internal
+
+/// Runs fn(worker) for worker in [0, num_workers) on the process pool:
+/// inline when one worker suffices; otherwise idle helpers claim
+/// indexes and the calling thread runs whatever they do not. Callers
+/// handle work unit w, w + num_workers, ... inside fn. A warm call
+/// allocates nothing.
+///
+/// Exception safety: a throw from fn is captured and rethrown on the
+/// calling thread once every index has run (the first exception
+/// captured wins; later ones are swallowed). An exception never
+/// crosses a thread boundary, which would std::terminate the process.
+template <typename Fn>
+void RunWorkers(size_t num_workers, Fn&& fn) {
+  if (num_workers <= 1) {
+    fn(size_t(0));
+    return;
+  }
+  parallel_internal::RunStriped(num_workers, parallel_internal::MakeTask(fn));
+}
+
+/// Parties that run at the same time: the calling thread plus the pool
+/// helpers that were idle when the team was made, at most `wanted` in
+/// all (one when none was idle). The helpers stay reserved until Run.
+class WorkerTeam {
+ public:
+  explicit WorkerTeam(size_t wanted)
+      : parties_(wanted <= 1 ? 1
+                             : parallel_internal::OpenTeam(&job_, wanted)) {}
+  ~WorkerTeam() {
+    if (parties_ > 1 && !job_.started) {
+      parallel_internal::RunTeam(&job_, parallel_internal::Task{});
+    }
+  }
+  WorkerTeam(const WorkerTeam&) = delete;
+  WorkerTeam& operator=(const WorkerTeam&) = delete;
+
+  size_t size() const { return parties_; }
+
+  /// Runs fn(party) for every party in [0, size()) at once; party 0 is
+  /// the calling thread. Call at most once. Throws as RunWorkers does.
+  template <typename Fn>
+  void Run(Fn&& fn) {
+    if (parties_ == 1) {
+      fn(size_t(0));
+      return;
+    }
+    parallel_internal::RunTeam(&job_, parallel_internal::MakeTask(fn));
+  }
+
+ private:
+  parallel_internal::Job job_;
+  const size_t parties_;
+};
+
+/// A reusable barrier for the parties of one WorkerTeam that run in
+/// lockstep phases. The last worker to arrive runs `last`, the serial
+/// step between two phases, before it releases the others: the step
+/// sees every worker's writes, and every worker sees the step's.
 /// Abort() releases every current and future waiter. A worker that
 /// fails, by returning early or by throwing, calls it, so no teammate
 /// waits for it forever.

@@ -97,9 +97,10 @@ class AlertServer {
     /// replies all belong to other threads' connections.
     unsigned io_threads = 1;
     unsigned num_workers = 4;  ///< crypto workers (ingest + scans)
-    /// Worker threads *inside* one alert scan (the provider's sharded
-    /// matcher); scans from different requests serialize, so total scan
-    /// parallelism is this knob.
+    /// Workers *inside* one alert scan, at most: the scan's team runs on
+    /// the process pool (common/parallel.h) and gets the helpers idle
+    /// when it starts. Scans from different requests serialize, so
+    /// total scan parallelism is this knob.
     unsigned scan_threads = 1;
     size_t token_cache_capacity = 64;
 

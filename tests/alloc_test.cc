@@ -18,7 +18,9 @@
 // the width, and a warm SerializeCiphertext only its output buffer.
 // A token-cache lookup, hit or miss, allocates nothing: no blob copy.
 // A durable Put of a validated blob allocates the ciphertext's holder
-// and one record buffer: nothing is serialized.
+// and one record buffer: nothing is serialized, and a group-commit
+// round allocates nothing. A RunWorkers call on the warm process pool
+// allocates nothing.
 // Likewise a warm WAL replay costs each record only its parsed
 // ciphertext and that ciphertext's shared holder: blobs parse in place
 // from the segment buffer. A store visit costs one vector of
@@ -45,6 +47,7 @@
 #include "api/log_store.h"
 #include "api/store.h"
 #include "bigint/limb_vec.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "hve/hve.h"
 #include "hve/serialize.h"
@@ -446,7 +449,9 @@ TEST_F(AllocSteadyStateTest, VisitShardAllocatesOnlyThePointerCopy) {
 // A durable Put of a validated blob logs those bytes as they are: it
 // allocates the ciphertext's shared holder and one exact-size record
 // buffer, and no serialize buffer. The Put without a blob serializes
-// the ciphertext once, which is one buffer more.
+// the ciphertext once, which is one buffer more. Under group commit the
+// probe also waits out the fsync round the Put starts: the sync thread
+// allocates nothing for it.
 TEST_F(AllocSteadyStateTest, DurableBlobPutAllocatesOnlyHolderAndRecord) {
   const std::shared_ptr<const PairingGroup> group(
       group_, [](const PairingGroup*) {});  // borrowed from the suite
@@ -458,32 +463,62 @@ TEST_F(AllocSteadyStateTest, DurableBlobPutAllocatesOnlyHolderAndRecord) {
           .value();
   const std::vector<uint8_t> blob = hve::SerializeCiphertext(*group_, ct);
   const wire::ByteView view{blob.data(), blob.size()};
-  std::string dir = testing::TempDir() + "/alloc_put_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
-  api::LogBackedStore::Options options;
-  options.compact_log_bytes = 0;
-  // No group commit: the sync thread would count its own allocations.
-  auto store = api::LogBackedStore::Open(dir, group, options).value();
-  store->Put(1, ct, view);  // warm-up: user 1's map entry exists from now
-  auto put_allocs = [&](bool with_blob) {
-    hve::Ciphertext copy = ct;
-    size_t allocs = 0;
-    {
-      AllocProbe probe;
-      if (with_blob) {
-        store->Put(1, std::move(copy), view);
-      } else {
-        store->Put(1, std::move(copy));
+  for (size_t fsync_batch_max : {size_t(0), size_t(1)}) {
+    SCOPED_TRACE(fsync_batch_max);
+    std::string dir = testing::TempDir() + "/alloc_put_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+    api::LogBackedStore::Options options;
+    options.compact_log_bytes = 0;
+    options.fsync_batch_max = fsync_batch_max;
+    auto store = api::LogBackedStore::Open(dir, group, options).value();
+    // Warm-up: user 1's map entry exists from now, and the sync thread
+    // has run a round.
+    store->Put(1, ct, view);
+    ASSERT_TRUE(store->WaitDurable(store->CurrentTicket()).ok());
+    auto put_allocs = [&](bool with_blob) {
+      hve::Ciphertext copy = ct;
+      size_t allocs = 0;
+      {
+        AllocProbe probe;
+        if (with_blob) {
+          store->Put(1, std::move(copy), view);
+        } else {
+          store->Put(1, std::move(copy));
+        }
+        EXPECT_TRUE(store->WaitDurable(store->CurrentTicket()).ok());
+        allocs = probe.delta();
       }
-      allocs = probe.delta();
-    }
-    EXPECT_TRUE(store->io_status().ok());
-    return allocs;
+      EXPECT_TRUE(store->io_status().ok());
+      return allocs;
+    };
+    EXPECT_EQ(put_allocs(true), 2u);
+    EXPECT_EQ(put_allocs(false), 3u);
+    store.reset();
+    std::filesystem::remove_all(dir);
+  }
+}
+
+// A RunWorkers call on a warm pool hands its work to the helpers
+// without a heap allocation: no std::function, no job object, no
+// thread. The same holds for a team.
+TEST(AllocPoolTest, WarmRunWorkersAllocatesNothing) {
+  std::atomic<size_t> ran{0};
+  const auto work = [&ran](size_t) {
+    ran.fetch_add(1, std::memory_order_relaxed);
   };
-  EXPECT_EQ(put_allocs(true), 2u);
-  EXPECT_EQ(put_allocs(false), 3u);
-  store.reset();
-  std::filesystem::remove_all(dir);
+  RunWorkers(4, work);  // warm-up: the pool exists from now
+  for (size_t workers : {size_t(2), size_t(4), size_t(9)}) {
+    AllocProbe probe;
+    RunWorkers(workers, work);
+    EXPECT_EQ(probe.delta(), 0u) << workers << " workers";
+  }
+  {
+    AllocProbe probe;
+    WorkerTeam team(4);
+    team.Run(work);
+    EXPECT_EQ(probe.delta(), 0u) << "team of " << team.size();
+  }
+  EXPECT_GT(ran.load(), 15u);
 }
 
 // A token-cache lookup copies no blob: entries are found by the blob's

@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alert/protocol.h"
+#include "common/parallel.h"
 #include "hve/serialize.h"
 #include "pairing/miller_ifma.h"
 #include "prob/sigmoid.h"
@@ -537,6 +540,50 @@ TEST_P(TeamScanTest, ThrowInsideTheTeamPropagates) {
     EXPECT_THROW((void)sp->ProcessAlert(Bundle(4)), std::runtime_error)
         << "threads=" << threads;
   }
+}
+
+TEST_P(TeamScanTest, ConcurrentScansOnABusyPoolMatchReference) {
+  // One team holds a pool helper for the whole test, and two threads
+  // scan at once: each alert's team is granted whatever helpers are
+  // idle when it starts (sometimes none), and every outcome must still
+  // equal the reference scan's.
+  const size_t all = cts_.size();
+  auto reference =
+      Provider(ServiceProvider::QueryEngine::kReference, 1, 1, 0, all);
+  std::vector<ServiceProvider::AlertOutcome> expected;
+  for (size_t tokens : {size_t(1), size_t(4), size_t(11)}) {
+    expected.push_back(reference->ProcessAlert(Bundle(tokens)).value());
+  }
+  std::atomic<bool> done{false};
+  std::atomic<bool> holding{false};
+  std::thread holder([&] {
+    WorkerTeam team(2);
+    team.Run([&](size_t party) {
+      if (party + 1 < team.size()) return;
+      holding.store(true);
+      while (!done.load()) std::this_thread::yield();
+    });
+  });
+  while (!holding.load()) std::this_thread::yield();
+  auto scan = [&](size_t shards, unsigned threads, size_t flush) {
+    auto sp = Provider(ServiceProvider::QueryEngine::kBatched, shards,
+                       threads, flush, all);
+    for (int round = 0; round < 6; ++round) {
+      const size_t pick = size_t(round) % expected.size();
+      const size_t tokens = pick == 0 ? 1 : pick == 1 ? 4 : 11;
+      auto got = sp->ProcessAlert(Bundle(tokens)).value();
+      EXPECT_EQ(got.notified_users, expected[pick].notified_users)
+          << "shards=" << shards << " threads=" << threads
+          << " tokens=" << tokens;
+      EXPECT_EQ(got.stats.queries, expected[pick].stats.queries);
+      EXPECT_EQ(got.stats.pairings, expected[pick].stats.pairings);
+    }
+  };
+  std::thread other([&] { scan(4, 4, 3); });
+  scan(2, 8, 0);
+  other.join();
+  done.store(true);
+  holder.join();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,13 +2,18 @@
 // the worker-pool helper, and the wire primitives.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <csignal>
 #include <fstream>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/bitstring.h"
@@ -18,6 +23,13 @@
 #include "common/status.h"
 #include "common/table.h"
 #include "common/wire.h"
+
+#if defined(__SANITIZE_THREAD__)
+// ForkedChildRunsWorkers starts pool threads in a child forked from a
+// threaded parent. TSan refuses that by default; the child's checks
+// then cover only its own threads, which is all the test asks.
+extern "C" const char* __tsan_default_options() { return "die_after_fork=0"; }
+#endif
 
 namespace sloc {
 namespace {
@@ -285,9 +297,9 @@ TEST(RunWorkersTest, AllWorkersRun) {
 }
 
 TEST(RunWorkersTest, WorkerExceptionRethrownAfterAllJoin) {
-  // A throw on a spawned thread used to std::terminate the process
-  // (exception crossing the std::thread boundary). Now it must land on
-  // the calling thread — after every other worker ran to completion.
+  // A throw on a pool thread must not cross the thread boundary (that
+  // would std::terminate the process): it lands on the calling thread,
+  // after every other worker ran to completion.
   std::atomic<size_t> completed{0};
   EXPECT_THROW(
       RunWorkers(4,
@@ -316,6 +328,127 @@ TEST(RunWorkersTest, FirstExceptionWinsWhenSeveralThrow) {
                std::runtime_error);
 }
 
+// ---------- The process pool ----------
+
+TEST(RunWorkersTest, NestedCallsComplete) {
+  // Every index of the outer call runs a call of its own: helpers and
+  // callers run their own work when no helper is free, so nothing
+  // waits for a busy thread.
+  std::atomic<size_t> ran{0};
+  RunWorkers(4, [&](size_t) {
+    RunWorkers(4, [&](size_t) {
+      RunWorkers(3, [&](size_t) { ran.fetch_add(1); });
+    });
+  });
+  EXPECT_EQ(ran.load(), 4u * 4u * 3u);
+}
+
+TEST(RunWorkersTest, CallerRunsWhatNoHelperClaims) {
+  // Hold every helper, then make a striped call from one of them: it
+  // must finish on its own caller.
+  std::atomic<bool> release{false};
+  std::atomic<size_t> holding{0};
+  std::atomic<size_t> ran{0};
+  WorkerTeam holders(64);
+  const size_t held = holders.size();
+  holders.Run([&](size_t party) {
+    if (party + 1 == held) {
+      while (holding.load() + 1 < held) std::this_thread::yield();
+      RunWorkers(8, [&](size_t) { ran.fetch_add(1); });
+      release.store(true);
+      return;
+    }
+    holding.fetch_add(1);
+    while (!release.load()) std::this_thread::yield();
+  });
+  EXPECT_EQ(ran.load(), 8u);
+}
+
+/// Waits until every pool helper is idle (a new pool's helpers may not
+/// have started yet); returns the parties a team can then get.
+size_t WarmPool() {
+  const size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  for (size_t got = 0; got != cores;) {
+    WorkerTeam warm(cores);
+    got = warm.size();
+    warm.Run([](size_t) {});
+    if (got != cores) std::this_thread::yield();
+  }
+  return cores;
+}
+
+TEST(WorkerTeamTest, TeamShrinksToTheIdleHelpers) {
+  // While a team holds some helpers, a second team is granted only the
+  // ones left idle, and a team made while none is idle runs alone.
+  const size_t all = WarmPool();
+  if (all < 3) GTEST_SKIP() << "needs two pool helpers, pool has " << all - 1;
+  std::atomic<bool> release{false};
+  std::atomic<size_t> holding{0};
+  size_t second = 0;
+  std::atomic<size_t> second_ran{0};
+  std::atomic<size_t> alone{0};
+  WorkerTeam first(2);
+  ASSERT_EQ(first.size(), 2u);
+  first.Run([&](size_t party) {
+    if (party == 1) {
+      holding.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+      return;
+    }
+    while (holding.load() == 0) std::this_thread::yield();
+    WorkerTeam rest(1024);
+    second = rest.size();
+    TeamBarrier all_running(second);
+    rest.Run([&](size_t) {
+      second_ran.fetch_add(1);
+      WorkerTeam none(4);
+      if (none.size() == 1) alone.fetch_add(1);
+      // No party gives its helper back before every party made a team.
+      all_running.ArriveAndWait();
+      none.Run([](size_t) {});
+    });
+    release.store(true);
+  });
+  EXPECT_EQ(second, all - 1);
+  EXPECT_EQ(second_ran.load(), second);
+  EXPECT_EQ(alone.load(), second);
+}
+
+TEST(WorkerTeamTest, ForkedChildRunsWorkers) {
+  // The parent's pool is warm, every helper idle: its helper threads
+  // do not exist in a child, which must make its own. A child that
+  // trusted the parent's pool would seat its team on helpers that are
+  // gone and hang.
+  WarmPool();
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::atomic<size_t> child_ran{0};
+    RunWorkers(6, [&](size_t) { child_ran.fetch_add(1); });
+    WorkerTeam team(4);
+    TeamBarrier barrier(team.size());
+    team.Run([&](size_t) {
+      barrier.ArriveAndWait();
+      child_ran.fetch_add(1);
+    });
+    std::_Exit(child_ran.load() == 6 + team.size() ? 0 : 1);
+  }
+  int status = 0;
+  pid_t waited = 0;
+  for (int ms = 0; ms < 30000 && waited == 0; ms += 10) {
+    waited = ::waitpid(pid, &status, WNOHANG);
+    if (waited == 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (waited == 0) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+    FAIL() << "the forked child hung";
+  }
+  ASSERT_EQ(waited, pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
 // ---------- TeamBarrier ----------
 
 TEST(TeamBarrierTest, LastArrivalRunsTheStepBetweenPhases) {
@@ -323,13 +456,14 @@ TEST(TeamBarrierTest, LastArrivalRunsTheStepBetweenPhases) {
   // the slots into the total, so the total is exact only if the step
   // runs once per phase, after every worker's write and before any
   // worker's next one.
-  constexpr size_t kWorkers = 4;
   constexpr int kPhases = 50;
-  TeamBarrier team(kWorkers);
-  std::vector<size_t> slots(kWorkers, 0);
+  WorkerTeam workers(4);
+  const size_t parties = workers.size();
+  TeamBarrier team(parties);
+  std::vector<size_t> slots(parties, 0);
   size_t total = 0;
   int steps = 0;
-  RunWorkers(kWorkers, [&](size_t w) {
+  workers.Run([&](size_t w) {
     for (int phase = 0; phase < kPhases; ++phase) {
       slots[w] += w + 1;
       ASSERT_TRUE(team.ArriveAndWait([&] {
@@ -342,19 +476,20 @@ TEST(TeamBarrierTest, LastArrivalRunsTheStepBetweenPhases) {
     }
   });
   EXPECT_EQ(steps, kPhases);
-  EXPECT_EQ(total, size_t(kPhases) * (1 + 2 + 3 + 4));
+  EXPECT_EQ(total, size_t(kPhases) * parties * (parties + 1) / 2);
   EXPECT_FALSE(team.aborted());
 }
 
 TEST(TeamBarrierTest, WorkerLeavingMidRoundReleasesItsTeam) {
-  // Worker 2 fails in round 3 and leaves; the others, already waiting
-  // at that round's barrier or arriving later, must be let go.
-  constexpr size_t kWorkers = 4;
-  TeamBarrier team(kWorkers);
-  std::atomic<int> released{0};
-  RunWorkers(kWorkers, [&](size_t w) {
+  // The last worker fails in round 3 and leaves; the others, already
+  // waiting at that round's barrier or arriving later, must be let go.
+  WorkerTeam workers(4);
+  const size_t parties = workers.size();
+  TeamBarrier team(parties);
+  std::atomic<size_t> released{0};
+  workers.Run([&](size_t w) {
     for (int round = 0; round < 10; ++round) {
-      if (w == 2 && round == 3) {
+      if (w + 1 == parties && round == 3) {
         team.Abort();
         return;
       }
@@ -365,42 +500,44 @@ TEST(TeamBarrierTest, WorkerLeavingMidRoundReleasesItsTeam) {
     }
   });
   EXPECT_TRUE(team.aborted());
-  EXPECT_EQ(released.load(), 3);
+  EXPECT_EQ(released.load(), parties - 1);
 }
 
 TEST(TeamBarrierTest, ThrowInsideTheTeamPropagatesWithoutHanging) {
   // The pattern a team uses: a throwing worker aborts on its way out,
-  // RunWorkers rethrows once everyone has joined.
-  constexpr size_t kWorkers = 4;
+  // and Run rethrows once every party has returned.
   for (bool throw_in_step : {false, true}) {
-    TeamBarrier team(kWorkers);
-    std::atomic<int> released{0};
+    WorkerTeam workers(4);
+    const size_t parties = workers.size();
+    const size_t thrower = parties - 1;
+    TeamBarrier team(parties);
+    std::atomic<size_t> released{0};
     EXPECT_THROW(
-        RunWorkers(kWorkers,
-                   [&](size_t w) {
-                     try {
-                       for (int round = 0; round < 10; ++round) {
-                         if (!throw_in_step && w == 1 && round == 4) {
-                           throw std::runtime_error("worker 1 boom");
-                         }
-                         const bool go = team.ArriveAndWait([&] {
-                           if (throw_in_step && round == 4) {
-                             throw std::runtime_error("step boom");
-                           }
-                         });
-                         if (!go) {
-                           released.fetch_add(1);
-                           return;
-                         }
-                       }
-                     } catch (...) {
-                       team.Abort();
-                       throw;
-                     }
-                   }),
+        workers.Run([&](size_t w) {
+          try {
+            for (int round = 0; round < 10; ++round) {
+              if (!throw_in_step && w == thrower && round == 4) {
+                throw std::runtime_error("worker boom");
+              }
+              const bool go = team.ArriveAndWait([&] {
+                if (throw_in_step && round == 4) {
+                  throw std::runtime_error("step boom");
+                }
+              });
+              if (!go) {
+                released.fetch_add(1);
+                return;
+              }
+            }
+          } catch (...) {
+            team.Abort();
+            throw;
+          }
+        }),
         std::runtime_error);
     EXPECT_TRUE(team.aborted());
-    EXPECT_EQ(released.load(), 3) << "throw in step: " << throw_in_step;
+    EXPECT_EQ(released.load(), parties - 1)
+        << "throw in step: " << throw_in_step;
   }
 }
 

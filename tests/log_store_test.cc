@@ -210,6 +210,157 @@ TEST_F(LogStoreTest, LengthPrefixSwallowingValidRecordsRejected) {
   EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss);
 }
 
+// ---------------------------------------------------------------------------
+// Replay parses the logged blobs on the worker pool, a chunk at a time,
+// and applies the records in log order. Open must still fail exactly as
+// a serial parse-and-apply pass would: the first failure in log order
+// wins, and a torn tail is cut only when everything before it parsed.
+
+/// Every user's resident ciphertext, serialized, across all shards.
+std::map<int, std::vector<uint8_t>> CollectAll(const CiphertextStore& store,
+                                               const PairingGroup& group) {
+  std::map<int, std::vector<uint8_t>> out;
+  for (size_t s = 0; s < store.num_shards(); ++s) {
+    store.VisitShard(s, [&](int user, const CtPtr& ct) {
+      out[user] = hve::SerializeCiphertext(group, *ct);
+    });
+  }
+  return out;
+}
+
+/// Byte offset of every record in a log segment, in order.
+std::vector<size_t> RecordOffsets(const std::vector<uint8_t>& log) {
+  std::vector<size_t> offsets;
+  for (size_t pos = 0; pos + 4 <= log.size();) {
+    offsets.push_back(pos);
+    const uint32_t len = uint32_t(log[pos]) | uint32_t(log[pos + 1]) << 8 |
+                         uint32_t(log[pos + 2]) << 16 |
+                         uint32_t(log[pos + 3]) << 24;
+    pos += 4 + len + 8;
+  }
+  return offsets;
+}
+
+/// More records than two parse chunks, with an unparseable blob at
+/// record kBadRecord, in the last, partial chunk: the log checksums
+/// it, but it is no ciphertext.
+class ReplayFailureTest : public LogStoreTest {
+ protected:
+  static constexpr int kRecords = 600;
+  static constexpr int kBadRecord = 540;
+
+  void SetUp() override {
+    LogStoreTest::SetUp();
+    const std::vector<uint8_t> good = BlobFor(2);
+    std::vector<uint8_t> bad = good;
+    bad[0] ^= 0xFF;  // the blob's magic
+    parse_error_ = hve::ParseCiphertext(*group_, bad).status();
+    ASSERT_FALSE(parse_error_.ok());
+    const hve::Ciphertext ct = hve::ParseCiphertext(*group_, good).value();
+    auto store = Open().value();
+    for (int i = 0; i < kRecords; ++i) {
+      const std::vector<uint8_t>& blob = i == kBadRecord ? bad : good;
+      store->Put(i % 50, ct, wire::ByteView{blob.data(), blob.size()});
+    }
+    ASSERT_TRUE(store->io_status().ok());
+  }
+
+  Status parse_error_;
+};
+
+TEST_F(ReplayFailureTest, ParseErrorWinsOverLaterMidLogCorruption) {
+  std::vector<uint8_t> log = Slurp(LogPath());
+  const std::vector<size_t> records = RecordOffsets(log);
+  ASSERT_EQ(records.size(), size_t(kRecords));
+  log[records[kBadRecord + 40] + 10] ^= 0xFF;
+  Dump(LogPath(), log);
+  auto reopened = Open();
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), parse_error_.code());
+  EXPECT_EQ(reopened.status().message(), parse_error_.message());
+
+  // Corruption before the bad blob is found first.
+  log[records[kBadRecord + 40] + 10] ^= 0xFF;
+  log[records[kBadRecord - 10] + 10] ^= 0xFF;
+  Dump(LogPath(), log);
+  reopened = Open();
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(reopened.status().message().find("mid-log corruption"),
+            std::string::npos)
+      << reopened.status();
+}
+
+TEST_F(ReplayFailureTest, ParseErrorBeforeTornTailKeepsTheTail) {
+  std::vector<uint8_t> log = Slurp(LogPath());
+  log.resize(log.size() - 7);  // the last record is torn
+  Dump(LogPath(), log);
+  auto reopened = Open();
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), parse_error_.code());
+  EXPECT_EQ(reopened.status().message(), parse_error_.message());
+  EXPECT_EQ(Slurp(LogPath()), log) << "the torn tail was truncated";
+}
+
+TEST_F(LogStoreTest, MultiSegmentReplayOverSnapshotMatchesTwin) {
+  // A snapshot, then three live segments (two compactions cut short
+  // after their rotation), each longer than one parse chunk, with
+  // puts, erases and users written many times. Recovery at the writing
+  // shard count (lazy snapshot) and at another one (eager re-shard of
+  // the snapshot) must both equal an in-memory twin.
+  constexpr int kUsers = 300;
+  std::vector<std::vector<uint8_t>> blobs;
+  for (int cell = 0; cell < 6; ++cell) blobs.push_back(BlobFor(cell));
+  ShardedStore twin(2);
+  {
+    auto store = Open(2).value();
+    Rng rng(17);
+    auto step = [&](int user) {
+      if (rng.NextBelow(5) == 0) {
+        store->Erase(user);
+        twin.Erase(user);
+        return;
+      }
+      const std::vector<uint8_t>& blob = blobs[rng.NextBelow(blobs.size())];
+      const wire::ByteView view{blob.data(), blob.size()};
+      ASSERT_TRUE(Ingest(*store, *group_, user, view).ok());
+      ASSERT_TRUE(Ingest(twin, *group_, user, view).ok());
+    };
+    for (int user = 0; user < kUsers; ++user) step(user);
+    ASSERT_TRUE(store->Compact().ok());
+    for (int segment = 0; segment < 3; ++segment) {
+      for (int i = 0; i < 400; ++i) step(int(rng.NextBelow(kUsers + 20)));
+      if (segment == 2) break;
+      store->TestSetCompactionFault([](const char* point) {
+        return std::string(point) == "rotated"
+                   ? Status::Internal("injected crash")
+                   : Status::Ok();
+      });
+      EXPECT_FALSE(store->Compact().ok());
+      store->TestSetCompactionFault(nullptr);
+    }
+    EXPECT_TRUE(store->io_status().ok());
+  }
+  size_t segments = 0;
+  for (const auto& file : std::filesystem::directory_iterator(dir_)) {
+    const std::string name = file.path().filename().string();
+    if (name.rfind("wal", 0) != 0) continue;
+    ++segments;
+    EXPECT_GT(RecordOffsets(Slurp(file.path().string())).size(), 256u)
+        << name;
+  }
+  EXPECT_EQ(segments, 3u);
+  ASSERT_GT(twin.size(), 0u);
+  const std::map<int, std::vector<uint8_t>> expected =
+      CollectAll(twin, *group_);
+  for (size_t shards : {size_t(2), size_t(3)}) {
+    SCOPED_TRACE(shards);
+    auto store = Open(shards).value();
+    EXPECT_EQ(store->size(), twin.size());
+    EXPECT_EQ(CollectAll(*store, *group_), expected);
+  }
+}
+
 TEST_F(LogStoreTest, ConcurrentSameUserPutsRecoverToAckedState) {
   // Hammer one user from several threads, remember which ciphertext the
   // resident store ended up with, then reopen: recovery must agree with
@@ -646,18 +797,6 @@ TEST_F(LogStoreTest, MmapRecoveredStoreMatchesTwinAcrossShards) {
 // notification NEVER fires before the fsync covering its ticket has
 // completed, and that the durable horizon it reports includes the
 // ticket.
-
-/// Every user's resident ciphertext, serialized, across all shards.
-std::map<int, std::vector<uint8_t>> CollectAll(const LogBackedStore& store,
-                                               const PairingGroup& group) {
-  std::map<int, std::vector<uint8_t>> out;
-  for (size_t s = 0; s < store.num_shards(); ++s) {
-    store.VisitShard(s, [&](int user, const CtPtr& ct) {
-      out[user] = hve::SerializeCiphertext(group, *ct);
-    });
-  }
-  return out;
-}
 
 TEST_F(LogStoreTest, GroupCommitAckNeverPrecedesCoveringFsync) {
   LogBackedStore::Options options;
