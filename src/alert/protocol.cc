@@ -635,6 +635,7 @@ Status ServiceProvider::ScanBatched(
 
   for (size_t i : misses) token_cache_.Put(blobs[i], tables[i]);
   out->stats.ciphertexts_scanned = entries.size();
+  out->stats.scan_workers = workers;
   for (const TeamWorker& mate : crew) {
     out->notified_users.insert(out->notified_users.end(),
                                mate.notified.begin(), mate.notified.end());

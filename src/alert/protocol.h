@@ -62,6 +62,11 @@ struct MatchStats {
   /// the hit rate these report in production.
   size_t token_cache_hits = 0;
   size_t token_cache_misses = 0;
+  /// Parties the batched scan's team ran on: the calling thread plus
+  /// the pool helpers idle when the scan started, at most
+  /// Options::num_threads. Zero for the reference engine. Local to
+  /// this provider: it does not travel in the outcome report.
+  size_t scan_workers = 0;
   double wall_seconds = 0.0;
 };
 

@@ -92,7 +92,8 @@ struct TokenBundle {
 };
 
 /// The SP's report back to the TA. Mirrors alert::MatchStats field by
-/// field (wall time travels as integer microseconds), plus the serving
+/// field (wall time travels as integer microseconds; scan_workers, a
+/// fact about the provider's threads, stays behind), plus the serving
 /// provider's identity: which store backend ran the scan and how many
 /// users were resident when it started, so an outcome frame archived as
 /// a bench/ops artifact is self-describing.

@@ -3,34 +3,27 @@
 #include <pthread.h>
 
 #include <thread>
-#include <vector>
 
 namespace sloc {
 namespace parallel_internal {
 namespace {
 
 /// The process pool: helper threads that claim indexes from open jobs.
-/// A helper is either waiting on work_cv_ (counted in waiting_) or
-/// inside a job; both change only under mu_, so a caller holding mu_
-/// sees exactly how many helpers are idle.
+/// It lives as long as the process, and so do its helpers. A helper is
+/// either waiting on work_cv_ (counted in waiting_) or inside a job;
+/// both change only under mu_, so a caller holding mu_ sees exactly how
+/// many helpers are idle.
 class Pool {
  public:
+  /// Returns once every helper is idle, so the first team made on a
+  /// new pool is granted all of them.
   explicit Pool(size_t helpers) {
-    threads_.reserve(helpers);
+    MutexLock lock(mu_);
+    starting_ = helpers;
     for (size_t i = 0; i < helpers; ++i) {
-      threads_.emplace_back([this] { HelperLoop(); });
+      std::thread([this] { HelperLoop(); }).detach();
     }
-  }
-
-  /// Only a pool that lost the creation race is destroyed: the process
-  /// pool lives as long as the process.
-  ~Pool() {
-    {
-      MutexLock lock(mu_);
-      stop_ = true;
-    }
-    work_cv_.NotifyAll();
-    for (std::thread& t : threads_) t.join();
+    while (starting_ > 0) work_cv_.Wait(lock);
   }
 
   void RunStriped(size_t count, Task task) {
@@ -97,11 +90,13 @@ class Pool {
  private:
   void HelperLoop() {
     MutexLock lock(mu_);
+    // Counted idle below before the lock is let go; the constructor
+    // waits on the same condition variable.
+    if (--starting_ == 0) work_cv_.NotifyAll();
     for (;;) {
       Job* job = nullptr;
       size_t index = 0;
       if (!ClaimLocked(&job, &index)) {
-        if (stop_) return;
         ++waiting_;
         work_cv_.Wait(lock);
         --waiting_;
@@ -162,35 +157,49 @@ class Pool {
   }
 
   Mutex mu_;
-  // lock-note: work_cv_ pairs with mu_; idle helpers wait on it.
+  // lock-note: work_cv_ pairs with mu_; idle helpers wait on it, and
+  // the constructor waits on it for its helpers to start.
   CondVar work_cv_;
   Job* jobs_ SLOC_GUARDED_BY(mu_) = nullptr;  ///< open jobs, newest first
   size_t waiting_ SLOC_GUARDED_BY(mu_) = 0;   ///< helpers on work_cv_
   size_t seats_ SLOC_GUARDED_BY(mu_) = 0;     ///< open team seats, all jobs
-  bool stop_ SLOC_GUARDED_BY(mu_) = false;
-  std::vector<std::thread> threads_;
+  size_t starting_ SLOC_GUARDED_BY(mu_) = 0;  ///< helpers not yet idle
 };
 
+// lock-note: g_pool_mu serialises making the pool, and a fork holds
+// it, so a child never inherits it locked by a thread it does not have.
+Mutex g_pool_mu;
 std::atomic<Pool*> g_pool{nullptr};
-std::atomic<bool> g_at_fork{false};
+bool g_at_fork SLOC_GUARDED_BY(g_pool_mu) = false;  ///< handlers registered
+
+// The atfork handlers hold g_pool_mu across fork() itself, which the
+// analysis cannot follow from one handler to the next.
+void LockPoolForFork() SLOC_NO_THREAD_SAFETY_ANALYSIS { g_pool_mu.Lock(); }
+void UnlockPoolAfterFork() SLOC_NO_THREAD_SAFETY_ANALYSIS {
+  g_pool_mu.Unlock();
+}
 
 /// A forked child has only the forking thread: the parent's helpers,
 /// and any lock one of them held, are gone. The child leaves that pool
 /// behind and makes its own on first use.
-void ForgetPoolInChild() { g_pool.store(nullptr); }
+void ForgetPoolInChild() SLOC_NO_THREAD_SAFETY_ANALYSIS {
+  g_pool.store(nullptr, std::memory_order_relaxed);
+  g_pool_mu.Unlock();
+}
 
 Pool& ProcessPool() {
   Pool* pool = g_pool.load(std::memory_order_acquire);
   if (pool != nullptr) return *pool;
-  if (!g_at_fork.exchange(true)) {
-    pthread_atfork(nullptr, nullptr, &ForgetPoolInChild);
+  MutexLock lock(g_pool_mu);
+  pool = g_pool.load(std::memory_order_relaxed);
+  if (pool != nullptr) return *pool;
+  if (!g_at_fork) {
+    pthread_atfork(&LockPoolForFork, &UnlockPoolAfterFork, &ForgetPoolInChild);
+    g_at_fork = true;
   }
   const unsigned cores = std::thread::hardware_concurrency();
-  Pool* fresh = new Pool(cores > 1 ? cores - 1 : 0);
-  if (g_pool.compare_exchange_strong(pool, fresh, std::memory_order_acq_rel)) {
-    return *fresh;
-  }
-  delete fresh;
+  pool = new Pool(cores > 1 ? cores - 1 : 0);
+  g_pool.store(pool, std::memory_order_release);
   return *pool;
 }
 

@@ -5,8 +5,10 @@
 //
 // The pool. The process has one pool, created on first use with
 // hardware_concurrency() - 1 helper threads (none on a one-core host);
-// with the calling thread that makes one thread per core. Its helpers
-// live as long as the process. Two kinds of call run on it:
+// with the calling thread that makes one thread per core. Making it
+// waits until every helper is idle, so the first team on a new pool is
+// granted all of them. Its helpers live as long as the process. Two
+// kinds of call run on it:
 //
 //   * RunWorkers (striped): fn(w) for every worker index w. Idle
 //     helpers claim indexes and the calling thread claims the rest, so
@@ -22,11 +24,15 @@
 // Neither kind waits for a helper that is busy, so calls may nest
 // (a striped index or a team party may call RunWorkers or make a
 // team) and may run concurrently from many threads without deadlock,
-// and together they never run more pool threads than there are cores.
+// and the pool never has more threads than there are cores. (Threads
+// outside the pool, such as the server's crypto workers, also call
+// into it, so the process as a whole may still run more threads than
+// cores.)
 //
 // Fork. A forked child has none of its parent's helper threads. The
-// child forgets the parent's pool (a pthread_atfork handler) and
-// makes its own on first use.
+// child forgets the parent's pool (a pthread_atfork handler, which
+// also holds the pool's creation lock across the fork) and makes its
+// own on first use.
 
 #ifndef SLOC_COMMON_PARALLEL_H_
 #define SLOC_COMMON_PARALLEL_H_

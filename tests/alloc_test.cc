@@ -40,6 +40,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -512,9 +513,12 @@ TEST(AllocPoolTest, WarmRunWorkersAllocatesNothing) {
     RunWorkers(workers, work);
     EXPECT_EQ(probe.delta(), 0u) << workers << " workers";
   }
+  const size_t cores = std::max(1u, std::thread::hardware_concurrency());
   {
     AllocProbe probe;
     WorkerTeam team(4);
+    // Every helper is idle, so the team is not a one-party inline run.
+    ASSERT_EQ(team.size(), std::min<size_t>(4, cores));
     team.Run(work);
     EXPECT_EQ(probe.delta(), 0u) << "team of " << team.size();
   }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <stdexcept>
@@ -413,6 +414,16 @@ class TeamScanTest : public BatchEngineWalkTest {
   std::vector<hve::Ciphertext> cts_;  // uploads_, then the two holed ones
 };
 
+/// The team a batched scan gets when every pool helper is idle: one
+/// party per core, at most the thread budget, and at most the scan's
+/// work units (one per shard plus one per chunk of eight residents).
+size_t IdlePoolTeam(unsigned threads, size_t shards, size_t residents) {
+  const size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  const size_t chunks =
+      (residents + miller_ifma::kLanes - 1) / miller_ifma::kLanes;
+  return std::min<size_t>({threads, cores, shards + chunks});
+}
+
 TEST_P(TeamScanTest, MatchesReferenceAcrossTeamShapes) {
   const size_t all = cts_.size();  // 22
   struct Expected {
@@ -454,6 +465,12 @@ TEST_P(TeamScanTest, MatchesReferenceAcrossTeamShapes) {
       EXPECT_EQ(got.stats.queries, want.outcome.stats.queries) << shape;
       EXPECT_EQ(got.stats.pairings, want.outcome.stats.pairings) << shape;
       EXPECT_EQ(got.stats.matches, want.outcome.stats.matches) << shape;
+      // The scans run one at a time, so each finds every helper idle
+      // (a new pool starts with all of them idle): a team that shrank
+      // anyway would leave a shape untested.
+      EXPECT_EQ(got.stats.scan_workers,
+                IdlePoolTeam(threads, shards, want.residents))
+          << shape;
     }
   }
   // A flush width whose product with the team size overflows holds the
@@ -577,6 +594,8 @@ TEST_P(TeamScanTest, ConcurrentScansOnABusyPoolMatchReference) {
           << " tokens=" << tokens;
       EXPECT_EQ(got.stats.queries, expected[pick].stats.queries);
       EXPECT_EQ(got.stats.pairings, expected[pick].stats.pairings);
+      EXPECT_GE(got.stats.scan_workers, 1u);
+      EXPECT_LE(got.stats.scan_workers, threads);
     }
   };
   std::thread other([&] { scan(4, 4, 3); });

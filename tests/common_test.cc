@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <csignal>
 #include <fstream>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -343,6 +345,14 @@ TEST(RunWorkersTest, NestedCallsComplete) {
   EXPECT_EQ(ran.load(), 4u * 4u * 3u);
 }
 
+/// Parties a team gets when every pool helper is idle: one per core. A
+/// new pool starts with every helper idle, and a call gives its helpers
+/// back before it returns, so in these tests, which make one call at a
+/// time, a team that asks for more is granted exactly this many.
+size_t PoolThreads() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 TEST(RunWorkersTest, CallerRunsWhatNoHelperClaims) {
   // Hold every helper, then make a striped call from one of them: it
   // must finish on its own caller.
@@ -351,6 +361,7 @@ TEST(RunWorkersTest, CallerRunsWhatNoHelperClaims) {
   std::atomic<size_t> ran{0};
   WorkerTeam holders(64);
   const size_t held = holders.size();
+  ASSERT_EQ(held, PoolThreads());
   holders.Run([&](size_t party) {
     if (party + 1 == held) {
       while (holding.load() + 1 < held) std::this_thread::yield();
@@ -364,23 +375,10 @@ TEST(RunWorkersTest, CallerRunsWhatNoHelperClaims) {
   EXPECT_EQ(ran.load(), 8u);
 }
 
-/// Waits until every pool helper is idle (a new pool's helpers may not
-/// have started yet); returns the parties a team can then get.
-size_t WarmPool() {
-  const size_t cores = std::max(1u, std::thread::hardware_concurrency());
-  for (size_t got = 0; got != cores;) {
-    WorkerTeam warm(cores);
-    got = warm.size();
-    warm.Run([](size_t) {});
-    if (got != cores) std::this_thread::yield();
-  }
-  return cores;
-}
-
 TEST(WorkerTeamTest, TeamShrinksToTheIdleHelpers) {
   // While a team holds some helpers, a second team is granted only the
   // ones left idle, and a team made while none is idle runs alone.
-  const size_t all = WarmPool();
+  const size_t all = PoolThreads();
   if (all < 3) GTEST_SKIP() << "needs two pool helpers, pool has " << all - 1;
   std::atomic<bool> release{false};
   std::atomic<size_t> holding{0};
@@ -419,13 +417,19 @@ TEST(WorkerTeamTest, ForkedChildRunsWorkers) {
   // do not exist in a child, which must make its own. A child that
   // trusted the parent's pool would seat its team on helpers that are
   // gone and hang.
-  WarmPool();
+  {
+    WorkerTeam warm(PoolThreads());
+    ASSERT_EQ(warm.size(), PoolThreads());
+    warm.Run([](size_t) {});
+  }
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     std::atomic<size_t> child_ran{0};
     RunWorkers(6, [&](size_t) { child_ran.fetch_add(1); });
+    // The child's own pool starts with every helper idle.
     WorkerTeam team(4);
+    if (team.size() != std::min<size_t>(4, PoolThreads())) std::_Exit(2);
     TeamBarrier barrier(team.size());
     team.Run([&](size_t) {
       barrier.ArriveAndWait();
@@ -451,19 +455,41 @@ TEST(WorkerTeamTest, ForkedChildRunsWorkers) {
 
 // ---------- TeamBarrier ----------
 
+/// Runs fn(w) for w in [0, n) on n threads of its own, all at once, and
+/// rethrows the first exception once every thread has joined. The
+/// barrier does not need the pool, and a pool team may be granted
+/// fewer parties than asked; these tests need exactly n.
+template <typename Fn>
+void RunOnOwnThreads(size_t n, Fn fn) {
+  std::mutex mu;
+  std::exception_ptr first;
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < n; ++w) {
+    threads.emplace_back([&, w] {
+      try {
+        fn(w);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!first) first = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  if (first) std::rethrow_exception(first);
+}
+
 TEST(TeamBarrierTest, LastArrivalRunsTheStepBetweenPhases) {
   // Each phase every worker adds its index to its slot; the step folds
   // the slots into the total, so the total is exact only if the step
   // runs once per phase, after every worker's write and before any
   // worker's next one.
+  constexpr size_t kWorkers = 4;
   constexpr int kPhases = 50;
-  WorkerTeam workers(4);
-  const size_t parties = workers.size();
-  TeamBarrier team(parties);
-  std::vector<size_t> slots(parties, 0);
+  TeamBarrier team(kWorkers);
+  std::vector<size_t> slots(kWorkers, 0);
   size_t total = 0;
   int steps = 0;
-  workers.Run([&](size_t w) {
+  RunOnOwnThreads(kWorkers, [&](size_t w) {
     for (int phase = 0; phase < kPhases; ++phase) {
       slots[w] += w + 1;
       ASSERT_TRUE(team.ArriveAndWait([&] {
@@ -476,20 +502,19 @@ TEST(TeamBarrierTest, LastArrivalRunsTheStepBetweenPhases) {
     }
   });
   EXPECT_EQ(steps, kPhases);
-  EXPECT_EQ(total, size_t(kPhases) * parties * (parties + 1) / 2);
+  EXPECT_EQ(total, size_t(kPhases) * (1 + 2 + 3 + 4));
   EXPECT_FALSE(team.aborted());
 }
 
 TEST(TeamBarrierTest, WorkerLeavingMidRoundReleasesItsTeam) {
-  // The last worker fails in round 3 and leaves; the others, already
-  // waiting at that round's barrier or arriving later, must be let go.
-  WorkerTeam workers(4);
-  const size_t parties = workers.size();
-  TeamBarrier team(parties);
-  std::atomic<size_t> released{0};
-  workers.Run([&](size_t w) {
+  // Worker 2 fails in round 3 and leaves; the others, already waiting
+  // at that round's barrier or arriving later, must be let go.
+  constexpr size_t kWorkers = 4;
+  TeamBarrier team(kWorkers);
+  std::atomic<int> released{0};
+  RunOnOwnThreads(kWorkers, [&](size_t w) {
     for (int round = 0; round < 10; ++round) {
-      if (w + 1 == parties && round == 3) {
+      if (w == 2 && round == 3) {
         team.Abort();
         return;
       }
@@ -500,44 +525,42 @@ TEST(TeamBarrierTest, WorkerLeavingMidRoundReleasesItsTeam) {
     }
   });
   EXPECT_TRUE(team.aborted());
-  EXPECT_EQ(released.load(), parties - 1);
+  EXPECT_EQ(released.load(), 3);
 }
 
 TEST(TeamBarrierTest, ThrowInsideTheTeamPropagatesWithoutHanging) {
   // The pattern a team uses: a throwing worker aborts on its way out,
-  // and Run rethrows once every party has returned.
+  // the runner rethrows once everyone has joined.
+  constexpr size_t kWorkers = 4;
   for (bool throw_in_step : {false, true}) {
-    WorkerTeam workers(4);
-    const size_t parties = workers.size();
-    const size_t thrower = parties - 1;
-    TeamBarrier team(parties);
-    std::atomic<size_t> released{0};
+    TeamBarrier team(kWorkers);
+    std::atomic<int> released{0};
     EXPECT_THROW(
-        workers.Run([&](size_t w) {
-          try {
-            for (int round = 0; round < 10; ++round) {
-              if (!throw_in_step && w == thrower && round == 4) {
-                throw std::runtime_error("worker boom");
-              }
-              const bool go = team.ArriveAndWait([&] {
-                if (throw_in_step && round == 4) {
-                  throw std::runtime_error("step boom");
-                }
-              });
-              if (!go) {
-                released.fetch_add(1);
-                return;
-              }
-            }
-          } catch (...) {
-            team.Abort();
-            throw;
-          }
-        }),
+        RunOnOwnThreads(kWorkers,
+                        [&](size_t w) {
+                          try {
+                            for (int round = 0; round < 10; ++round) {
+                              if (!throw_in_step && w == 1 && round == 4) {
+                                throw std::runtime_error("worker 1 boom");
+                              }
+                              const bool go = team.ArriveAndWait([&] {
+                                if (throw_in_step && round == 4) {
+                                  throw std::runtime_error("step boom");
+                                }
+                              });
+                              if (!go) {
+                                released.fetch_add(1);
+                                return;
+                              }
+                            }
+                          } catch (...) {
+                            team.Abort();
+                            throw;
+                          }
+                        }),
         std::runtime_error);
     EXPECT_TRUE(team.aborted());
-    EXPECT_EQ(released.load(), parties - 1)
-        << "throw in step: " << throw_in_step;
+    EXPECT_EQ(released.load(), 3) << "throw in step: " << throw_in_step;
   }
 }
 
